@@ -17,12 +17,15 @@
 #   make serve-smoke      gateway suite on the process and hybrid backends, a CLI
 #                         load run with its oracles, and a smoke serve_latency
 #                         artifact
+#   make ledger-smoke     the ledger's own tests, including a smoke pass of all
+#                         four BENCHMARK.json workloads (~50 s)
+#   make loc              lines of src/ (ROADMAP tracks it next to the perf numbers)
 
 PYTHON ?= python
 
 .PHONY: install lint test coverage bench bench-backends bench-gate explore \
 	process-smoke async-smoke hybrid-smoke shard-smoke failover-smoke \
-	serve-smoke clean
+	serve-smoke ledger-smoke loc clean
 
 install:
 	$(PYTHON) -m pip install -e .[dev]
@@ -52,7 +55,7 @@ bench-gate:
 process-smoke:
 	REPRO_BACKEND=process $(PYTHON) -m pytest -q tests/test_backends.py \
 		tests/test_process_backend.py tests/test_socket_queue.py \
-		tests/test_wire_properties.py
+		tests/test_wire_queue.py tests/test_wire_properties.py
 
 async-smoke:
 	REPRO_BACKEND=async $(PYTHON) -m pytest -q tests/test_backends.py \
@@ -97,6 +100,15 @@ serve-smoke:
 	$(PYTHON) -m repro --backend process+async serve --port 0 --shards 2 \
 		--load --rate 150 --duration 1 --cases 16
 	$(PYTHON) benchmarks/bench_serve.py --smoke --out BENCH_serve_smoke.json
+
+# the performance ledger's own suite (mirrors CI ledger-smoke): statistics,
+# comparison and traffic units plus one smoke pass of every workload
+ledger-smoke:
+	$(PYTHON) -m pytest ledger/tests -q
+
+# the size ROADMAP asks to be tracked next to the perf numbers
+loc:
+	@find src -name '*.py' | xargs cat | wc -l
 
 # bank-transfers must stay clean on every schedule; the philosophers hunt is
 # *expected* to find its seeded deadlock (exit 1 = "problem found") and the

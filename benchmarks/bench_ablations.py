@@ -10,12 +10,16 @@ measures a workload that is sensitive to it:
 * pull- vs. push-style data transfer (Section 3.4's discussion);
 * sync elision alone vs. hoisting + elision on a loop whose only sync sits
   in the body (the "lift the sync out of the loop" case of Section 4.2);
-* shared-memory private queues vs. the socket-backed prototype (Section 7);
+* shared-memory private queues vs. the same requests as frames over a socket
+  (Section 7's transport question);
 * reference vs. expanded (copied) call arguments (Section 6's discussion of
   ownership transfer for expanded classes).
 """
 
 from __future__ import annotations
+
+import socket
+import threading
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from repro.core.expanded import Expanded
 from repro.core.region import SeparateObject
 from repro.core.runtime import QsRuntime
 from repro.core.transfer import pull_array, push_elements
-from repro.queues.socket_queue import SocketPrivateQueue, SocketQueueServer
+from repro.queues.socket_queue import FrameStream
 from repro.workloads.concurrent.runner import run_mutex
 from repro.workloads.params import TINY_CONCURRENT
 
@@ -168,7 +172,7 @@ class _SocketCounter:
 
 @pytest.mark.parametrize("transport", ["shared-memory", "socket"])
 def test_ablation_private_queue_transport(benchmark, transport, bench_options):
-    """Per-request overhead of the socket-backed private queue (Section 7)."""
+    """Per-request overhead of a private queue over a framed socket (Section 7)."""
     n_calls = 100
 
     def shared_memory():
@@ -179,16 +183,30 @@ def test_ablation_private_queue_transport(benchmark, transport, bench_options):
                     proxy.set(0, 1.0)
                 return proxy.ask("get", 0)
 
+    def drain(stream, target):
+        # the Fig. 7 inner loop with a socket as the queue: apply calls,
+        # answer the sync, stop at END
+        while True:
+            frame = stream.recv()
+            if frame["kind"] == "end":
+                return
+            value = getattr(target, frame["feature"])(*frame["args"])
+            if frame["kind"] == "sync":
+                stream.send({"kind": "result", "value": value})
+
     def socket_transport():
-        queue = SocketPrivateQueue()
-        server = SocketQueueServer(queue, _SocketCounter()).start()
+        a, b = socket.socketpair()
+        client, handler = FrameStream(a), FrameStream(b)
+        server = threading.Thread(target=drain, args=(handler, _SocketCounter()), daemon=True)
+        server.start()
         for _ in range(n_calls):
-            queue.enqueue_call("increment", 1)
-        value = queue.query("read")
-        queue.enqueue_end()
+            client.send({"kind": "call", "feature": "increment", "args": [1]})
+        client.send({"kind": "sync", "feature": "read", "args": []})
+        value = client.recv()["value"]
+        client.send({"kind": "end"})
         server.join(timeout=10)
-        queue.close_client()
-        queue.close_handler()
+        client.close()
+        handler.close()
         return value
 
     workload = shared_memory if transport == "shared-memory" else socket_transport

@@ -64,15 +64,14 @@ The same program runs unmodified on either execution backend:
   handler, with coroutine clients (``runtime.aclient(coro_fn)`` +
   ``async with rt.aclient().separate(...)``) cheap enough for 10k+
   concurrent fan-in;
-* ``QsRuntime(backend="process+async")`` — the **hybrid**: handlers in a
-  process worker pool, clients as coroutine tasks on a multi-loop pool.
+* ``QsRuntime(backend="process+async")`` — the process backend with client
+  event loops: handlers in a process worker pool, clients as coroutine
+  tasks on a multi-loop pool.
 
 Clients of every shape come from one factory pair: ``runtime.client(fn)``
 spawns a client (thread or coroutine, following ``fn``'s shape) and
 ``runtime.client()`` / ``runtime.aclient()`` return the calling thread's /
-task's own client.  The historical spellings ``spawn_client``,
-``spawn_async_client``, ``async_client`` and ``separate_async`` remain as
-deprecated aliases.
+task's own client.
 
 Backends can also be selected per config (``QsConfig(backend="sim")``),
 per process (the ``REPRO_BACKEND`` environment variable), or from the
@@ -86,8 +85,8 @@ in ``docs/api.md``); anything deeper is internal and may change without
 notice.
 """
 
-from repro.backends import (AsyncBackend, BackendSpec, ExecutionBackend, HybridBackend,
-                            ProcessBackend, SimBackend, ThreadedBackend, create_backend)
+from repro.backends import (AsyncBackend, BackendSpec, ExecutionBackend, ProcessBackend,
+                            SimBackend, ThreadedBackend, create_backend)
 from repro.config import LEVEL_ORDER, OptimizationLevel, QsConfig
 from repro.core import (
     Expanded,
@@ -142,7 +141,6 @@ __all__ = [
     "AsyncBackend",
     "BackendSpec",
     "ExecutionBackend",
-    "HybridBackend",
     "ProcessBackend",
     "SimBackend",
     "ThreadedBackend",

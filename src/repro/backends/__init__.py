@@ -18,11 +18,17 @@ is backend-agnostic; a backend decides how handlers and clients *execute*:
              scales to tens of thousands of concurrent clients (blocking
              thread clients still work alongside)
 ``process+async``
-             the composite of the two above: handlers in the process
-             worker pool (real cores), clients as coroutine tasks across
-             event loops — tens of thousands of concurrent clients
-             driving compute-bound handlers in parallel
+             the process backend with client event loops
+             (``ProcessBackend(loops=n)``): handlers in the process worker
+             pool (real cores), clients as coroutine tasks across event
+             loops — tens of thousands of concurrent clients driving
+             compute-bound handlers in parallel
 =========== ==============================================================
+
+A backend is the product of two axes — *where a handler drains* (inline
+thread, event loop, worker process) and *what a client is* (thread or
+coroutine) — so no backend class inherits from another; see
+:mod:`repro.backends.base`.
 
 Select one with ``QsRuntime(backend="sim")``, ``QsConfig(backend="sim")``,
 the ``REPRO_BACKEND`` environment variable, or ``repro --backend sim ...``
@@ -41,8 +47,8 @@ specific adversarial schedule without touching any source.  A process spec
 carries a worker-process cap and/or a wire codec — ``"process:4"``,
 ``"process:json"``, ``"process:2:bin"`` (see :mod:`repro.queues.codec`).
 An async spec carries an event-loop count — ``"async:4"`` runs four loops
-with shard replicas pinned round-robin across them.  The hybrid composite
-takes a worker cap, a loop count and a codec in that order —
+with shard replicas pinned round-robin across them.  ``process+async``
+(alias ``hybrid``) takes a worker cap, a loop count and a codec in that order —
 ``"process+async:4:2:bin"`` is four worker processes, two client loops,
 binary wire frames.  ``threads`` takes no components; trailing components
 on it are rejected rather than silently ignored.
@@ -51,33 +57,28 @@ on it are rejected rather than silently ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional, Type
 
 from repro.backends.async_ import AsyncBackend, AsyncClientHandle, AsyncEventHandle
 from repro.backends.base import ClientHandle, ExecutionBackend
-from repro.backends.hybrid import HybridBackend
 from repro.backends.process import ProcessBackend
 from repro.backends.sim import SimBackend, SimClientHandle, SimEventHandle, SimLock
 from repro.backends.threaded import ThreadedBackend
 from repro.queues.codec import CODEC_NAMES
 from repro.sched.policy import POLICY_NAMES, make_policy
 
-#: registered backend factories, keyed by every accepted spelling
-BACKENDS: Dict[str, Callable[[], ExecutionBackend]] = {
+#: canonical backend name -> the class implementing it (``process+async``
+#: is a configuration of the process backend, not a class of its own)
+BACKENDS: Dict[str, Type[ExecutionBackend]] = {
     "threads": ThreadedBackend,
-    "threaded": ThreadedBackend,
     "sim": SimBackend,
-    "virtual": SimBackend,
     "process": ProcessBackend,
-    "processes": ProcessBackend,
     "async": AsyncBackend,
-    "asyncio": AsyncBackend,
-    "process+async": HybridBackend,
-    "hybrid": HybridBackend,
+    "process+async": ProcessBackend,
 }
 
 #: canonical names (one per backend), for CLI choices and error messages
-BACKEND_NAMES = ("threads", "sim", "process", "async", "process+async")
+BACKEND_NAMES = tuple(BACKENDS)
 
 #: the one spec grammar every parse error points at
 SPEC_GRAMMAR = ("threads | sim[:policy[:seed]] | process[:nproc][:codec] | async[:nloops] "
@@ -145,14 +146,13 @@ class BackendSpec:
             return spec
         text = str(spec)
         base, _, rest = text.lower().partition(":")
-        factory = BACKENDS.get(base)
-        if factory is None:
+        canonical = _CANONICAL.get(base)
+        if canonical is None:
             valid = ", ".join(BACKEND_NAMES)
             raise _spec_error(text, f"unknown execution backend {base!r} (one of: {valid})")
-        canonical = _CANONICAL[base]
         if not rest:
             return cls(name=canonical)
-        if factory is SimBackend:
+        if canonical == "sim":
             policy_name, _, seed_text = rest.partition(":")
             if policy_name not in POLICY_NAMES:
                 raise _spec_error(text, f"unknown scheduling policy {policy_name!r}")
@@ -163,34 +163,19 @@ class BackendSpec:
                 except ValueError:
                     raise _spec_error(text, f"invalid scheduling seed {seed_text!r}") from None
             return cls(name=canonical, policy=policy_name, seed=seed)
-        if factory is ProcessBackend:
-            processes = None
-            codec = None
-            for part in rest.split(":"):
-                if not part:
-                    raise _spec_error(text, "empty component")
-                if part.isdigit():
-                    if processes is not None:
-                        raise _spec_error(text, "two process counts")
-                    processes = int(part)
-                elif part in CODEC_NAMES:
-                    if codec is not None:
-                        raise _spec_error(text, "two codecs")
-                    codec = part
-                else:
-                    raise _spec_error(
-                        text, f"invalid component {part!r} (neither a process count nor a codec)")
-            return cls(name=canonical, processes=processes, codec=codec)
-        if factory is HybridBackend:
+        if canonical in ("process", "process+async"):
+            # one component grammar: counts (nproc, then — composite only —
+            # nloops) and a codec, in any order
+            max_counts = 2 if canonical == "process+async" else 1
             counts: list = []
             codec = None
             for part in rest.split(":"):
                 if not part:
                     raise _spec_error(text, "empty component")
                 if part.isdigit():
-                    if len(counts) >= 2:
-                        raise _spec_error(
-                            text, "more than a process count and a loop count")
+                    if len(counts) == max_counts:
+                        raise _spec_error(text, "two process counts" if max_counts == 1 else
+                                          "more than a process count and a loop count")
                     counts.append(int(part))
                 elif part in CODEC_NAMES:
                     if codec is not None:
@@ -198,14 +183,14 @@ class BackendSpec:
                     codec = part
                 else:
                     raise _spec_error(
-                        text, f"invalid component {part!r} (not a count or a codec)")
+                        text, f"invalid component {part!r} (neither a count nor a codec)")
             loops = counts[1] if len(counts) > 1 else None
             if loops is not None and loops < 1:
                 raise _spec_error(
                     text, f"invalid event-loop count {loops!r} (a positive integer)")
             return cls(name=canonical, processes=counts[0] if counts else None,
                        codec=codec, loops=loops)
-        if factory is AsyncBackend:
+        if canonical == "async":
             if not rest.isdigit() or int(rest) < 1:
                 raise _spec_error(
                     text, f"invalid event-loop count {rest!r} (a positive integer)")
@@ -236,24 +221,24 @@ class BackendSpec:
 
     def create(self) -> ExecutionBackend:
         """Instantiate the backend this spec describes."""
-        factory = BACKENDS.get(self.name)
-        if factory is None:
+        name = _CANONICAL.get(self.name)
+        if name is None:
             valid = ", ".join(BACKEND_NAMES)
             raise _spec_error(
                 self.to_spec(), f"unknown execution backend {self.name!r} (one of: {valid})")
-        if factory is SimBackend:
+        if name == "sim":
             if self.policy is None:
                 return SimBackend()
             seed = self.seed if self.seed is not None else 0
             return SimBackend(policy=make_policy(self.policy, seed=seed), seed=seed)
-        if factory is ProcessBackend:
+        if name == "process":
             return ProcessBackend(processes=self.processes, codec=self.codec or "pickle")
-        if factory is HybridBackend:
-            return HybridBackend(processes=self.processes, loops=self.loops or 1,
-                                 codec=self.codec or "pickle")
-        if factory is AsyncBackend:
+        if name == "process+async":
+            return ProcessBackend(processes=self.processes, codec=self.codec or "pickle",
+                                  loops=self.loops or 1)
+        if name == "async":
             return AsyncBackend(loops=self.loops or 1)
-        return factory()
+        return ThreadedBackend()
 
 
 def create_backend(name: "str | BackendSpec | ExecutionBackend | None") -> ExecutionBackend:
@@ -264,8 +249,9 @@ def create_backend(name: "str | BackendSpec | ExecutionBackend | None") -> Execu
     ``"sim:pct:42"``), a process count and codec (``"process:4:json"``), or
     an async event-loop count (``"async:4"``) — as a string or an
     equivalent :class:`BackendSpec`.  Components on the threaded backend
-    are rejected — silently ignoring them would be misleading.  Every malformed spec raises a ``ValueError`` naming the
-    valid grammar (:data:`SPEC_GRAMMAR`).
+    are rejected — silently ignoring them would be misleading.  Every
+    malformed spec raises a ``ValueError`` naming the valid grammar
+    (:data:`SPEC_GRAMMAR`).
     """
     if name is None:
         return ThreadedBackend()
@@ -283,7 +269,6 @@ __all__ = [
     "SimEventHandle",
     "SimLock",
     "ProcessBackend",
-    "HybridBackend",
     "AsyncBackend",
     "AsyncClientHandle",
     "AsyncEventHandle",

@@ -19,13 +19,13 @@ How the pieces execute:
   — futures resolved on enqueue, with the batched drain fast path and the
   request dispatch (:meth:`~repro.core.handler.Handler.drain_batch`)
   unchanged.
-* **Awaitable clients are asyncio tasks too.**  ``runtime.spawn_async_client``
+* **Awaitable clients are asyncio tasks too.**  ``runtime.aclient(coro_fn)``
   runs a coroutine client on one of the loops; it talks to handlers through
   the awaitable surface of :class:`~repro.core.async_api.AsyncClient`
-  (``await call/query/sync``, ``async with runtime.separate_async(...)``),
+  (``await call/query/sync``, ``async with runtime.aclient().separate(...)``),
   whose waits resolve through :class:`AsyncEventHandle` futures instead of
   blocking the loop.
-* **Blocking clients still work.**  ``runtime.spawn_client`` (and the main
+* **Blocking clients still work.**  ``runtime.client(fn)`` (and the main
   thread) keep their natural blocking style on real threads, exactly like
   the threaded backend; :class:`AsyncEventHandle` speaks both protocols
   (``wait()`` for threads, ``await wait_async()`` for coroutines), so both
@@ -55,11 +55,10 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import time
 from collections import deque
 from typing import Any, Callable, Coroutine, Deque, Dict, List, Optional, Tuple
 
-from repro.backends.base import ClientHandle, ExecutionBackend
+from repro.backends.base import ClientHandle, ExecutionBackend, ThreadClients
 from repro.errors import ScoopError
 from repro.queues.qoq import SHUTDOWN
 
@@ -138,21 +137,26 @@ class _LoopThread:
         self.thread.join(timeout=timeout)
 
 
-class LoopPool:
-    """A set of event-loop threads plus the cross-thread plumbing they need.
+class LoopPool(ThreadClients):
+    """The client axis when a client may be a coroutine task on an event loop.
 
     This is the part of the asyncio machinery that is *not* about handlers:
     starting/stopping ``nloops`` :class:`_LoopThread` s, spreading client
     tasks round-robin across them, recognising "am I on one of my loop
-    threads?", and resolving loop-bound futures from wherever ``set()``
-    was called.  :class:`AsyncBackend` composes it with coroutine handler
-    loops; the hybrid ``process+async`` backend composes the *same* pool
-    with process-hosted handlers — one implementation of the loop
-    lifecycle, two placements of the handler side.
+    threads?", handing out dual-protocol :class:`AsyncEventHandle` s and
+    resolving their loop-bound futures from wherever ``set()`` was called.
+    Blocking clients stay threads (inherited), so both kinds coexist.
+    :class:`AsyncBackend` binds it next to coroutine handler loops,
+    ``ProcessBackend(loops>=1)`` binds the *same* pool next to
+    process-hosted handlers — one implementation of the loop lifecycle,
+    two placements of the handler side.
     """
 
     __slots__ = ("nloops", "loops", "by_loop", "threads",
                  "_rr_lock", "_client_rr", "_started", "_finished")
+
+    AXIS = ThreadClients.AXIS + ("spawn_task",)
+    supports_async_clients = True
 
     def __init__(self, nloops: int = 1) -> None:
         if nloops < 1:
@@ -168,8 +172,8 @@ class LoopPool:
 
     def start(self) -> None:
         if self._started:
-            raise ScoopError("a LoopPool cannot be started twice; "
-                             "create a fresh pool per runtime")
+            raise ScoopError("a backend with event loops cannot be attached twice; "
+                             "create a fresh backend per runtime")
         self._started = True
         self.loops = [_LoopThread(i) for i in range(self.nloops)]
         for lp in self.loops:
@@ -190,6 +194,11 @@ class LoopPool:
 
     def on_loop_thread(self) -> bool:
         return threading.current_thread() in self.threads
+
+    def create_event(self) -> "AsyncEventHandle":
+        # dual-protocol events, so thread clients block and coroutine
+        # clients await on the very same sync/query machinery
+        return AsyncEventHandle(self)
 
     def _resolve_future(self, fut: asyncio.Future) -> None:
         """Resolve an event-handle future on the loop that owns it."""
@@ -217,7 +226,7 @@ class LoopPool:
         """Schedule ``factory()`` as a loop task; returns a joinable handle."""
         if self._finished:
             raise ScoopError("the backend's event loops have been shut down")
-        handle = AsyncClientHandle(name)
+        handle = AsyncClientHandle(name, self)
         lp = self.next_client_loop()
 
         def _start() -> None:
@@ -238,20 +247,16 @@ class AsyncEventHandle:
     was created on (futures are loop-bound, and with multiple loops the
     waiters of one event may span several of them).
 
-    The ``backend`` argument only needs a ``_resolve_future`` method — an
-    :class:`AsyncBackend`, or a bare :class:`LoopPool` (how the hybrid
-    backend hands these out) both qualify.
-
     One of these is allocated per sync round trip and per packaged query,
     so the constructor stays skeletal: the :class:`threading.Event` a
     blocking waiter needs is only materialised on first blocking ``wait``
     (coroutine waiters — the 10k-fan-in hot path — never pay for it).
     """
 
-    __slots__ = ("_backend", "_flag", "_thread_event", "_waiters", "_lock")
+    __slots__ = ("_pool", "_flag", "_thread_event", "_waiters", "_lock")
 
-    def __init__(self, backend: "AsyncBackend") -> None:
-        self._backend = backend
+    def __init__(self, pool: LoopPool) -> None:
+        self._pool = pool
         self._flag = False
         self._thread_event: Optional[threading.Event] = None
         self._waiters: Optional[List[asyncio.Future]] = None
@@ -267,7 +272,7 @@ class AsyncEventHandle:
         if not waiters:
             return
         for fut in waiters:
-            self._backend._resolve_future(fut)
+            self._pool._resolve_future(fut)
 
     @staticmethod
     def _resolve(fut: asyncio.Future) -> None:
@@ -316,48 +321,32 @@ class AsyncEventHandle:
 class AsyncClientHandle(ClientHandle):
     """Joinable handle for a coroutine client (``join`` blocks a thread).
 
-    Allocated once per spawned client; like the event handle it defers the
-    :class:`threading.Event` until someone actually blocks in ``join`` —
-    by then most of a fan-in's clients have usually finished already.
+    One per spawned client, so it rides on :class:`AsyncEventHandle`'s
+    deferred thread event: by the time someone blocks in ``join`` most of
+    a fan-in's clients have usually finished already.
     """
 
-    __slots__ = ("_flag", "_thread_event", "_lock", "name")
+    __slots__ = ("name", "_finished")
 
-    def __init__(self, name: str) -> None:
-        self._flag = False
-        self._thread_event: Optional[threading.Event] = None
-        self._lock = threading.Lock()
+    def __init__(self, name: str, pool: LoopPool) -> None:
         self.name = name
+        self._finished = AsyncEventHandle(pool)
 
     def _mark_done(self) -> None:
-        with self._lock:
-            self._flag = True
-            thread_event = self._thread_event
-        if thread_event is not None:
-            thread_event.set()
+        self._finished.set()
 
     def join(self, timeout: Optional[float] = None) -> None:
-        if self._flag:
-            return
-        with self._lock:
-            if self._flag:
-                return
-            if self._thread_event is None:
-                self._thread_event = threading.Event()
-            thread_event = self._thread_event
-        thread_event.wait(timeout=timeout)
+        self._finished.wait(timeout=timeout)
 
     @property
     def done(self) -> bool:
-        return self._flag
+        return self._finished.is_set()
 
 
 class AsyncBackend(ExecutionBackend):
     """Execute handlers and coroutine clients on one or more asyncio loops."""
 
     name = "async"
-    #: the runtime's awaitable client API checks this before wiring itself up
-    supports_async_clients = True
 
     def __init__(self, loops: int = 1) -> None:
         if loops < 1:
@@ -365,7 +354,7 @@ class AsyncBackend(ExecutionBackend):
         self.runtime: Any = None
         self.nloops = loops
         self._pool = LoopPool(loops)
-        self._started = False
+        self._bind_clients(self._pool)
         #: shard-placement pins (handler name -> loop index) set by
         #: create_shard_handlers before the handlers are started
         self._pins: Dict[str, int] = {}
@@ -374,41 +363,19 @@ class AsyncBackend(ExecutionBackend):
         self._rr_lock = threading.Lock()
         self._handler_rr = 0
 
-    @property
-    def _loops(self) -> List[_LoopThread]:
-        return self._pool.loops
-
-    @property
-    def loop(self) -> Optional[asyncio.AbstractEventLoop]:
-        """The primary event loop (single-loop compatibility surface)."""
-        return self._pool.loops[0].loop if self._pool.loops else None
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def attach(self, runtime: Any) -> None:
-        if self._started:
-            raise ScoopError("an AsyncBackend instance cannot be attached twice; "
-                             "create a fresh backend per runtime")
-        self._started = True
+        self._pool.start()  # raises on re-attach
         self.runtime = runtime
-        self._pool.start()
 
     def shutdown(self, timeout: float = 10.0) -> None:
         self._pool.stop(timeout)
 
     # ------------------------------------------------------------------
-    # loop plumbing (delegated to the shared LoopPool)
+    # handler plumbing: a coroutine drain loop per handler
     # ------------------------------------------------------------------
-    def on_loop_thread(self) -> bool:
-        return self._pool.on_loop_thread()
-
-    def _resolve_future(self, fut: asyncio.Future) -> None:
-        self._pool._resolve_future(fut)
-
-    def _next_client_loop(self) -> _LoopThread:
-        return self._pool.next_client_loop()
-
     def _assign_handler_loop(self, name: str) -> _LoopThread:
         """Pick the loop a new handler lives on (pin beats round-robin)."""
         with self._rr_lock:
@@ -420,32 +387,6 @@ class AsyncBackend(ExecutionBackend):
             self._loop_of[name] = index
         return self._pool.loops[index]
 
-    def spawn_task(self, factory: Callable[[], Coroutine], name: str) -> AsyncClientHandle:
-        """Schedule ``factory()`` as a loop task; returns a joinable handle."""
-        if self._pool.finished:
-            raise ScoopError("the async backend has been shut down")
-        return self._pool.spawn_task(factory, name)
-
-    # ------------------------------------------------------------------
-    # synchronisation primitives
-    # ------------------------------------------------------------------
-    def create_event(self) -> AsyncEventHandle:
-        return AsyncEventHandle(self)
-
-    def create_lock(self) -> Any:
-        # reservation spinlocks protect a handful of non-awaiting
-        # instructions, so a plain thread lock is safe on the loops too
-        return threading.Lock()
-
-    def now(self) -> float:
-        return time.monotonic()
-
-    def sleep(self, seconds: float) -> None:
-        time.sleep(seconds)
-
-    # ------------------------------------------------------------------
-    # handler plumbing: a coroutine drain loop per handler
-    # ------------------------------------------------------------------
     def _waker(self, handler: Any) -> Callable[[], None]:
         """The drain-waiter callback installed on the handler's queues.
 
@@ -564,26 +505,6 @@ class AsyncBackend(ExecutionBackend):
             # batches even when this queue is kept continuously full
             await asyncio.sleep(0)
 
-    # the blocking-loop hooks are never reached: start_handler runs the
-    # coroutine loop above instead of Handler._loop
-    def handler_next_queue(self, handler: Any) -> Optional[Any]:  # pragma: no cover
-        raise ScoopError("the async backend drains handlers on its event loops")
-
-    def handler_next_batch(self, handler: Any, private_queue: Any,
-                           max_items: int) -> Optional[List[Any]]:  # pragma: no cover
-        raise ScoopError("the async backend drains handlers on its event loops")
-
-    # ------------------------------------------------------------------
-    # client plumbing
-    # ------------------------------------------------------------------
-    def spawn_client(self, fn: Callable[[], None], name: Optional[str] = None) -> threading.Thread:
-        # blocking client bodies keep running on real threads (their waits
-        # go through AsyncEventHandle's thread protocol); coroutine clients
-        # go through spawn_async_client -> spawn_task instead
-        thread = threading.Thread(target=fn, name=name, daemon=True)
-        thread.start()
-        return thread
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        running = bool(self._loops) and self._loops[0].loop.is_running()
+        running = bool(self._pool.loops) and self._pool.loops[0].loop.is_running()
         return f"AsyncBackend(loops={self.nloops}, running={running})"

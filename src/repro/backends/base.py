@@ -23,23 +23,26 @@ private queues, sync coalescing, reservations) stays shared:
   clients are asyncio tasks on one event loop; clients are nearly free,
   so concurrent fan-in scales to tens of thousands.
 
-A backend supplies three groups of primitives:
+A backend is the product of two small axes:
 
-1. *synchronisation objects* (`create_event`, `create_lock`) used wherever a
-   client must wait for a handler (sync release, query result boxes) or
-   exclude other clients (the lock-based protocol's reservation locks);
-2. *handler plumbing* (`start_handler`, `handler_next_queue`,
-   `handler_next_batch`, `notify_handler`, `stop_handler`) — the blocking
-   parts of the handler loop of Fig. 7;
-3. *client plumbing* (`spawn_client`, `join_client`) plus a clock
-   (`now`, `sleep`) used by wait-condition back-off.
+1. *what a client is* — the synchronisation objects a client waits on
+   (`create_event`, `create_lock`), its clock (`now`, `sleep`) and how one is
+   started (`spawn_client`, `spawn_task`, `on_loop_thread`).  Two
+   implementations exist and backends *bind* one instead of re-implementing
+   it: :class:`ThreadClients` (a client is an OS thread) and
+   :class:`~repro.backends.async_.LoopPool` (a client may also be a coroutine
+   task on an event loop).  The simulator defines its own (virtual time).
+2. *where a handler drains* — `start_handler` / `stop_handler` /
+   `notify_handler`, plus the placement hooks: where a handler's objects
+   live (`adopt_object`), what a client's private queue to a handler is
+   (`create_private_queue`), and where the body of a client-executed query
+   runs (`execute_synced_query`).  The in-memory backends keep the defaults
+   (objects and queues are local, query bodies run on the client); the
+   process backend reroutes all three over its sockets.
 
-A backend may additionally override three *placement hooks* — where a
-handler's objects live (`adopt_object`), what a client's private queue to a
-handler is (`create_private_queue`), and where the body of a client-executed
-query runs (`execute_synced_query`).  The in-memory backends keep the
-defaults (objects and queues are local, query bodies run on the client); the
-process backend reroutes all three over its sockets.
+Backends whose handlers run :meth:`Handler._loop <repro.core.handler.Handler>`
+on a thread of their own (``threads``, ``sim``) also implement its two
+blocking hooks, `handler_next_queue` and `handler_next_batch`.
 
 Everything else — the request protocol itself — never changes between
 backends, which is what makes backend-parity testing meaningful.
@@ -47,6 +50,8 @@ backends, which is what makes backend-parity testing meaningful.
 
 from __future__ import annotations
 
+import threading
+import time
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, List, Optional
 
@@ -64,11 +69,66 @@ class ClientHandle(ABC):
         raise NotImplementedError
 
 
+class ThreadClients:
+    """The client axis when a client is an OS thread (wall-clock time).
+
+    Stateless; :class:`~repro.backends.async_.LoopPool` extends it with
+    coroutine clients (blocking thread clients keep working alongside).
+    """
+
+    __slots__ = ()
+
+    #: what a backend binds from its client axis (`_bind_clients`)
+    AXIS = ("supports_async_clients", "create_event", "create_lock", "now", "sleep",
+            "spawn_client", "on_loop_thread")
+
+    #: True when the axis can run coroutine clients (``spawn_task``)
+    supports_async_clients = False
+
+    create_event = staticmethod(threading.Event)
+    # reservation spinlocks protect a handful of non-awaiting instructions,
+    # so a plain thread lock is safe for coroutine clients too
+    create_lock = staticmethod(threading.Lock)
+    now = staticmethod(time.monotonic)
+    sleep = staticmethod(time.sleep)
+
+    def start(self) -> None:
+        """Bring the axis up (called from the backend's ``attach``)."""
+
+    def stop(self, timeout: float) -> None:
+        """Tear the axis down (called from the backend's ``shutdown``)."""
+
+    @staticmethod
+    def spawn_client(fn: Callable[[], None], name: Optional[str] = None) -> threading.Thread:
+        thread = threading.Thread(target=fn, name=name, daemon=True)
+        thread.start()
+        return thread
+
+    @staticmethod
+    def on_loop_thread() -> bool:
+        """True when called from a thread that runs coroutine clients."""
+        return False
+
+
 class ExecutionBackend(ABC):
     """Strategy object deciding how handlers and clients execute."""
 
     #: short name used by ``--backend`` and ``QsConfig.backend``
     name: str = "abstract"
+
+    #: True when the backend can run coroutine clients (``spawn_task``)
+    supports_async_clients = False
+
+    def _bind_clients(self, clients: ThreadClients) -> None:
+        """Adopt a client axis by *binding* its methods as this backend's own.
+
+        Bound, not forwarded: ``backend.create_event`` is the axis's
+        callable itself (``threading.Event`` for thread clients), so the
+        per-sync and per-query paths pay no delegation call.
+        """
+        self.clients = clients
+        for name in clients.AXIS:
+            setattr(self, name, getattr(clients, name))
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -159,30 +219,37 @@ class ExecutionBackend(ABC):
                                          args=args, kwargs=kwargs, raw_fn=raw_fn)
 
     # ------------------------------------------------------------------
-    # synchronisation primitives
+    # the client axis (bound from ThreadClients / LoopPool, or defined)
     # ------------------------------------------------------------------
-    @abstractmethod
-    def create_event(self) -> Any:
-        """A ``threading.Event``-compatible object (wait/set/is_set/clear)."""
+    #: a ``threading.Event``-compatible object (wait/set/is_set/clear)
+    create_event: Callable[[], Any]
+    #: a ``threading.Lock``-compatible object (acquire/release)
+    create_lock: Callable[[], Any]
+    #: the backend's clock: wall-clock seconds or virtual time
+    now: Callable[[], float]
+    #: back off for ``seconds`` on the backend's clock
+    sleep: Callable[[float], None]
+    #: run ``fn`` as a new (blocking) client; returns a joinable handle
+    spawn_client: Callable[..., Any]
 
-    @abstractmethod
-    def create_lock(self) -> Any:
-        """A ``threading.Lock``-compatible object (acquire/release)."""
+    def spawn_task(self, factory: Callable[[], Any], name: str) -> Any:
+        """Run the coroutine ``factory()`` as a client task.
 
-    @abstractmethod
-    def now(self) -> float:
-        """The backend's clock: wall-clock seconds or virtual time."""
-
-    @abstractmethod
-    def sleep(self, seconds: float) -> None:
-        """Back off for ``seconds`` on the backend's clock."""
+        Only a backend whose client axis is a
+        :class:`~repro.backends.async_.LoopPool` can; everywhere else
+        coroutine clients are rejected before this is reached (see
+        :class:`~repro.core.async_api.AsyncClient`).
+        """
+        raise NotImplementedError(
+            f"the {self.name!r} backend cannot run coroutine clients; "
+            "use backend='async' or 'process+async'")
 
     # ------------------------------------------------------------------
-    # handler plumbing (the blocking half of the handler loop, Fig. 7)
+    # handler plumbing
     # ------------------------------------------------------------------
     @abstractmethod
     def start_handler(self, handler: Any) -> None:
-        """Begin executing ``handler._loop`` (thread or scheduler task)."""
+        """Begin draining ``handler`` (thread, scheduler task, loop task, worker)."""
 
     @abstractmethod
     def stop_handler(self, handler: Any, timeout: float = 5.0) -> None:
@@ -192,24 +259,6 @@ class ExecutionBackend(ABC):
         closed; the backend only has to wake and join the loop.
         """
 
-    @abstractmethod
-    def handler_next_queue(self, handler: Any) -> Optional[Any]:
-        """Block until the next private queue is available (rule *run*).
-
-        Returns ``None`` when the handler should shut down (queue-of-queues
-        closed and drained).
-        """
-
-    @abstractmethod
-    def handler_next_batch(self, handler: Any, private_queue: Any,
-                           max_items: int) -> Optional[List[Any]]:
-        """Block until request(s) are available on ``private_queue``.
-
-        Returns a non-empty batch of requests (at most ``max_items``, never
-        crossing an END marker) or ``None`` when the handler should abandon
-        the queue because the runtime is shutting down.
-        """
-
     def notify_handler(self, handler: Any) -> None:
         """Hint that new work was enqueued for ``handler``.
 
@@ -217,27 +266,6 @@ class ExecutionBackend(ABC):
         variables, so this is a no-op there; the sim backend uses it to wake
         the handler's task (and to charge virtual time for the operation).
         """
-
-    # ------------------------------------------------------------------
-    # client plumbing
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def spawn_client(self, fn: Callable[[], None], name: Optional[str] = None) -> Any:
-        """Run ``fn`` as a new client; returns a joinable handle."""
-
-    #: True when the backend can run coroutine clients (``spawn_task``)
-    supports_async_clients = False
-
-    def spawn_task(self, factory: Callable[[], Any], name: str) -> Any:
-        """Run the coroutine ``factory()`` as a client task (async backend).
-
-        Only the asyncio backend implements this; everywhere else coroutine
-        clients are rejected before this is reached (see
-        :class:`~repro.core.async_api.AsyncClient`).
-        """
-        raise NotImplementedError(
-            f"the {self.name!r} backend cannot run coroutine clients; "
-            "use backend='async'")
 
     def join_client(self, handle: Any, timeout: Optional[float] = None) -> None:
         handle.join(timeout=timeout)

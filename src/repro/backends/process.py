@@ -7,10 +7,22 @@ true multi-core parallelism instead of time-slicing one GIL.
 
 Division of labour:
 
-* **clients stay threads of the parent process** and run completely
-  unmodified client code: reservations, sync coalescing, wait conditions,
-  the lock-based protocol variants — all of it is the shared machinery of
-  :mod:`repro.core.client`.
+* **clients stay in the parent process** and run completely unmodified
+  client code: reservations, sync coalescing, wait conditions, the
+  lock-based protocol variants — all of it is the shared machinery of
+  :mod:`repro.core.client`.  What a client *is* is the backend's other
+  axis: OS threads by default (``loops=0``), or — ``loops>=1``, the
+  ``process+async`` configuration — also coroutine tasks on a
+  :class:`~repro.backends.async_.LoopPool`, so tens of thousands of
+  concurrent clients drive handlers on real cores.
+* **one wire-queue protocol, two drivers**: a client's private queue is a
+  :class:`~repro.queues.wire_queue.WireQueueCore` (tickets, journal,
+  counters, stale-reply debt, replay — no I/O) driven either by the
+  blocking :class:`ProcessPrivateQueue` (thread clients) or by the
+  continuation-based :class:`AsyncProcessPrivateQueue` (coroutine clients,
+  whose reader task resolves reply continuations so the event loop never
+  blocks on the socket).  The backend picks per queue, from the thread that
+  asks, so both client kinds coexist with identical counters.
 * **each handler becomes a socket server in a worker process**
   (:mod:`repro.backends.process_worker`): one
   :class:`~repro.queues.socket_queue.FrameStream` connection per (client,
@@ -35,7 +47,8 @@ callables; ``json`` restricts arguments and results to JSON types but is
 wire-portable.  Select with ``QsRuntime(backend="process")``,
 ``REPRO_BACKEND=process[:nproc][:codec]`` or ``repro --backend process``;
 ``nproc`` caps worker processes (handlers are assigned round-robin), the
-default is one process per handler.
+default is one process per handler.  The coroutine-client configuration is
+``process+async[:nproc[:nloops[:codec]]]`` (alias ``hybrid``).
 
 Known limits (documented in ``docs/backends.md``): handler objects cannot
 hold backend-unaware references into the parent (no shipping the runtime or
@@ -45,6 +58,7 @@ not recorded in the parent's tracer.
 
 from __future__ import annotations
 
+import asyncio
 import itertools
 import json
 import os
@@ -54,13 +68,16 @@ import socket
 import subprocess
 import sys
 import threading
-from typing import Any, Callable, Dict, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.backends.threaded import ThreadedBackend
+from repro.backends.async_ import LoopPool
+from repro.backends.base import ExecutionBackend, ThreadClients
 from repro.errors import ScoopError
-from repro.queues.codec import CODECS, get_codec
+from repro.queues.codec import get_codec
 from repro.queues.private_queue import ResultBox, SyncRequest
-from repro.queues.socket_queue import FrameStream, SocketQueueClosed
+from repro.queues.socket_queue import AsyncFrameStream, FrameStream, SocketQueueClosed
+from repro.queues.wire_queue import RemoteHandle, WireQueueCore
 
 #: worker bootstrap, kept import-only so no parent state is assumed
 _WORKER_CMD = "from repro.backends.process_worker import main; main()"
@@ -77,34 +94,6 @@ class RemoteHandlerError(ScoopError):
     def __init__(self, description: str, remote_traceback: str = "") -> None:
         super().__init__(description)
         self.remote_traceback = remote_traceback
-
-
-class RemoteCallError(ScoopError):
-    """A remote call failed and the original exception could not travel.
-
-    Raised when the worker's error reply only carried a ``repr`` (JSON
-    codec, or an unpicklable exception); with the pickle codec the original
-    exception is re-raised instead.
-    """
-
-
-class RemoteHandle:
-    """Parent-side stand-in for an object hosted in a handler process.
-
-    A :class:`~repro.core.region.SeparateRef` wraps this instead of the raw
-    object.  ``_scoop_class`` advertises the hosted object's class so
-    ``@command``/``@query`` markers still resolve on the client side.
-    """
-
-    __slots__ = ("handler_name", "oid", "_scoop_class")
-
-    def __init__(self, handler_name: str, oid: int, cls: type) -> None:
-        self.handler_name = handler_name
-        self.oid = oid
-        self._scoop_class = cls
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"<RemoteHandle {self._scoop_class.__name__}#{self.oid} @ {self.handler_name}>"
 
 
 class _WorkerProcess:
@@ -158,10 +147,9 @@ class _RemoteQoQ:
     will honour) and triggers the ``open`` frame on the queue's connection.
     """
 
-    def __init__(self, backend: "ProcessBackend", handler: Any, worker: _WorkerProcess) -> None:
+    def __init__(self, backend: "ProcessBackend", handler: Any) -> None:
         self.backend = backend
         self.handler = handler
-        self.worker = worker
         self.counters = handler.counters
         self._lock = threading.Lock()
         self._tickets = 0
@@ -187,32 +175,34 @@ class _RemoteQoQ:
         if self.closed:
             return
         self.closed = True
-        op = {"op": "close", "handler": self.handler.name, "tickets": self._tickets}
-        try:
-            self.report = self.worker.request(op)
-        except ScoopError:
-            if not self.backend.failover or self.worker.proc.poll() is None:
-                raise  # a rejection from a live worker is a real error
-            # the worker died before (or while) draining: fail it over — the
-            # replacement replays every journaled block — and re-ask there
-            self.backend.worker_failed(self.worker)
-            self.worker = self.backend._worker_for(self.handler.name)
-            self.report = self.worker.request(op)
+        # a worker that died before (or while) draining is failed over — the
+        # replacement replays every journaled block — and re-asked there
+        self.report = self.backend._control_request(
+            self.handler.name,
+            {"op": "close", "handler": self.handler.name, "tickets": self._tickets})
 
     def __len__(self) -> int:
         return 0
 
 
-class ProcessPrivateQueue:
-    """A client's private queue to a remote handler: one framed connection.
+def _settle(box: ResultBox, value: Any, error: Optional[BaseException]) -> None:
+    """Fill a packaged query's result box from a classified reply."""
+    if error is not None:
+        box.set_error(error)
+    else:
+        box.set(value)
+
+
+class _WireQueue:
+    """What the two wire-queue drivers share: the queue surface over a core.
 
     Mirrors the client-side surface of
     :class:`~repro.queues.private_queue.PrivateQueue` (``enqueue_call`` /
     ``enqueue_sync`` / ``enqueue_query`` / ``enqueue_end``, the ``synced``
-    flag, reuse across blocks) with identical counter accounting, but ships
-    every request over the wire.  Sync and query replies are read
-    synchronously by the owning client thread — an SPSC channel needs no
-    demultiplexer.
+    flag, reuse across blocks) with identical counter accounting, but every
+    request becomes frames of a :class:`~repro.queues.wire_queue.WireQueueCore`.
+    A driver adds the I/O: ``_feed`` (buffer frames on its stream, flushing
+    the burst on request) and how a reply is waited for.
     """
 
     def __init__(self, backend: "ProcessBackend", handler: Any,
@@ -220,99 +210,106 @@ class ProcessPrivateQueue:
         self.backend = backend
         self.handler = handler
         self.worker = worker
-        self.counters = counters
+        self.core = WireQueueCore(backend, handler, counters)
         self.synced = False
         self.client_name: Optional[str] = None
         self.closed_by_client = False
         self.block_id: Optional[int] = None
-        self._stream: Optional[FrameStream] = None
-        self._pending_ticket: Optional[int] = None
-        #: the current block's ticket (kept past the deferred open for failover)
-        self._ticket: Optional[int] = None
-        #: genuine replies consumed in the current block
-        self._replies_seen = 0
-        #: replies to discard because a failover replay regenerates them
-        self._stale_replies = 0
-
-    # -- connection ----------------------------------------------------------
-    def _connect(self) -> FrameStream:
-        if self._stream is None:
-            sock = socket.create_connection(self.worker.data_addr, timeout=10.0)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(None)
-            self._stream = FrameStream(sock, self.backend.codec)
-            # hello stays an eager send: the worker's registration window is
-            # bounded (10 s), and a connection is made once then reused
-            # across blocks — only per-call frames are worth coalescing
-            self._stream.send({"kind": "hello", "handler": self.handler.name,
-                               "token": self.backend.token, "client": self.client_name})
-            self.backend.register_stream(self._stream)
-        return self._stream
+        self._stream: Any = None
 
     def open_block(self, ticket: int) -> None:
-        """Record this block's FIFO position (called by the qoq façade).
+        """Record this block's FIFO position (called by the qoq façade)."""
+        self.core.open_block(ticket, self.block_id)
 
-        The actual ``open`` frame is sent lazily by :meth:`_ensure_open`,
-        because ``open_block`` runs inside the reservation's spinlock
-        critical section where blocking socket I/O must not happen.  The
-        ticket, not frame arrival order, decides when the worker serves the
-        block, so the deferral cannot reorder service.
+    def enqueue_call(self, request: Any) -> None:
+        self.synced = False
+        # asynchronous calls only feed: the burst is flushed by the next
+        # synchronous frame (sync/query/end) or the stream's own batch limit
+        self._feed(self.core.call(request))
+
+    def enqueue_end(self) -> None:
+        self.closed_by_client = True
+        self.synced = False
+        self._send(self.core.end())
+
+    def _send(self, frames: List[Dict[str, Any]]) -> None:
+        """Buffer, then ship everything pending (the synchronous-path send)."""
+        self._feed(frames, flush=True)
+
+    def reset_for_reuse(self) -> None:
+        self.synced = False
+        self.closed_by_client = False
+        self.block_id = None
+
+    def close(self) -> None:
+        """Drop the connection: the owning client will not use it again.
+
+        (The continuation driver's reader takes the EOF of a stream that is
+        no longer the queue's as "closed", not as a dead worker.)
         """
-        self._pending_ticket = ticket
-        self._ticket = ticket
-        # NOT _stale_replies: stale replies belong to the *connection* (a
-        # failover replay's regenerated replies can straddle a block change),
-        # so that debt survives until drained or the stream is replaced.
-        self._replies_seen = 0
+        stream, self._stream = self._stream, None
+        if stream is not None:
+            self.backend.unregister_stream(stream)
+            stream.close()
 
-    def _ensure_open(self) -> FrameStream:
-        stream = self._connect()
-        if self._pending_ticket is not None:
-            ticket, self._pending_ticket = self._pending_ticket, None
-            stream.feed({"kind": "open", "ticket": ticket, "block": self.block_id})
+    def __len__(self) -> int:
+        return 0  # requests live on the wire / in the worker, never here
+
+    def __repr__(self) -> str:  # pragma: no cover - debug helper
+        return (f"{type(self).__name__}(handler={self.handler.name!r}, "
+                f"synced={self.synced}, connected={self._stream is not None})")
+
+
+class ProcessPrivateQueue(_WireQueue):
+    """The blocking driver: a thread client's queue over a ``FrameStream``.
+
+    "Issue, flush, ``recv``, classify": sync and query replies are read
+    synchronously by the owning client thread — an SPSC channel needs no
+    demultiplexer.  A dead worker is noticed inline (a failed write, the
+    delivery probe after a flush, EOF while waiting) and failed over before
+    the operation returns.
+    """
+
+    def _connect(self) -> FrameStream:
+        stream = self._dial()
+        # hello stays an eager send: the worker's registration window is
+        # bounded (10 s), and a connection is made once then reused across
+        # blocks — only per-call frames are worth coalescing
+        stream.send(self.core.hello(self.client_name))
         return stream
 
-    def _feed(self, payload: Dict[str, Any]) -> None:
-        """Journal, then *buffer* one data frame; fail over on a dead worker.
+    def _dial(self) -> FrameStream:
+        sock = socket.create_connection(self.worker.data_addr, timeout=10.0)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(None)
+        stream = self._stream = FrameStream(sock, self.backend.codec)
+        self.backend.register_stream(stream)
+        return stream
 
-        The journal write happens *before* the feed, so a frame lost with a
-        crashing worker is replayed by :meth:`_failover_reconnect` (which
-        re-sends the whole current block, this frame included — hence no
-        retry here after a reconnect).  The frame goes out with the next
-        :meth:`_flush_wire` — or immediately, once enough frames are pending
-        that the stream flushes the burst itself (syscall coalescing: many
-        asynchronous calls, one ``sendall``).
+    def _feed(self, frames: List[Dict[str, Any]], flush: bool = False) -> None:
+        """*Buffer* already-journaled frames; fail over on a dead worker.
+
+        The frames go out with the next flush — one ``sendall`` before any
+        wait — or immediately, once enough are pending that the stream
+        flushes the burst itself (syscall coalescing: many asynchronous
+        calls, one write).  No retry after a reconnect: the replay re-sent
+        the whole block, these frames included.
         """
-        self.backend.journal_frame(self.handler.name, self._ticket, payload)
         try:
-            stream = self._ensure_open()
-            flushed = stream.feed(payload)
-            self._check_delivery(stream, flushed)
+            stream = self._stream or self._connect()
+            for frame in frames:
+                flushed = stream.feed(frame)
+                if flushed:
+                    self._sent(stream, flushed)
+            if flush:
+                self._sent(stream, stream.flush())
         except (OSError, SocketQueueClosed):
             if not self.backend.failover:
                 raise
             self._failover_reconnect()
-            return
-        self._note_coalesced(flushed)
 
-    def _flush_wire(self) -> None:
-        """Ship every buffered frame in one ``sendall`` (before any wait)."""
-        stream = self._stream
-        if stream is None:
-            return
-        try:
-            flushed = stream.flush()
-            self._check_delivery(stream, flushed)
-        except (OSError, SocketQueueClosed):
-            if not self.backend.failover:
-                raise
-            self._failover_reconnect()
-            return
-        self._note_coalesced(flushed)
-
-    @staticmethod
-    def _check_delivery(stream: FrameStream, flushed: int) -> None:
-        """Raise if a just-flushed burst went to an already dead worker.
+    def _sent(self, stream: FrameStream, flushed: int) -> None:
+        """Account for a burst that left — unless it went to a dead worker.
 
         A whole coalesced block can leave in *one* ``sendall``, and a
         sendall into a freshly killed worker's socket succeeds (the kernel
@@ -323,51 +320,31 @@ class ProcessPrivateQueue:
         by then, so probing for it turns the silent loss into the normal
         failover path, which replays the journaled block.
         """
-        if flushed and stream.peer_closed():
-            raise SocketQueueClosed("worker closed while a burst was in flight")
-
-    def _note_coalesced(self, flushed: int) -> None:
-        # N frames in one sendall = N-1 syscalls saved; the counter is a
-        # pure frame count, so it is identical across wire codecs
-        if flushed > 1:
-            self.counters.add("wire_frames_coalesced", flushed - 1)
-
-    def _send(self, payload: Dict[str, Any]) -> None:
-        """Journal, buffer and flush one frame (the synchronous-path send)."""
-        self._feed(payload)
-        self._flush_wire()
+        if flushed:
+            if stream.peer_closed():
+                raise SocketQueueClosed("worker closed while a burst was in flight")
+            self.core.sent(flushed)
 
     def _failover_reconnect(self) -> None:
-        """Re-establish the current block on the dead worker's replacement.
+        """Re-establish this queue on the dead worker's replacement.
 
         Declares the worker failed (idempotent; first caller wins), connects
-        to wherever the handler was re-pinned, and replays the current
-        block's journal — open frame first, then every data frame already
-        sent.  The worker re-executes the block from the restored snapshot,
-        so every reply consumed before the crash is *regenerated*; those are
-        marked stale and discarded by :meth:`_recv_reply`.
+        to wherever the handler was re-pinned, and sends the core's replay
+        sequence frame by frame.
         """
         last_error: Optional[BaseException] = None
         for _ in range(2):  # the replacement itself may die mid-replay
             try:
                 self.backend.worker_failed(self.worker)
                 self.worker = self.backend._worker_for(self.handler.name)
-                if self._stream is not None:
-                    self._stream.close()
-                    self._stream = None
-                stream = self._connect()
-                if self._ticket is not None:
-                    stream.send({"kind": "open", "ticket": self._ticket,
-                                 "block": self.block_id})
-                for frame in self.backend.journal_for(self.handler.name, self._ticket):
+                self.close()
+                stream = self._dial()
+                for frame in self.core.replay(self.client_name):
                     stream.send(frame)
                 # the replay itself is fire-and-forget: make sure it did not
                 # just vanish into a replacement that died mid-replay
-                self._check_delivery(stream, 1)
-                self._pending_ticket = None
-                # every reply this block already consumed comes again; replies
-                # pending on the discarded stream died with it (hence =, not +=)
-                self._stale_replies = self._replies_seen
+                if stream.peer_closed():
+                    raise SocketQueueClosed("replacement worker closed mid-replay")
                 return
             except (OSError, SocketQueueClosed, ScoopError) as exc:
                 last_error = exc
@@ -375,110 +352,8 @@ class ProcessPrivateQueue:
             f"handler {self.handler.name!r} lost its worker process and failover "
             f"could not re-establish the block") from last_error
 
-    # -- client-side surface (same accounting as the in-memory queue) -------
-    def enqueue_call(self, request: Any) -> None:
-        self.counters.bump("pq_enqueues")
-        self.counters.bump("async_calls")
-        if request.payload_bytes:
-            self.counters.add("bytes_copied", request.payload_bytes)
-        self.synced = False
-        # asynchronous calls only feed: the burst is flushed by the next
-        # synchronous frame (sync/query/end) or the stream's own batch limit
-        self._feed(self._call_payload("call", request))
-
-    def enqueue_sync(self, request: Optional[SyncRequest] = None) -> SyncRequest:
-        if request is None:
-            request = SyncRequest()
-        self.counters.bump("pq_enqueues")
-        self.counters.bump("sync_roundtrips")
-        self._send({"kind": "sync"})
-        self._recv_reply("sync")  # blocks until the drain reaches the marker
-        request.fire()
-        return request
-
-    def enqueue_query(self, request: Any) -> ResultBox:
-        if request.result is None:
-            request.result = ResultBox()
-        self.counters.bump("pq_enqueues")
-        self.counters.bump("sync_roundtrips")
-        self.synced = False
-        self._send(self._call_payload("query", request))
-        reply = self._recv_reply("query")
-        if reply["kind"] == "error":
-            request.result.set_error(self._reply_exception(reply))
-        else:
-            request.result.set(reply.get("value"))
-        return request.result
-
-    def enqueue_end(self) -> None:
-        self.counters.bump("pq_enqueues")
-        self.closed_by_client = True
-        self.synced = False
-        self._send({"kind": "end"})
-
-    def invoke(self, handle: Any, feature: Optional[str], args: tuple, kwargs: dict,
-               fn: Optional[Callable[..., Any]] = None) -> Any:
-        """Run a client-executed query body on the (synced) remote handler."""
-        payload: Dict[str, Any] = {"kind": "invoke", "oid": self._oid_of(handle),
-                                   "args": list(args), "kwargs": kwargs or {}}
-        if feature:
-            payload["feature"] = feature
-        else:
-            self._require_pickle("ship a callable query body")
-            payload["fn"] = fn
-        self._send(payload)
-        reply = self._recv_reply("invoke")
-        if reply["kind"] == "error":
-            raise self._reply_exception(reply)
-        return reply.get("value")
-
-    # -- bookkeeping ---------------------------------------------------------
-    def reset_for_reuse(self) -> None:
-        self.synced = False
-        self.closed_by_client = False
-        self.block_id = None
-
-    def __len__(self) -> int:
-        return 0  # requests live on the wire / in the worker, never here
-
-    # -- internals -----------------------------------------------------------
-    def _oid_of(self, handle: Any) -> int:
-        if not isinstance(handle, RemoteHandle):
-            raise ScoopError(
-                f"handler {self.handler.name!r} runs in a separate process, but the "
-                f"target {handle!r} was not adopted through it")
-        return handle.oid
-
-    def _call_payload(self, kind: str, request: Any) -> Dict[str, Any]:
-        oid = self._oid_of(request.args[0] if request.args else None)
-        if request.raw_fn is not None:
-            # fn is an unpicklable wrapper closure; ship the user's callable
-            self._require_pickle(f"ship the callable {request.raw_fn!r}")
-            return {"kind": kind, "oid": oid, "fn": request.raw_fn,
-                    "args": list(request.call_args or ()), "kwargs": request.call_kwargs or {}}
-        if request.call_args is not None:
-            return {"kind": kind, "oid": oid, "feature": request.feature,
-                    "args": list(request.call_args), "kwargs": request.call_kwargs or {}}
-        # an arbitrary callable (apply/compute): only pickle can carry it
-        self._require_pickle(f"ship the callable {request.feature or request.fn!r}")
-        return {"kind": kind, "oid": oid, "fn": request.fn,
-                "args": list(request.args[1:]), "kwargs": dict(request.kwargs or {})}
-
-    def _require_pickle(self, what: str) -> None:
-        """Reject codecs that cannot ship arbitrary objects (callables).
-
-        Only the full-fidelity codecs qualify: 'pickle' outright, and 'bin'
-        via its pickle fallback for non-native values.
-        """
-        if not CODECS[self.backend.codec].faithful:
-            raise ScoopError(
-                f"the {self.backend.codec!r} wire codec cannot {what}; "
-                f"use a full-fidelity codec — 'pickle' or 'bin' "
-                f"(e.g. backend='process:bin')")
-
-    def _recv_reply(self, what: str) -> Dict[str, Any]:
+    def _await_reply(self, what: str) -> Tuple[Any, Optional[BaseException]]:
         while True:
-            assert self._stream is not None
             try:
                 reply = self._stream.recv(timeout=self.backend.reply_timeout)
             except (SocketQueueClosed, OSError):
@@ -494,29 +369,174 @@ class ProcessPrivateQueue:
                 raise ScoopError(
                     f"no {what} reply from handler {self.handler.name!r} within "
                     f"{self.backend.reply_timeout}s")
-            counters = reply.get("counters")
-            if counters:
-                # merge even from stale replies: the high-water merge makes it
-                # safe, and the snapshot may be the freshest we ever see
-                self.backend.merge_worker_counters(self.handler, counters)
-            if self._stale_replies > 0:
-                self._stale_replies -= 1
-                continue
-            self._replies_seen += 1
-            return reply
+            outcome = self.core.classify(reply)
+            if outcome is not None:
+                return outcome
 
-    def _reply_exception(self, reply: Dict[str, Any]) -> BaseException:
-        error = reply.get("error")
-        if isinstance(error, BaseException):
-            return error
-        return RemoteCallError(reply.get("message", "remote call failed"))
+    def enqueue_sync(self, request: SyncRequest) -> SyncRequest:
+        self._send(self.core.sync())
+        self._await_reply("sync")  # blocks until the drain reaches the marker
+        request.fire()
+        return request
 
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (f"ProcessPrivateQueue(handler={self.handler.name!r}, "
-                f"synced={self.synced}, connected={self._stream is not None})")
+    def enqueue_query(self, request: Any) -> ResultBox:
+        if request.result is None:
+            request.result = ResultBox()
+        self.synced = False
+        self._send(self.core.query(request))
+        _settle(request.result, *self._await_reply("query"))
+        return request.result
+
+    def invoke(self, handle: Any, fn: Callable[[Any], Any], **described: Any) -> Any:
+        """Run a client-executed query body on the (synced) remote handler."""
+        self._send(self.core.invoke(handle, fn, **described))
+        value, error = self._await_reply("invoke")
+        if error is not None:
+            raise error
+        return value
 
 
-class ProcessBackend(ThreadedBackend):
+class AsyncProcessPrivateQueue(_WireQueue):
+    """The continuation driver: a coroutine client's queue over an
+    ``AsyncFrameStream``.
+
+    "Issue, flush, append a continuation": no call ever blocks the event
+    loop.  Sends buffer into the stream (connected lazily by a reader task)
+    and every reply wait is a continuation the reader resolves in arrival
+    order — the wire stays a strict SPSC channel, so FIFO continuations
+    *are* the demultiplexer.  A dead worker is noticed by the reader task,
+    which is therefore also the delivery probe.
+    """
+
+    def __init__(self, backend: "ProcessBackend", handler: Any,
+                 worker: _WorkerProcess, counters: Any) -> None:
+        super().__init__(backend, handler, worker, counters)
+        #: FIFO of reply continuations: ("sync", SyncRequest) fires the
+        #: release, ("query", ResultBox) fills the box, ("invoke", Future)
+        #: resolves the awaited client-executed body
+        self._waiting: Deque[Tuple[str, Any]] = deque()
+        self._failed: Optional[BaseException] = None
+        self._failovers = 0
+
+    def _start_stream(self, frames: List[Dict[str, Any]]) -> AsyncFrameStream:
+        """A new stream whose outbox starts with ``frames``, plus its reader.
+
+        Each frame is flushed into the outbox on its own (mirroring the
+        blocking driver's eager hello and replay sends) so none of them
+        inflates the ``wire_frames_coalesced`` count of the first data
+        burst; the reader task connects and ships the outbox.
+        """
+        stream = self._stream = AsyncFrameStream(self.backend.codec)
+        for frame in frames:
+            stream.send(frame)
+        asyncio.get_running_loop().create_task(
+            self._reader(stream, self.worker.data_addr),
+            name=f"pq-reader:{self.handler.name}")
+        return stream
+
+    def _feed(self, frames: List[Dict[str, Any]], flush: bool = False) -> None:
+        # a frame written to a dying transport is replayed by the reader
+        # task's failover, so no inline delivery probe is needed
+        if self._failed is not None:
+            raise self._failed
+        stream = self._stream or self._start_stream([self.core.hello(self.client_name)])
+        for frame in frames:
+            self.core.sent(stream.feed(frame))
+        if flush:
+            self.core.sent(stream.flush())
+
+    def enqueue_sync(self, request: SyncRequest) -> SyncRequest:
+        self._send(self.core.sync())
+        self._waiting.append(("sync", request))
+        return request
+
+    def enqueue_query(self, request: Any) -> ResultBox:
+        self.synced = False
+        self._send(self.core.query(request))
+        self._waiting.append(("query", request.result))
+        return request.result
+
+    async def invoke_async(self, handle: Any, fn: Callable[[Any], Any], **described: Any) -> Any:
+        """Awaitable twin of the blocking driver's ``invoke``."""
+        self._send(self.core.invoke(handle, fn, **described))
+        fut = asyncio.get_running_loop().create_future()
+        self._waiting.append(("invoke", fut))
+        return await fut
+
+    # -- reply delivery (runs on the owning loop, from the reader task) ------
+    @staticmethod
+    def _resolve(kind: str, target: Any, value: Any, error: Optional[BaseException]) -> None:
+        if kind == "sync":
+            # a sync has no error channel; a failed queue releases the waiter
+            # and the block's next operation raises the recorded failure
+            target.fire()
+        elif kind == "query":
+            _settle(target, value, error)
+        elif not target.done():  # invoke
+            if error is not None:
+                target.set_exception(error)
+            else:
+                target.set_result(value)
+
+    def _deliver(self, reply: Dict[str, Any]) -> None:
+        self._failovers = 0  # contact with a live worker resets the budget
+        outcome = self.core.classify(reply)
+        if outcome is not None and self._waiting:
+            self._resolve(*self._waiting.popleft(), *outcome)
+
+    def _fail_waiting(self, exc: BaseException) -> None:
+        """Poison the queue: resolve every waiter, refuse further sends."""
+        self._failed = exc
+        while self._waiting:
+            self._resolve(*self._waiting.popleft(), None, exc)
+
+    async def _reader(self, stream: AsyncFrameStream, addr: Tuple[str, int]) -> None:
+        """Connect, then pump replies into continuations until EOF."""
+        try:
+            try:
+                await stream.connect(*addr)
+                while True:
+                    self._deliver(await stream.recv())
+            except (SocketQueueClosed, OSError, asyncio.TimeoutError):
+                if self._stream is stream:
+                    await self._reader_failover()
+        finally:
+            stream.close()
+
+    async def _reader_failover(self) -> None:
+        """Re-establish this queue on the dead worker's replacement.
+
+        Worker re-pinning runs in an executor (it may spawn a subprocess —
+        far too slow for the loop), then the new stream is installed with
+        the core's replay sequence in ONE synchronous section, so a client
+        ``_feed`` interleaved at the await points is either journaled
+        before the replay snapshot or lands in the new stream's outbox —
+        never both, never neither.
+        """
+        backend = self.backend
+        if backend._shutting_down or not backend.failover:
+            self._fail_waiting(ScoopError(
+                f"handler process for {self.handler.name!r} closed the "
+                f"connection while a coroutine client was attached"))
+            return
+        self._failovers += 1
+        if self._failovers > 2:  # the replacement itself kept dying
+            self._fail_waiting(ScoopError(
+                f"handler {self.handler.name!r} lost its worker process and "
+                f"failover could not re-establish the block"))
+            return
+        loop = asyncio.get_running_loop()
+        try:
+            await loop.run_in_executor(None, backend.worker_failed, self.worker)
+            self.worker = await loop.run_in_executor(
+                None, backend._worker_for, self.handler.name)
+        except ScoopError as exc:
+            self._fail_waiting(exc)
+            return
+        self._start_stream(self.core.replay(self.client_name))
+
+
+class ProcessBackend(ExecutionBackend):
     """Execute each handler in its own OS process behind a socket server.
 
     Parameters
@@ -526,7 +546,8 @@ class ProcessBackend(ThreadedBackend):
         round-robin).  ``None`` (default) gives every handler its own.
     codec:
         Wire codec for request/reply payloads: ``"pickle"`` (default; full
-        argument fidelity between same-trust processes) or ``"json"``.
+        argument fidelity between same-trust processes), ``"bin"`` or
+        ``"json"``.
     reply_timeout:
         Upper bound on waiting for a sync/query reply before raising — the
         process-backend analogue of a hung handler.
@@ -539,25 +560,39 @@ class ProcessBackend(ThreadedBackend):
         a stall — never a dropped or reordered request.  ``False`` restores
         the old fail-stop behaviour (a dead worker raises
         :class:`~repro.errors.ScoopError` at the first affected client).
+    loops:
+        Number of client event loops (``nloops`` in the selection spec).
+        ``0`` (default): clients are threads, the backend is ``"process"``.
+        ``>= 1``: the ``"process+async"`` configuration — coroutine clients
+        are spread round-robin across that many loops, so reply decoding
+        and continuation dispatch parallelise over real threads while the
+        handler bodies run on worker cores; thread clients still work.
     """
 
-    name = "process"
-
     def __init__(self, processes: Optional[int] = None, codec: str = "pickle",
-                 reply_timeout: float = 300.0, failover: bool = True) -> None:
-        super().__init__()
+                 reply_timeout: float = 300.0, failover: bool = True,
+                 loops: int = 0) -> None:
         if processes is not None and processes < 1:
             raise ValueError("processes must be >= 1")
+        self.runtime: Any = None
         self.processes = processes
         self.codec = get_codec(codec).name
         self.reply_timeout = reply_timeout
         self.failover = failover
+        self.nloops = loops
+        self.name = "process+async" if loops else "process"
+        self._bind_clients(LoopPool(loops) if loops else ThreadClients())
         self.token = secrets.token_hex(16)
         self._lock = threading.Lock()
         self._workers: List[_WorkerProcess] = []
         self._assignment: Dict[str, _WorkerProcess] = {}
         self._listener: Optional[socket.socket] = None
-        self._streams: List[FrameStream] = []
+        #: the blocking drivers' open streams (closed at shutdown); their own
+        #: lock, because ``_lock`` is held for seconds by a failover and
+        #: ``close`` also runs on event loops
+        self._streams: Set[FrameStream] = set()
+        self._streams_lock = threading.Lock()
+        self._shutting_down = False
         self._oid_seq = itertools.count(1)
         self._counters_seen: Dict[str, Dict[str, int]] = {}
         self._counters_lock = threading.Lock()
@@ -566,6 +601,8 @@ class ProcessBackend(ThreadedBackend):
         self._hosted: Dict[str, Dict[int, bytes]] = {}
         self._journal: Dict[str, Dict[int, Dict[str, Any]]] = {}
         self._journal_lock = threading.Lock()
+        #: loop-affinity hints recorded for shard replicas (describe_placement)
+        self._loop_hint: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # worker management
@@ -634,8 +671,12 @@ class ProcessBackend(ThreadedBackend):
             return worker
 
     def register_stream(self, stream: FrameStream) -> None:
-        with self._lock:
-            self._streams.append(stream)
+        with self._streams_lock:
+            self._streams.add(stream)
+
+    def unregister_stream(self, stream: Any) -> None:
+        with self._streams_lock:
+            self._streams.discard(stream)
 
     # ------------------------------------------------------------------
     # failover: journal + re-pin + restore
@@ -647,18 +688,26 @@ class ProcessBackend(ThreadedBackend):
             return
         with self._journal_lock:
             entry = self._journal.setdefault(handler_name, {}).setdefault(
-                ticket, {"frames": [], "ended": False})
+                ticket, {"frames": [], "ended": False, "restored": False})
             entry["frames"].append(payload)
             if payload.get("kind") == "end":
                 entry["ended"] = True
 
-    def journal_for(self, handler_name: str, ticket: Optional[int]) -> List[Dict[str, Any]]:
-        """The frames already sent for one block, in send order."""
+    def journal_for(self, handler_name: str,
+                    ticket: Optional[int]) -> Optional[List[Dict[str, Any]]]:
+        """The frames its client must replay for one block, in send order.
+
+        ``None`` when there is nothing for the client to replay: no block
+        was ever opened, or the block had ended when its worker was failed
+        over and :meth:`_restore_handler` pre-filed it on the replacement.
+        """
         if ticket is None:
-            return []
+            return None
         with self._journal_lock:
             entry = self._journal.get(handler_name, {}).get(ticket)
-            return list(entry["frames"]) if entry else []
+            if entry is None:
+                return []
+            return None if entry["restored"] else list(entry["frames"])
 
     def worker_failed(self, dead: _WorkerProcess) -> None:
         """Re-pin a dead worker's handlers onto survivors (idempotent).
@@ -684,11 +733,7 @@ class ProcessBackend(ThreadedBackend):
                 except subprocess.TimeoutExpired:  # pragma: no cover - defensive
                     pass
             self._workers.remove(dead)
-            try:
-                dead.control.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-            runtime = getattr(self, "runtime", None)
+            dead.control.close()
             for i, name in enumerate(sorted(dead.handler_names)):
                 if self.processes is not None and self._workers:
                     target = self._workers[i % len(self._workers)]
@@ -697,21 +742,20 @@ class ProcessBackend(ThreadedBackend):
                 self._assignment[name] = target
                 target.handler_names.append(name)
                 self._restore_handler(target, name)
-                if runtime is not None:
-                    handler = runtime._handlers.get(name)
-                    if handler is not None:
-                        if isinstance(handler.qoq, _RemoteQoQ):
-                            handler.qoq.worker = target
-                        handler.counters.bump("shard_failovers")
+                handler = self.runtime and self.runtime._handlers.get(name)
+                if handler:
+                    handler.counters.bump("shard_failovers")
 
     def _restore_handler(self, target: _WorkerProcess, name: str) -> None:
         """Rebuild one orphaned handler on ``target`` (caller holds _lock)."""
         target.request({"op": "handler", "name": name})
         with self._journal_lock:
             snapshots = sorted(self._hosted.get(name, {}).items())
-            blocks = [(ticket, list(entry["frames"]))
-                      for ticket, entry in sorted(self._journal.get(name, {}).items())
-                      if entry["ended"]]
+            blocks = []
+            for ticket, entry in sorted(self._journal.get(name, {}).items()):
+                if entry["ended"]:
+                    blocks.append((ticket, list(entry["frames"])))
+                    entry["restored"] = True  # its client must not replay it too
         for oid, blob in snapshots:
             target.request({"op": "host", "handler": name, "oid": oid,
                             "obj": pickle.loads(blob)})
@@ -732,6 +776,12 @@ class ProcessBackend(ThreadedBackend):
         4-shard group on a 4-worker pool always lands on 4 distinct
         processes instead of wherever the global rotation happened to be.
         """
+        if self.nloops:
+            # which client loop a replica's coroutine traffic ideally
+            # concentrates on (reported by describe_placement)
+            with self._lock:
+                for i, name in enumerate(names):
+                    self._loop_hint[name] = i % self.nloops
         if self.processes is not None:
             with self._lock:
                 pool = max(1, min(self.processes, len(names)))
@@ -747,28 +797,26 @@ class ProcessBackend(ThreadedBackend):
     # ------------------------------------------------------------------
     # handler plumbing
     # ------------------------------------------------------------------
-    def _control_request(self, handler_name: str, op: Dict[str, Any]) -> _WorkerProcess:
+    def _control_request(self, handler_name: str, op: Dict[str, Any]) -> Dict[str, Any]:
         """Send a control op for ``handler_name``, failing over a dead worker.
 
         A control op can fail because the worker crashed (fail over, retry on
         the replacement) or because it rejected the op (a real error — the
-        worker is alive, so re-raise).  Returns the worker that answered.
+        worker is alive, so re-raise).  Returns the worker's reply.
         """
         worker = self._worker_for(handler_name)
         try:
-            worker.request(op)
+            return worker.request(op)
         except ScoopError:
             if not self.failover or worker.proc.poll() is None:
                 raise
             self.worker_failed(worker)
-            worker = self._worker_for(handler_name)
-            worker.request(op)
-        return worker
+            return self._worker_for(handler_name).request(op)
 
     def start_handler(self, handler: Any) -> None:
-        worker = self._control_request(handler.name, {"op": "handler", "name": handler.name})
+        self._control_request(handler.name, {"op": "handler", "name": handler.name})
         # from now on reservations of this handler go over the wire
-        handler.qoq = _RemoteQoQ(self, handler, worker)
+        handler.qoq = _RemoteQoQ(self, handler)
 
     def stop_handler(self, handler: Any, timeout: float = 5.0) -> None:
         facade = handler.qoq
@@ -805,28 +853,36 @@ class ProcessBackend(ThreadedBackend):
         return RemoteHandle(handler.name, oid, type(obj))
 
     def describe_placement(self, names: List[str]) -> Dict[str, str]:
-        """The worker process each handler is pinned to (or ``unassigned``)."""
+        """The worker process each handler is pinned to (or ``unassigned``).
+
+        With client loops the client half is visible too:
+        ``worker:<pid>+loop:<i>``.  Handlers without a recorded loop
+        affinity (anything outside a shard group) report ``loop:*``: their
+        coroutine clients are spread round-robin over every loop.
+        """
         with self._lock:
             placement = {}
             for name in names:
                 worker = self._assignment.get(name)
                 placement[name] = (f"worker:{worker.proc.pid}" if worker is not None
                                    else "unassigned")
+                if self.nloops:
+                    placement[name] += f"+loop:{self._loop_hint.get(name, '*')}"
             return placement
 
-    def create_private_queue(self, handler: Any, counters: Any) -> ProcessPrivateQueue:
-        return ProcessPrivateQueue(self, handler, self._worker_for(handler.name), counters)
+    def create_private_queue(self, handler: Any, counters: Any) -> _WireQueue:
+        # the driver follows the client kind: a queue created on a loop
+        # thread belongs to a coroutine client and must never block it
+        driver = AsyncProcessPrivateQueue if self.on_loop_thread() else ProcessPrivateQueue
+        return driver(self, handler, self._worker_for(handler.name), counters)
 
     def execute_synced_query(self, client: Any, ref: Any, fn: Callable[[Any], Any],
-                             feature: Optional[str] = None, args: tuple = (),
-                             kwargs: Optional[dict] = None,
-                             raw_fn: Optional[Callable[..., Any]] = None) -> Any:
-        queue = client.queue_for(ref.handler)
-        if feature:
-            return queue.invoke(ref._raw(), feature, args, kwargs or {})
-        if raw_fn is not None:
-            return queue.invoke(ref._raw(), None, args, kwargs or {}, fn=raw_fn)
-        return queue.invoke(ref._raw(), None, (), {}, fn=fn)
+                             **described: Any) -> Any:
+        return client.queue_for(ref.handler).invoke(ref._raw(), fn, **described)
+
+    async def execute_synced_query_async(self, client: Any, ref: Any,
+                                         fn: Callable[[Any], Any], **described: Any) -> Any:
+        return await client.queue_for(ref.handler).invoke_async(ref._raw(), fn, **described)
 
     # ------------------------------------------------------------------
     # counters aggregation
@@ -849,11 +905,20 @@ class ProcessBackend(ThreadedBackend):
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
+    def attach(self, runtime: Any) -> None:
+        self.clients.start()  # a loop pool raises on re-attach
+        super().attach(runtime)
+
     def shutdown(self, timeout: float = 10.0) -> None:
+        # flag first: worker teardown closes the data connections, and the
+        # coroutine drivers' reader tasks must read those EOFs as shutdown,
+        # not as failovers
+        self._shutting_down = True
         with self._lock:
             workers, self._workers = self._workers, []
-            streams, self._streams = self._streams, []
             self._assignment.clear()
+        with self._streams_lock:
+            streams, self._streams = self._streams, set()
         with self._journal_lock:
             self._hosted.clear()
             self._journal.clear()
@@ -864,7 +929,8 @@ class ProcessBackend(ThreadedBackend):
         if self._listener is not None:
             self._listener.close()
             self._listener = None
+        self.clients.stop(timeout)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         cap = self.processes if self.processes is not None else "per-handler"
-        return f"ProcessBackend(processes={cap}, codec={self.codec!r})"
+        return f"ProcessBackend(processes={cap}, loops={self.nloops}, codec={self.codec!r})"

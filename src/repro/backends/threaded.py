@@ -11,10 +11,9 @@ that let a parked handler notice runtime shutdown.
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
-from repro.backends.base import ExecutionBackend
+from repro.backends.base import ExecutionBackend, ThreadClients
 from repro.queues.qoq import SHUTDOWN
 
 #: how often a handler parked on an open private queue re-checks for shutdown
@@ -28,24 +27,10 @@ class ThreadedBackend(ExecutionBackend):
 
     def __init__(self) -> None:
         self.runtime: Any = None
+        self._bind_clients(ThreadClients())
 
     # ------------------------------------------------------------------
-    # synchronisation primitives
-    # ------------------------------------------------------------------
-    def create_event(self) -> threading.Event:
-        return threading.Event()
-
-    def create_lock(self) -> Any:
-        return threading.Lock()
-
-    def now(self) -> float:
-        return time.monotonic()
-
-    def sleep(self, seconds: float) -> None:
-        time.sleep(seconds)
-
-    # ------------------------------------------------------------------
-    # handler plumbing
+    # handler plumbing: Handler._loop on a thread, blocking in the queues
     # ------------------------------------------------------------------
     def start_handler(self, handler: Any) -> None:
         thread = threading.Thread(target=handler._loop, name=f"handler:{handler.name}",
@@ -60,6 +45,11 @@ class ThreadedBackend(ExecutionBackend):
             thread.join(timeout=timeout)
 
     def handler_next_queue(self, handler: Any) -> Optional[Any]:
+        """Block until the next private queue is available (rule *run*).
+
+        Returns ``None`` when the handler should shut down (queue-of-queues
+        closed and drained).
+        """
         # qoq.dequeue distinguishes SHUTDOWN (closed and drained) from a
         # timeout; without a timeout the only non-queue outcome is SHUTDOWN.
         private_queue = handler.qoq.dequeue()
@@ -67,6 +57,12 @@ class ThreadedBackend(ExecutionBackend):
 
     def handler_next_batch(self, handler: Any, private_queue: Any,
                            max_items: int) -> Optional[List[Any]]:
+        """Block until request(s) are available on ``private_queue``.
+
+        Returns a non-empty batch of requests (at most ``max_items``, never
+        crossing an END marker) or ``None`` when the handler should abandon
+        the queue because the runtime is shutting down.
+        """
         while True:
             batch = private_queue.dequeue_batch(max_items, timeout=_PQ_POLL_SECONDS)
             if batch:
@@ -81,11 +77,3 @@ class ThreadedBackend(ExecutionBackend):
             if handler.qoq.closed:
                 # runtime shutting down with an abandoned reservation
                 return None
-
-    # ------------------------------------------------------------------
-    # client plumbing
-    # ------------------------------------------------------------------
-    def spawn_client(self, fn: Callable[[], None], name: Optional[str] = None) -> threading.Thread:
-        thread = threading.Thread(target=fn, name=name, daemon=True)
-        thread.start()
-        return thread

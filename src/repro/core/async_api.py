@@ -7,12 +7,12 @@ surface (``runtime.separate(...)`` + blocking queries).  This module is the
 .. code-block:: python
 
     async def client() -> None:
-        async with rt.separate_async(account) as acc:
+        async with rt.aclient().separate(account) as acc:
             await acc.deposit(42)          # command: logged, never waits
             print(await acc.current())     # query: awaits sync + runs body
 
     rt = QsRuntime("all", backend="async")
-    rt.spawn_async_client(client)
+    rt.aclient(client)
     rt.join_clients()
 
 Every protocol step — reservation, multi-handler atomicity, sync
@@ -72,7 +72,7 @@ class AsyncClient:
                 "the awaitable client API needs the queue-of-queues protocol; "
                 "the lock-based (non-QoQ) configurations hold a handler lock "
                 "for a whole separate block, which would block the event loop "
-                "— use thread clients (runtime.spawn_client) for those levels")
+                "— use thread clients (runtime.client(fn)) for those levels")
         self._runtime = runtime
         #: the shared protocol engine; everything non-blocking goes through it
         self._client = Client(runtime.config, runtime.counters,
@@ -82,6 +82,10 @@ class AsyncClient:
     @property
     def name(self) -> str:
         return self._client.name
+
+    def close(self) -> None:
+        """Give up the cached private queues (the client task finished)."""
+        self._client.close()
 
     # ------------------------------------------------------------------
     # separate blocks
@@ -236,11 +240,11 @@ class AsyncSeparateBlock:
 
     def __init__(self, client: AsyncClient, refs: Sequence[SeparateRef]) -> None:
         if not refs:
-            raise ReservationError("separate_async() needs at least one separate object")
+            raise ReservationError("an awaitable separate block needs at least one separate object")
         for ref in refs:
             if not isinstance(ref, SeparateRef):
                 raise ReservationError(
-                    f"separate_async() expects SeparateRef arguments, got {type(ref).__name__}; "
+                    f"aclient().separate() expects SeparateRef arguments, got {type(ref).__name__}; "
                     "create objects with handler.create(...) or handler.adopt(...)"
                 )
         self._client = client

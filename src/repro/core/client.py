@@ -252,6 +252,8 @@ class Client:
                 del self._reservations[handler]
             if self.config.private_queue_cache:
                 self._pq_cache.setdefault(handler, []).append(reservation.private_queue)
+            else:
+                reservation.private_queue.close()
         if not self.config.use_qoq:
             for reservation in sorted(reservations, key=lambda r: r.handler.seq, reverse=True):
                 if reservation.holds_lock:
@@ -269,6 +271,19 @@ class Client:
         queue.client_name = self.name
         queue.block_id = self.tracer.next_block_id()
         return queue
+
+    def close(self) -> None:
+        """Give up the cached private queues: this client will not run again.
+
+        Called when a spawned client's thread or task finishes.  In-memory
+        queues just become garbage; a wire queue closes its connection
+        (and with it the worker-side reader thread), so short-lived
+        clients do not accumulate descriptors until shutdown.
+        """
+        for queues in self._pq_cache.values():
+            for queue in queues:
+                queue.close()
+        self._pq_cache.clear()
 
     def queue_for(self, handler: Handler) -> PrivateQueue:
         """The private queue of the innermost live reservation of ``handler``."""
@@ -478,12 +493,6 @@ class Client:
             self.tracer.record("exec-client", ref.handler.name, client=self.name,
                                feature=getattr(fn, "__name__", "<callable>"), block=queue.block_id)
         return result
-
-    def _remote_query(self, ref: SeparateRef, fn: Callable[[Any], Any], args: tuple, kwargs: dict,
-                      feature: str = "", described: bool = False,
-                      raw_fn: Optional[Callable[..., Any]] = None) -> Any:
-        return self._start_remote_query(ref, fn, args, kwargs, feature=feature,
-                                        described=described, raw_fn=raw_fn).wait()
 
     def _start_remote_query(self, ref: SeparateRef, fn: Callable[[Any], Any], args: tuple,
                             kwargs: dict, feature: str = "", described: bool = False,

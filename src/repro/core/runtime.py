@@ -30,7 +30,6 @@ from __future__ import annotations
 import inspect
 import os
 import threading
-import warnings
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.backends import ExecutionBackend, create_backend
@@ -276,6 +275,10 @@ class QsRuntime:
                 fn(*args, **kwargs)
             except BaseException as exc:  # surfaced at shutdown
                 self._client_errors.append(exc)
+            finally:
+                client = getattr(self._local, "client", None)
+                if client is not None:
+                    client.close()
 
         handle = self.backend.spawn_client(_run, name=name or f"client:{fn.__name__}")
         self._client_handles.append(handle)
@@ -297,48 +300,22 @@ class QsRuntime:
                 await fn(*args, **kwargs)
             except BaseException as exc:  # surfaced at shutdown
                 self._client_errors.append(exc)
+            finally:
+                client.close()
 
         handle = self.backend.spawn_task(_run, name=client_name)
         self._client_handles.append(handle)
         return handle
 
-    # -- deprecated spellings (kept as thin aliases) -----------------------
-    @staticmethod
-    def _deprecated(old: str, new: str) -> None:
-        warnings.warn(f"QsRuntime.{old} is deprecated; use {new}",
-                      DeprecationWarning, stacklevel=3)
-
-    def spawn_client(self, fn: Callable[..., None], *args, name: Optional[str] = None,
-                     **kwargs) -> Any:
-        """Deprecated alias of :meth:`client` (thread-client path)."""
-        self._deprecated("spawn_client(fn, ...)", "runtime.client(fn, ...)")
-        return self._spawn_thread_client(fn, *args, name=name, **kwargs)
-
-    def spawn_async_client(self, fn: Callable[..., Any], *args, name: Optional[str] = None,
-                           **kwargs) -> Any:
-        """Deprecated alias of :meth:`aclient` (coroutine-client path)."""
-        self._deprecated("spawn_async_client(fn, ...)", "runtime.aclient(fn, ...)")
-        return self._spawn_coroutine_client(fn, *args, name=name, **kwargs)
-
-    def async_client(self) -> Any:
-        """Deprecated alias of :meth:`aclient` (no-argument form)."""
-        self._deprecated("async_client()", "runtime.aclient()")
-        from repro.core.async_api import current_async_client
-
-        return current_async_client(self)
-
-    def separate_async(self, *refs: SeparateRef):
-        """Deprecated alias of ``runtime.aclient().separate(*refs)``."""
-        self._deprecated("separate_async(...)", "runtime.aclient().separate(...)")
-        self._check_open()
-        from repro.core.async_api import current_async_client
-
-        return current_async_client(self).separate(*refs)
-
     def join_clients(self, timeout: Optional[float] = None) -> None:
         """Wait for every spawned client to finish."""
-        for handle in self._client_handles:
+        handles = list(self._client_handles)
+        for handle in handles:
             self.backend.join_client(handle, timeout=timeout)
+        if timeout is None:
+            # joined without a deadline means finished: forget them, so a
+            # long-running runtime does not accumulate a handle per client
+            del self._client_handles[:len(handles)]
         if self._client_errors:
             raise ScoopError("a client thread raised") from self._client_errors[0]
 

@@ -304,6 +304,10 @@ class PrivateQueue:
         self.closed_by_client = False
         self.block_id = None
 
+    def close(self) -> None:
+        """The owning client is done with this queue (nothing to release here;
+        a wire queue closes its connection)."""
+
     def __len__(self) -> int:
         return len(self._queue)
 

@@ -1,10 +1,10 @@
-"""Socket-backed private queues: the paper's future-work experiment (Section 7).
+"""The framed socket transport under the process backend's private queues.
 
 The conclusion of the paper proposes "further explor[ing] the utility of the
 private queue design, in particular the usage of sockets as the underlying
-implementation" — the private queue is an SPSC channel, so nothing stops it
-from running over a byte stream between processes or machines.  This module
-implements exactly that:
+implementation" (Section 7) — the private queue is an SPSC channel, so
+nothing stops it from running over a byte stream between processes or
+machines.  This module is the byte-stream half of that:
 
 * :class:`FrameBuffers` is the sync-agnostic framing core: 4-byte
   big-endian length-prefixed frames whose payloads go through a pluggable
@@ -24,23 +24,16 @@ implements exactly that:
 * :class:`AsyncFrameStream` is the asyncio binding over the same core:
   ``feed``/``flush``/``send`` are non-blocking (bursts land in the
   transport's write buffer, or in a pre-connection outbox that the
-  ``connect`` flushes in order), ``recv`` is awaited, and ``peer_closed``
-  reports the EOF the reader has already observed.  Frame layout, codec
+  ``connect`` flushes in order) and ``recv`` is awaited.  Frame layout, codec
   behaviour and the coalescing accounting (``flush`` returns the burst
   size) are bit-identical to the blocking binding because both delegate
   to the one :class:`FrameBuffers` implementation.
-* :class:`SocketPrivateQueue` exposes the same client/handler surface as
-  :class:`~repro.queues.private_queue.PrivateQueue` (``enqueue_call`` /
-  ``enqueue_sync`` / ``enqueue_end`` / ``dequeue`` plus the dynamic ``synced``
-  flag) but moves every request over a connected pair of stream sockets;
-* calls are *described*, not shipped as code: the client sends ``(feature,
-  args, kwargs)`` and the handler side resolves the feature on its local
-  object, which is exactly the discipline a distributed SCOOP needs (objects
-  never leave their region — only requests and query results travel).
 
-The :class:`~repro.backends.process.ProcessBackend` builds its per-handler
-servers on :class:`FrameStream`; this module stays runtime-agnostic so it can
-also be used standalone (see ``benchmarks/bench_ablations.py``).
+What travels in the frames — the private-queue protocol itself — is
+:mod:`repro.queues.wire_queue` (client side) and
+:mod:`repro.backends.process_worker` (handler side); this module stays
+runtime-agnostic so it can also be used standalone (see
+``benchmarks/bench_ablations.py``).
 """
 
 from __future__ import annotations
@@ -51,18 +44,13 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ScoopError
 from repro.queues.codec import Codec, get_codec
-from repro.util.counters import Counters
 
 #: wire header: 4-byte big-endian payload length
 _HEADER = struct.Struct(">I")
-
-#: request kinds on the wire
-_CALL, _SYNC, _END, _RESULT, _ERROR = "call", "sync", "end", "result", "error"
 
 #: exceptions meaning "nothing (more) to read right now": a blocking socket
 #: past its timeout raises ``socket.timeout``; a non-blocking one
@@ -101,26 +89,6 @@ def _wait_readable(sock: socket.socket, timeout: Optional[float]) -> bool:
 
 class SocketQueueClosed(ScoopError):
     """The peer closed the connection (EOF on the underlying socket)."""
-
-
-class _WireEOF:
-    """Sentinel distinguishing "peer closed" from "nothing yet" in ``dequeue``.
-
-    ``dequeue`` used to return ``None`` for *both* a timeout and a closed
-    peer, so pollers (``SocketQueueServer._drain``) could not tell a quiet
-    five seconds from end-of-stream and silently stopped draining after any
-    idle gap.  Now ``None`` means timeout (try again) and :data:`WIRE_EOF`
-    means the client side is gone for good.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "WIRE_EOF"
-
-
-#: singleton returned by :meth:`SocketPrivateQueue.dequeue` on a closed peer
-WIRE_EOF = _WireEOF()
 
 
 class FrameBuffers:
@@ -345,15 +313,11 @@ class FrameStream:
             return []
         frames = [first]
         while max_frames is None or len(frames) < max_frames:
-            buffered = self._pop_buffered()
+            buffered = self._core.pop_frame()  # no syscall
             if buffered is None:
                 break
             frames.append(buffered)
         return frames
-
-    def _pop_buffered(self) -> Optional[Dict[str, Any]]:
-        """Decode one frame purely from the receive buffer (no syscalls)."""
-        return self._core.pop_frame()
 
     def _fill(self, missing: int, timeout: Optional[float], deadline: Optional[float]) -> bool:
         """Read at least ``missing`` more bytes; False on timeout.
@@ -415,10 +379,10 @@ class AsyncFrameStream:
 
     Receiving is the awaited half: ``recv`` resolves one frame at a time
     from the shared core, reading from the stream only when the buffer has
-    no complete frame.  EOF raises :class:`SocketQueueClosed` and latches
-    ``peer_closed`` — an asyncio consumer is expected to keep a reader
-    task parked in ``recv``, so a dead peer is noticed promptly instead of
-    via the blocking binding's send-time probe.
+    no complete frame.  EOF raises :class:`SocketQueueClosed` — an asyncio
+    consumer is expected to keep a reader task parked in ``recv``, so a
+    dead peer is noticed promptly instead of via the blocking binding's
+    send-time probe.
 
     Confined to one event loop (no internal locking), which is exactly the
     discipline of a per-(client, handler) private queue.
@@ -429,16 +393,11 @@ class AsyncFrameStream:
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._outbox = bytearray()
-        self._eof = False
         self._closed = False
 
     @property
     def codec(self) -> Codec:
         return self._core.codec
-
-    @property
-    def connected(self) -> bool:
-        return self._writer is not None
 
     async def connect(self, host: str, port: int, timeout: float = 10.0) -> None:
         """Open the connection and ship everything the outbox accumulated."""
@@ -451,6 +410,9 @@ class AsyncFrameStream:
         if self._outbox:
             writer.write(bytes(self._outbox))
             self._outbox.clear()
+        if self._closed:
+            # closed while still connecting: the outbox had to go out first
+            writer.close()
 
     # -- sending (never blocks; mirrors FrameStream's accounting) -----------
     def send(self, payload: Dict[str, Any]) -> int:
@@ -475,20 +437,6 @@ class AsyncFrameStream:
             self._outbox += data
         return count
 
-    async def drain(self) -> None:
-        """Await the transport's flow control (awaitable contexts only)."""
-        if self._writer is not None:
-            await self._writer.drain()
-
-    @property
-    def pending_frames(self) -> int:
-        return self._core.pending_frames
-
-    def peer_closed(self) -> bool:
-        """True once the reader has observed the peer's EOF (or the stream
-        was closed locally) — the async twin of the blocking probe."""
-        return self._eof or self._closed
-
     # -- receiving ----------------------------------------------------------
     async def recv(self) -> Dict[str, Any]:
         """Await one frame; raises :class:`SocketQueueClosed` on EOF."""
@@ -500,7 +448,6 @@ class AsyncFrameStream:
                 raise ScoopError("AsyncFrameStream.recv before connect")
             chunk = await self._reader.read(65536)
             if not chunk:
-                self._eof = True
                 raise SocketQueueClosed("the peer closed the connection")
             self._core.extend(chunk)
 
@@ -513,199 +460,6 @@ class AsyncFrameStream:
                 pass
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        state = "connected" if self.connected else "connecting"
+        state = "connected" if self._writer is not None else "connecting"
         return (f"AsyncFrameStream(codec={self.codec.name!r}, {state}, "
                 f"pending={self._core.pending_frames})")
-
-
-@dataclass
-class WireRequest:
-    """One decoded request on the handler side of the socket.
-
-    ``args`` is always normalised to a tuple on decode: the JSON codec has no
-    tuple type, so arguments arrive as a list and naive decoding would leak
-    the wire representation into handler code (``Tuple`` in the type, list at
-    runtime).  Nested containers are faithful under ``pickle`` and ``bin``;
-    the JSON codec refuses them at encode time rather than mutating them.
-    """
-
-    kind: str
-    feature: str = ""
-    args: Tuple[Any, ...] = ()
-    kwargs: Optional[Dict[str, Any]] = None
-
-    @classmethod
-    def from_message(cls, message: Dict[str, Any]) -> "WireRequest":
-        return cls(
-            kind=message["kind"],
-            feature=message.get("feature", ""),
-            args=tuple(message.get("args") or ()),
-            kwargs=dict(message.get("kwargs") or {}),
-        )
-
-    @property
-    def is_end(self) -> bool:
-        return self.kind == _END
-
-    @property
-    def is_sync(self) -> bool:
-        return self.kind == _SYNC
-
-
-class SocketPrivateQueue:
-    """A private queue whose transport is a connected socket pair.
-
-    The client half lives wherever the client thread/process runs; the
-    handler half (:class:`SocketQueueServer`) drains requests against a local
-    object.  The ``codec`` decides what can travel: ``"json"`` (the default)
-    carries JSON types only, ``"pickle"`` and ``"bin"`` round-trip arbitrary
-    picklable arguments and results faithfully (tuples included).  The
-    protocol (call / sync / end / result) is the one the paper's private
-    queues implement in shared memory.
-    """
-
-    def __init__(self, counters: Optional[Counters] = None,
-                 codec: "str | Codec" = "json") -> None:
-        self.counters = counters or Counters()
-        client_sock, handler_sock = socket.socketpair()
-        self._client_sock = client_sock
-        self._handler_sock = handler_sock
-        self._client = FrameStream(client_sock, codec)
-        self._handler = FrameStream(handler_sock, codec)
-        #: dynamic sync-coalescing flag, same meaning as the in-memory queue
-        self.synced = False
-        self.closed_by_client = False
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # client side
-    # ------------------------------------------------------------------
-    def enqueue_call(self, feature: str, *args: Any, **kwargs: Any) -> None:
-        """Log an asynchronous call (rule *call*) across the socket."""
-        self.counters.bump("pq_enqueues")
-        self.counters.bump("async_calls")
-        self.synced = False
-        with self._lock:
-            self._client.send({"kind": _CALL, "feature": feature,
-                               "args": list(args), "kwargs": kwargs})
-
-    def query(self, feature: str, *args: Any, **kwargs: Any) -> Any:
-        """Synchronous query: ship the request, block for the result message."""
-        self.counters.bump("queries")
-        self.counters.bump("sync_roundtrips")
-        self.synced = False
-        with self._lock:
-            self._client.send({"kind": _SYNC, "feature": feature,
-                               "args": list(args), "kwargs": kwargs})
-            try:
-                reply = self._client.recv()
-            except SocketQueueClosed:
-                reply = None
-        if reply is None:
-            raise ScoopError("the handler side of the socket queue closed unexpectedly")
-        if reply["kind"] == _ERROR:
-            raise ScoopError(f"remote query {feature!r} failed: {reply['message']}")
-        self.synced = True
-        return reply["value"]
-
-    def enqueue_end(self) -> None:
-        """Close the block (rule *separate*'s trailing END)."""
-        self.counters.bump("pq_enqueues")
-        self.closed_by_client = True
-        self.synced = False
-        with self._lock:
-            self._client.send({"kind": _END})
-
-    def close_client(self) -> None:
-        self._client.close()
-
-    # ------------------------------------------------------------------
-    # handler side
-    # ------------------------------------------------------------------
-    def dequeue(self, timeout: Optional[float] = None
-                ) -> Union[WireRequest, _WireEOF, None]:
-        """Receive the next request.
-
-        Returns ``None`` on timeout (nothing yet — poll again) and the
-        :data:`WIRE_EOF` sentinel when the client side closed the socket,
-        so pollers can tell a quiet interval from end-of-stream.  Safe at
-        any ``timeout``, including ``0`` (non-blocking poll): a timeout
-        splitting a large frame leaves the partial bytes in the stream's
-        buffer for the next call.
-        """
-        try:
-            message = self._handler.recv(timeout=timeout)
-        except SocketQueueClosed:
-            return WIRE_EOF
-        if message is None:
-            return None
-        return WireRequest.from_message(message)
-
-    def reply(self, value: Any) -> None:
-        self._handler.send({"kind": _RESULT, "value": value})
-
-    def reply_error(self, message: str) -> None:
-        self._handler.send({"kind": _ERROR, "message": message})
-
-    def close_handler(self) -> None:
-        self._handler.close()
-
-
-class SocketQueueServer:
-    """Drains a :class:`SocketPrivateQueue` against a local object.
-
-    This is the Fig. 7 inner loop with a socket as the queue: calls are
-    applied asynchronously, sync/query requests are applied and answered,
-    END terminates the drain.  It runs on its own thread so tests and
-    benchmarks can drive the client side synchronously.
-
-    A quiet interval does *not* stop the drain: ``dequeue`` distinguishes a
-    timeout (``None`` — keep polling) from a closed peer (:data:`WIRE_EOF`
-    — the client is gone), so a client may pause arbitrarily long
-    mid-block.  ``idle_timeout`` only bounds each individual poll.
-    """
-
-    def __init__(self, queue: SocketPrivateQueue, target: Any,
-                 counters: Optional[Counters] = None,
-                 idle_timeout: float = 5.0) -> None:
-        self.queue = queue
-        self.target = target
-        self.counters = counters or queue.counters
-        self.idle_timeout = idle_timeout
-        self.executed: int = 0
-        self._thread = threading.Thread(target=self._drain, name="socket-handler", daemon=True)
-        self.failures: list = []
-
-    def start(self) -> "SocketQueueServer":
-        self._thread.start()
-        return self
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        self._thread.join(timeout=timeout)
-        if self._thread.is_alive():
-            raise ScoopError("socket queue server did not drain its queue in time")
-
-    def _apply(self, request: WireRequest) -> Any:
-        method = getattr(self.target, request.feature)
-        return method(*request.args, **(request.kwargs or {}))
-
-    def _drain(self) -> None:
-        while True:
-            request = self.queue.dequeue(timeout=self.idle_timeout)
-            if request is None:
-                continue  # idle poll — the client may just be slow
-            if request is WIRE_EOF or request.is_end:
-                return
-            if request.is_sync:
-                try:
-                    self.queue.reply(self._apply(request))
-                except Exception as exc:  # noqa: BLE001 - shipped back to the client
-                    self.queue.reply_error(repr(exc))
-                continue
-            # asynchronous call
-            self.counters.bump("calls_executed")
-            self.executed += 1
-            try:
-                self._apply(request)
-            except Exception as exc:  # noqa: BLE001 - recorded like Handler.failures
-                self.failures.append(exc)

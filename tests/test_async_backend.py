@@ -3,7 +3,7 @@
 Backend *parity* (same programs, same observations, same counters as
 threads/sim/process with thread clients) lives in ``tests/test_backends.py``;
 this file covers what is unique to the asyncio backend: the awaitable
-surface (``spawn_async_client``, ``separate_async``, ``await
+surface (``aclient(coro_fn)``, ``aclient().separate(...)``, ``await
 call/query/sync``), coroutine/thread client coexistence, counter parity
 between the two client styles, query failure propagation through awaited
 result boxes, fan-in scale, and the API's guard rails.
@@ -64,7 +64,7 @@ def _bank_with_thread_clients(backend: str, clients: int, transfers: int) -> dic
                     b.credit(amount)
 
         for i in range(clients):
-            rt.spawn_client(transferrer, i, name=f"t-{i}")
+            rt.client(transferrer, i, name=f"t-{i}")
         rt.join_clients()
         with rt.separate(alice, bob) as (a, b):
             final = (a.read(), b.read())
@@ -80,12 +80,12 @@ def _bank_with_async_clients(clients: int, transfers: int) -> dict:
         async def transferrer(seed: int) -> None:
             for i in range(transfers):
                 amount = _transfer_amount(seed, i)
-                async with rt.separate_async(alice, bob) as (a, b):
+                async with rt.aclient().separate(alice, bob) as (a, b):
                     await a.debit(amount)
                     await b.credit(amount)
 
         for i in range(clients):
-            rt.spawn_async_client(transferrer, i, name=f"t-{i}")
+            rt.aclient(transferrer, i, name=f"t-{i}")
         rt.join_clients()
         with rt.separate(alice, bob) as (a, b):
             final = (a.read(), b.read())
@@ -103,14 +103,14 @@ class TestAwaitableApi:
             seen = []
 
             async def client() -> None:
-                async with rt.separate_async(ref) as acc:
+                async with rt.aclient().separate(ref) as acc:
                     await acc.credit(42)
                     seen.append(await acc.read())
                     seen.append(await acc.ask("read"))
                     await acc.send("debit", 10)
                     seen.append(await acc.read())
 
-            rt.spawn_async_client(client)
+            rt.aclient(client)
             rt.join_clients()
             assert seen == [142, 142, 132]
 
@@ -119,12 +119,12 @@ class TestAwaitableApi:
             ref = rt.new_handler("acct").create(Account, 0)
 
             async def client() -> None:
-                async with rt.separate_async(ref) as acc:
+                async with rt.aclient().separate(ref) as acc:
                     await acc.credit(1)
                     # first read syncs; the two repeats are elided
                     assert (await acc.read(), await acc.read(), await acc.read()) == (1, 1, 1)
 
-            rt.spawn_async_client(client)
+            rt.aclient(client)
             rt.join_clients()
             stats = rt.stats()
             assert stats["sync_roundtrips"] == 1
@@ -136,13 +136,13 @@ class TestAwaitableApi:
             out = []
 
             async def client() -> None:
-                async with rt.separate_async(ref) as acc:
+                async with rt.aclient().separate(ref) as acc:
                     assert await acc.sync_() is True
                     assert await acc.sync_() is False  # coalesced
                     await acc.apply(lambda obj, n: obj.credit(n), 5)
                     out.append(await acc.compute(lambda obj: obj.balance * 10))
 
-            rt.spawn_async_client(client)
+            rt.aclient(client)
             rt.join_clients()
             assert out == [100]
 
@@ -152,7 +152,7 @@ class TestAwaitableApi:
             ref = rt.new_handler("acct").create(Account, 0)
 
             async def client() -> None:
-                async with rt.separate_async(ref) as acc:
+                async with rt.aclient().separate(ref) as acc:
                     try:
                         await acc.fail()
                     except ValueError as exc:
@@ -161,7 +161,7 @@ class TestAwaitableApi:
                     await acc.credit(3)
                     caught.append(await acc.read())
 
-            rt.spawn_async_client(client)
+            rt.aclient(client)
             rt.join_clients()
         assert caught == ["deliberate query failure", 3]
 
@@ -173,12 +173,12 @@ class TestAwaitableApi:
             ref = rt.new_handler("acct").create(Account, 0)
 
             async def client() -> None:
-                async with rt.separate_async(ref) as acc:
+                async with rt.aclient().separate(ref) as acc:
                     with pytest.raises(QueryFailedError):
                         await acc.fail()
                     caught.append(await acc.read())
 
-            rt.spawn_async_client(client)
+            rt.aclient(client)
             rt.join_clients()
         assert caught == [0]
 
@@ -193,12 +193,12 @@ class TestAwaitableApi:
 
             async def coro_client() -> None:
                 for _ in range(10):
-                    async with rt.separate_async(ref) as acc:
+                    async with rt.aclient().separate(ref) as acc:
                         await acc.credit(1)
 
             for i in range(3):
-                rt.spawn_client(thread_client, name=f"thread-{i}")
-                rt.spawn_async_client(coro_client, name=f"coro-{i}")
+                rt.client(thread_client, name=f"thread-{i}")
+                rt.aclient(coro_client, name=f"coro-{i}")
             rt.join_clients()
             with rt.separate(ref) as acc:
                 assert acc.read() == 60
@@ -216,8 +216,8 @@ class TestAwaitableApi:
                 order.append("setting")
                 gate.set()
 
-            rt.spawn_async_client(waiter)
-            rt.spawn_async_client(setter)
+            rt.aclient(waiter)
+            rt.aclient(setter)
             rt.join_clients()
             assert order == ["setting", "woken"]
 
@@ -244,12 +244,12 @@ def test_two_thousand_coroutine_clients():
 
         async def client(i: int) -> None:
             ref = refs[i % len(refs)]
-            async with rt.separate_async(ref) as acc:
+            async with rt.aclient().separate(ref) as acc:
                 await acc.credit(1)
                 assert await acc.read() >= 1
 
         for i in range(n):
-            rt.spawn_async_client(client, i, name=f"c-{i}")
+            rt.aclient(client, i, name=f"c-{i}")
         rt.join_clients()
         totals = []
         for ref in refs:
@@ -332,8 +332,11 @@ class TestGuardRails:
         with QsRuntime("all", backend="threads") as rt:
             with pytest.raises(ScoopError, match="backend='async'|asyncio backend"):
                 AsyncClient(rt)
+            async def never_runs():
+                raise AssertionError("rejected before anything is scheduled")
+
             with pytest.raises(ScoopError, match="asyncio backend"):
-                rt.spawn_async_client(None)
+                rt.aclient(never_runs)
 
     def test_async_clients_need_the_qoq_protocol(self):
         with QsRuntime("none", backend="async") as rt:
@@ -349,14 +352,14 @@ class TestGuardRails:
         with pytest.raises(ScoopError, match="cannot be attached twice"):
             QsRuntime("all", backend=backend)
 
-    def test_separate_async_rejects_non_refs(self):
+    def test_awaitable_separate_rejects_non_refs(self):
         from repro.errors import ReservationError
 
         with QsRuntime("all", backend="async") as rt:
             with pytest.raises(ReservationError, match="SeparateRef"):
-                rt.separate_async(object())
+                rt.aclient().separate(object())
             with pytest.raises(ReservationError, match="at least one"):
-                rt.separate_async()
+                rt.aclient().separate()
 
 
 # ----------------------------------------------------------------------------

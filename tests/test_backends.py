@@ -11,13 +11,15 @@ guarantees: bitwise reproducibility and deadlock detection.
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
 
 from repro import DeadlockError, QsRuntime, SeparateObject, command, query
-from repro.backends import (AsyncBackend, BackendSpec, HybridBackend, ProcessBackend, SimBackend,
-                            ThreadedBackend, create_backend)
+from repro.backends import BACKENDS as BACKEND_CLASSES
+from repro.backends import (AsyncBackend, BackendSpec, ProcessBackend, SimBackend, ThreadedBackend,
+                            create_backend)
 from repro.config import QsConfig
 from repro.workloads.concurrent.runner import run_concurrent
 from repro.workloads.params import ConcurrentSizes
@@ -104,8 +106,8 @@ def bank_workload(backend: str) -> dict:
                     observed.append(a.read() + b.read())
 
         for i in range(3):
-            rt.spawn_client(transferrer, i, name=f"transfer-{i}")
-        rt.spawn_client(auditor, name="auditor")
+            rt.client(transferrer, i, name=f"transfer-{i}")
+        rt.client(auditor, name="auditor")
         rt.join_clients()
         with rt.separate(alice, bob) as (a, b):
             final = (a.read(), b.read())
@@ -128,7 +130,7 @@ def philosophers_workload(backend: str) -> dict:
                     meals[i] += 1
 
         for i in range(n):
-            rt.spawn_client(philosopher, i, name=f"philosopher-{i}")
+            rt.client(philosopher, i, name=f"philosopher-{i}")
         rt.join_clients()
         with rt.separate(*forks) as proxies:
             uses = [proxy.total_uses() for proxy in proxies]
@@ -266,7 +268,7 @@ def bank_workload_inline(rt) -> tuple:
                 b.credit(amount)
 
     for i in range(3):
-        rt.spawn_client(transferrer, i, name=f"t-{i}")
+        rt.client(transferrer, i, name=f"t-{i}")
     rt.join_clients()
     with rt.separate(alice, bob) as (a, b):
         return (a.read(), b.read())
@@ -295,8 +297,8 @@ class TestSimDeadlockDetection:
                         with rt.separate(r1) as y:
                             y.read()
 
-                rt.spawn_client(a, name="A")
-                rt.spawn_client(b, name="B")
+                rt.client(a, name="A")
+                rt.client(b, name="B")
                 rt.join_clients()
 
     def test_deadlock_free_program_is_clean(self):
@@ -310,8 +312,8 @@ class TestSimDeadlockDetection:
                     x.increment()
                     y.increment()
 
-            rt.spawn_client(worker, name="A")
-            rt.spawn_client(worker, name="B")
+            rt.client(worker, name="A")
+            rt.client(worker, name="B")
             rt.join_clients()
             with rt.separate(r1, r2) as (x, y):
                 assert (x.read(), y.read()) == (2, 2)
@@ -320,6 +322,30 @@ class TestSimDeadlockDetection:
 # ----------------------------------------------------------------------------
 # selection plumbing
 # ----------------------------------------------------------------------------
+class TestStructure:
+    """A backend is two composed axes, not a link in an inheritance chain."""
+
+    def test_no_backend_class_inherits_from_another(self):
+        classes = set(BACKEND_CLASSES.values())
+        for cls in classes:
+            assert not (set(cls.__mro__[1:]) & classes), cls
+
+    def test_the_hybrid_module_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.backends.hybrid")
+
+    @pytest.mark.parametrize("spec", ["process+async:2:3:bin", "hybrid:2:3:bin"])
+    def test_process_async_is_a_configuration_of_the_process_backend(self, spec):
+        backend = create_backend(spec)
+        assert type(backend) is ProcessBackend
+        assert (backend.processes, backend.nloops, backend.codec) == (2, 3, "bin")
+        assert backend.name == "process+async" and backend.supports_async_clients
+        plain = create_backend("process:2:bin")
+        assert type(plain) is ProcessBackend
+        assert plain.name == "process" and not plain.supports_async_clients
+        assert create_backend("hybrid").name == "process+async"
+
+
 class TestBackendSelection:
     def test_create_backend_names(self):
         assert isinstance(create_backend("threads"), ThreadedBackend)
@@ -431,7 +457,7 @@ class TestBackendSelection:
         assert isinstance(backend, ProcessBackend)
         assert backend.processes == 3 and backend.codec == "json"
         hybrid = BackendSpec.parse("process+async:3:2:json").create()
-        assert isinstance(hybrid, HybridBackend)
+        assert isinstance(hybrid, ProcessBackend) and hybrid.name == "process+async"
         assert hybrid.processes == 3 and hybrid.nloops == 2 and hybrid.codec == "json"
         assert BackendSpec.parse("process+async").create().nloops == 1
         sim = BackendSpec.parse("sim:random:9").create()

@@ -1,9 +1,8 @@
 """The unified ``runtime.client(...)`` / ``runtime.aclient(...)`` factory pair.
 
 The four historical spellings (``spawn_client``, ``spawn_async_client``,
-``async_client``, ``separate_async``) are deprecated aliases: each must
-emit exactly one ``DeprecationWarning`` and then behave bit-identically to
-the new spelling (same handle types, same results, same counters).
+``async_client``, ``separate_async``) are gone; these are the only client
+factories.
 """
 
 import warnings
@@ -97,95 +96,10 @@ class TestClientFactory:
             assert _collect_deprecations(recorded) == []
 
 
-class TestDeprecatedAliases:
-    def test_spawn_client_warns_once_and_matches_client(self):
-        with QsRuntime() as rt:
-            box = rt.new_handler("box").create(Box)
-
-            def worker(n):
-                with rt.separate(box) as b:
-                    b.add(n)
-
-            with warnings.catch_warnings(record=True) as recorded:
-                warnings.simplefilter("always")
-                old_handle = rt.spawn_client(worker, 1, name="old")
-            deprecations = _collect_deprecations(recorded)
-            assert len(deprecations) == 1
-            assert "spawn_client" in str(deprecations[0].message)
-            assert "runtime.client" in str(deprecations[0].message)
-            # the warning points at this test, not at runtime internals
-            assert deprecations[0].filename == __file__
-
-            new_handle = rt.client(worker, 2, name="new")
-            assert type(old_handle) is type(new_handle)
-            rt.join_clients()
-            with rt.separate(box) as b:
-                assert sorted(b.read()) == [1, 2]
-
-    def test_spawn_async_client_warns_and_matches_aclient(self):
-        with QsRuntime(backend="async") as rt:
-            box = rt.new_handler("box").create(Box)
-
-            async def worker(n):
-                async with rt.aclient().separate(box) as b:
-                    await b.add(n)
-
-            with warnings.catch_warnings(record=True) as recorded:
-                warnings.simplefilter("always")
-                old_handle = rt.spawn_async_client(worker, 1, name="old")
-            deprecations = _collect_deprecations(recorded)
-            assert len(deprecations) == 1
-            assert "spawn_async_client" in str(deprecations[0].message)
-            new_handle = rt.aclient(worker, 2, name="new")
-            assert type(old_handle) is type(new_handle)
-            rt.join_clients()
-            with rt.separate(box) as b:
-                assert sorted(b.read()) == [1, 2]
-
-    def test_async_client_and_separate_async_warn_and_delegate(self):
-        with QsRuntime(backend="async") as rt:
-            box = rt.new_handler("box").create(Box)
-            seen = {}
-
-            async def worker():
-                with warnings.catch_warnings(record=True) as recorded:
-                    warnings.simplefilter("always")
-                    old = rt.async_client()
-                    block = rt.separate_async(box)
-                messages = [str(w.message) for w in _collect_deprecations(recorded)]
-                seen["messages"] = messages
-                seen["same_client"] = old is rt.aclient()
-                async with block as b:
-                    await b.add("x")
-                    seen["value"] = await b.read()
-
-            rt.aclient(worker)
-            rt.join_clients()
-            assert seen["same_client"] is True
-            assert seen["value"] == ["x"]
-            assert len(seen["messages"]) == 2
-            assert any("async_client" in m for m in seen["messages"])
-            assert any("separate_async" in m for m in seen["messages"])
-
-    def test_aliases_preserve_identical_counters(self):
-        # bit-identical behaviour: the same workload through the old and the
-        # new spelling produces the same counter deltas (sim backend, so the
-        # schedule — and with it every batching counter — is deterministic)
-        def run(spawn_attr):
-            with QsRuntime(backend="sim") as rt:
-                box = rt.new_handler("box").create(Box)
-
-                def worker(n):
-                    for i in range(4):
-                        with rt.separate(box) as b:
-                            b.add(n * 10 + i)
-                            b.read()
-
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    for n in range(3):
-                        getattr(rt, spawn_attr)(worker, n, name=f"c-{n}")
-                rt.join_clients()
-                return {k: v for k, v in rt.stats().as_dict().items() if v}
-
-        assert run("spawn_client") == run("client")
+class TestAliasesAreGone:
+    def test_the_runtime_has_no_legacy_client_spellings(self):
+        # deleted, not deprecated: an alias can never again accumulate
+        # call sites silently (pyproject turns repro's own
+        # DeprecationWarnings into errors for the same reason)
+        for name in ("spawn_client", "spawn_async_client", "async_client", "separate_async"):
+            assert not hasattr(QsRuntime, name), name

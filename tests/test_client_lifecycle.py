@@ -1,6 +1,6 @@
 """Client-lifecycle error paths, identical across all four backends.
 
-The happy paths of ``spawn_client``/``join_clients``/``shutdown`` are
+The happy paths of ``client(fn)``/``join_clients``/``shutdown`` are
 exercised everywhere; what must ALSO hold on every backend is the failure
 contract: a raising client body is collected and surfaced (not swallowed,
 not a hang), ``shutdown(check_failures=True)`` re-raises both client and
@@ -54,8 +54,8 @@ def test_raising_client_surfaces_in_join(any_backend_name):
                 svc.ping()
             raise ClientBodyError("client body exploded")
 
-        rt.spawn_client(good, name="good")
-        rt.spawn_client(bad, name="bad")
+        rt.client(good, name="good")
+        rt.client(bad, name="bad")
         with pytest.raises(ScoopError) as excinfo:
             rt.join_clients()
         assert isinstance(excinfo.value.__cause__, ClientBodyError)
@@ -75,7 +75,7 @@ def test_raising_client_surfaces_at_shutdown(any_backend_name):
             svc.ping()
         raise ClientBodyError("late failure")
 
-    handle = rt.spawn_client(bad, name="bad")
+    handle = rt.client(bad, name="bad")
     rt.backend.join_client(handle)  # drain without the error-checking join
     with pytest.raises(ScoopError, match="client thread"):
         rt.shutdown(check_failures=True)
@@ -111,7 +111,7 @@ def test_spawn_after_shutdown_is_rejected(any_backend_name):
     rt = QsRuntime("all", backend=any_backend_name)
     rt.shutdown()
     with pytest.raises(ScoopError):
-        rt.spawn_client(lambda: None)
+        rt.client(lambda: None)
 
 
 def test_raising_async_client_surfaces_at_shutdown():
@@ -120,11 +120,11 @@ def test_raising_async_client_surfaces_at_shutdown():
     ref = rt.new_handler("svc").create(Service)
 
     async def bad() -> None:
-        async with rt.separate_async(ref) as svc:
+        async with rt.aclient().separate(ref) as svc:
             await svc.ping()
         raise ClientBodyError("coroutine client exploded")
 
-    rt.spawn_async_client(bad, name="bad")
+    rt.aclient(bad, name="bad")
     with pytest.raises(ScoopError) as excinfo:
         rt.join_clients()
     assert isinstance(excinfo.value.__cause__, ClientBodyError)

@@ -79,8 +79,8 @@ class TestWaitConditions:
                     with rt.separate(buf) as b:
                         b.put(i)
 
-            rt.spawn_client(consumer, name="consumer")
-            rt.spawn_client(producer, name="producer")
+            rt.client(consumer, name="consumer")
+            rt.client(producer, name="producer")
             rt.join_clients()
             assert consumed == [0, 1, 2, 3, 4]
 
@@ -94,7 +94,7 @@ class TestWaitConditions:
 
             # force at least one failed attempt by checking before the setter runs
             block = rt.separate(flag, wait_until=lambda f: f.get() == 1)
-            rt.spawn_client(setter, name="setter")
+            rt.client(setter, name="setter")
             with block as f:
                 assert f.get() == 1
             assert rt.stats()["wait_condition_retries"] == block.wait_outcome.retries
@@ -146,7 +146,7 @@ class TestWaitConditions:
                     fy.set(3)
 
             block = rt.separate(x, y, wait_until=lambda fx, fy: fx.get() == fy.get() == 3)
-            rt.spawn_client(painter, name="painter")
+            rt.client(painter, name="painter")
             with block as (fx, fy):
                 assert fx.get() == fy.get() == 3
             rt.join_clients()
@@ -160,7 +160,7 @@ class TestWaitConditions:
                     f.set(1)
 
             block = rt.separate(flag, wait_until=lambda f: f.get() == 1)
-            rt.spawn_client(setter, name="setter")
+            rt.client(setter, name="setter")
             with block:
                 pass
             rt.join_clients()

@@ -73,7 +73,7 @@ class TestWorkerFailover:
                         g.on(key).record(key, (f"c{i}", j))
 
             for i in range(3):
-                rt.spawn_client(client, i, name=f"rec-{i}")
+                rt.client(client, i, name=f"rec-{i}")
             time.sleep(0.05)  # let the clients get going
             _kill_worker_of(backend, "ledgers/shard0")
             rt.join_clients()
@@ -212,9 +212,7 @@ class TestHybridWorkerFailover:
     the loop thread, and every awaiting coroutine's sequence completes."""
 
     def test_killed_worker_under_coroutine_clients_completes_via_failover(self):
-        from repro.backends import HybridBackend
-
-        backend = HybridBackend(processes=2, loops=2)
+        backend = ProcessBackend(processes=2, loops=2)
         with QsRuntime("all", backend=backend) as rt:
             group = rt.sharded("ledgers", shards=2).create(Ledger)
 
@@ -225,7 +223,7 @@ class TestHybridWorkerFailover:
                         await g.on(key).record(key, (f"c{i}", j))
 
             for i in range(3):
-                rt.spawn_async_client(client, i, name=f"rec-{i}")
+                rt.aclient(client, i, name=f"rec-{i}")
             time.sleep(0.05)  # let the coroutines get going
             _kill_worker_of(backend, "ledgers/shard0")
             rt.join_clients()
@@ -249,27 +247,25 @@ class TestHybridWorkerFailover:
             assert rt.stats()["shard_failovers"] >= 1
 
     def test_failover_disabled_poisons_the_coroutine_queue(self):
-        from repro.backends import HybridBackend
-
-        backend = HybridBackend(processes=1, loops=1, failover=False)
+        backend = ProcessBackend(processes=1, loops=1, failover=False)
         rt = QsRuntime("all", backend=backend)
         outcomes = []
         try:
             ref = rt.new_handler("ledger").create(Ledger)
 
             async def writer() -> None:
-                async with rt.separate_async(ref) as led:
+                async with rt.aclient().separate(ref) as led:
                     await led.record("k", 1)
                     assert await led.dump() == {"k": [1]}
                 _kill_worker_of(backend, "ledger")
                 try:
-                    async with rt.separate_async(ref) as led:
+                    async with rt.aclient().separate(ref) as led:
                         await led.record("k", 2)
                         await led.dump()
                 except (ScoopError, OSError) as exc:
                     outcomes.append(type(exc).__name__)
 
-            rt.spawn_async_client(writer)
+            rt.aclient(writer)
             rt.join_clients()
             assert outcomes, "the dead worker must surface as an error"
             assert rt.stats()["shard_failovers"] == 0

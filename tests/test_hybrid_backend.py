@@ -18,7 +18,7 @@ import re
 import pytest
 
 from repro import QsRuntime, SeparateObject, command, query
-from repro.backends import HybridBackend
+from repro.backends import ProcessBackend
 from repro.errors import QueryFailedError, ScoopError
 
 #: counters whose values do not depend on the client style or on which
@@ -73,7 +73,7 @@ def _bank_with_thread_clients(backend: str, clients: int, transfers: int,
                     b.credit(amount)
 
         for i in range(clients):
-            rt.spawn_client(transferrer, i, name=f"t-{i}")
+            rt.client(transferrer, i, name=f"t-{i}")
         rt.join_clients()
         with rt.separate(alice, bob) as (a, b):
             final = (a.read(), b.read())
@@ -91,12 +91,12 @@ def _bank_with_coroutine_clients(backend: str, clients: int, transfers: int,
         async def transferrer(seed: int) -> None:
             for i in range(transfers):
                 amount = _transfer_amount(seed, i)
-                async with rt.separate_async(alice, bob) as (a, b):
+                async with rt.aclient().separate(alice, bob) as (a, b):
                     await a.debit(amount)
                     await b.credit(amount)
 
         for i in range(clients):
-            rt.spawn_async_client(transferrer, i, name=f"t-{i}")
+            rt.aclient(transferrer, i, name=f"t-{i}")
         rt.join_clients()
         with rt.separate(alice, bob) as (a, b):
             final = (a.read(), b.read())
@@ -115,14 +115,14 @@ class TestAwaitableApi:
             seen = []
 
             async def client() -> None:
-                async with rt.separate_async(ref) as acc:
+                async with rt.aclient().separate(ref) as acc:
                     await acc.credit(42)
                     seen.append(await acc.read())
                     seen.append(await acc.ask("read"))
                     await acc.send("debit", 10)
                     seen.append(await acc.read())
 
-            rt.spawn_async_client(client)
+            rt.aclient(client)
             rt.join_clients()
             assert seen == [142, 142, 132]
 
@@ -131,11 +131,11 @@ class TestAwaitableApi:
             ref = rt.new_handler("acct").create(Account, 0)
 
             async def client() -> None:
-                async with rt.separate_async(ref) as acc:
+                async with rt.aclient().separate(ref) as acc:
                     await acc.credit(1)
                     assert (await acc.read(), await acc.read(), await acc.read()) == (1, 1, 1)
 
-            rt.spawn_async_client(client)
+            rt.aclient(client)
             rt.join_clients()
             stats = rt.stats()
             assert stats["sync_roundtrips"] == 1
@@ -147,7 +147,7 @@ class TestAwaitableApi:
             ref = rt.new_handler("acct").create(Account, 0)
 
             async def client() -> None:
-                async with rt.separate_async(ref) as acc:
+                async with rt.aclient().separate(ref) as acc:
                     try:
                         await acc.fail()
                     except ValueError as exc:
@@ -156,7 +156,7 @@ class TestAwaitableApi:
                     await acc.credit(3)
                     caught.append(await acc.read())
 
-            rt.spawn_async_client(client)
+            rt.aclient(client)
             rt.join_clients()
         assert caught == ["deliberate query failure", 3]
 
@@ -169,12 +169,12 @@ class TestAwaitableApi:
             ref = rt.new_handler("acct").create(Account, 0)
 
             async def client() -> None:
-                async with rt.separate_async(ref) as acc:
+                async with rt.aclient().separate(ref) as acc:
                     with pytest.raises(QueryFailedError):
                         await acc.fail()
                     caught.append(await acc.read())
 
-            rt.spawn_async_client(client)
+            rt.aclient(client)
             rt.join_clients()
         assert caught == [0]
 
@@ -189,12 +189,12 @@ class TestAwaitableApi:
 
             async def coro_client() -> None:
                 for _ in range(10):
-                    async with rt.separate_async(ref) as acc:
+                    async with rt.aclient().separate(ref) as acc:
                         await acc.credit(1)
 
             for i in range(3):
-                rt.spawn_client(thread_client, name=f"thread-{i}")
-                rt.spawn_async_client(coro_client, name=f"coro-{i}")
+                rt.client(thread_client, name=f"thread-{i}")
+                rt.aclient(coro_client, name=f"coro-{i}")
             rt.join_clients()
             with rt.separate(ref) as acc:
                 assert acc.read() == 60
@@ -272,12 +272,12 @@ def test_five_hundred_coroutine_clients():
 
         async def client(i: int) -> None:
             ref = refs[i % len(refs)]
-            async with rt.separate_async(ref) as acc:
+            async with rt.aclient().separate(ref) as acc:
                 await acc.credit(1)
                 assert await acc.read() >= 1
 
         for i in range(n):
-            rt.spawn_async_client(client, i, name=f"c-{i}")
+            rt.aclient(client, i, name=f"c-{i}")
         rt.join_clients()
         totals = []
         for ref in refs:
@@ -291,7 +291,7 @@ def test_five_hundred_coroutine_clients():
 # ----------------------------------------------------------------------------
 class TestGuardRails:
     def test_direct_constructor_and_validation(self):
-        backend = HybridBackend(processes=2, loops=2)
+        backend = ProcessBackend(processes=2, loops=2)
         assert backend.nloops == 2
         with QsRuntime("all", backend=backend) as rt:
             ref = rt.new_handler("acct").create(Account, 5)
@@ -306,19 +306,21 @@ class TestGuardRails:
             rt.backend.spawn_task(lambda: None, "late")
 
     def test_backends_cannot_be_attached_twice(self):
-        backend = HybridBackend(processes=1, loops=1)
+        backend = ProcessBackend(processes=1, loops=1)
         with QsRuntime("all", backend=backend):
             pass
         with pytest.raises(ScoopError, match="twice"):
             QsRuntime("all", backend=backend)
 
-    def test_blocking_invoke_on_the_coroutine_queue_is_rejected(self):
-        # reaching the blocking invoke() from a loop thread would deadlock
-        # the event loop; the coroutine queue refuses it outright
-        from repro.backends.hybrid import AsyncProcessPrivateQueue
+    def test_the_coroutine_driver_has_no_blocking_invoke(self):
+        # reaching a blocking invoke() from a loop thread would deadlock the
+        # event loop; the async driver does not inherit one to reach
+        from repro.backends.process import AsyncProcessPrivateQueue, ProcessPrivateQueue
 
-        with pytest.raises(ScoopError, match="invoke_async"):
-            AsyncProcessPrivateQueue.invoke(None, None, None, (), {})
+        assert not hasattr(AsyncProcessPrivateQueue, "invoke")
+        assert hasattr(AsyncProcessPrivateQueue, "invoke_async")
+        assert not issubclass(AsyncProcessPrivateQueue, ProcessPrivateQueue)
+        assert not issubclass(ProcessPrivateQueue, AsyncProcessPrivateQueue)
 
     def test_env_var_selects_the_hybrid_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "process+async:2:2")

@@ -10,6 +10,9 @@ exceptions, worker-process pooling, and the selection plumbing
 
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 
 from repro import QsRuntime, SeparateObject, command, query
@@ -283,6 +286,44 @@ class TestWorkerPooling:
                     lt.put(i)
                     rt_.put(-i)
                     assert (lt.get(), rt_.get()) == (i, -i)
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc to count descriptors")
+@pytest.mark.parametrize("spec", ["process", "process+async:1:1"])
+def test_short_lived_clients_do_not_accumulate_descriptors(spec):
+    # regression: every finished client left its connection (and a reader
+    # thread in the worker) open until shutdown — 100 clients, 100 fds
+    with QsRuntime("all", backend=spec) as rt:
+        ref = rt.new_handler("box").create(Box)
+        seen = []
+
+        def thread_client(n: int) -> None:
+            with rt.separate(ref) as box:
+                box.put(n)
+                seen.append(box.get())
+
+        async def coroutine_client(n: int) -> None:
+            async with rt.aclient().separate(ref) as box:
+                await box.put(n)
+                seen.append(await box.get())
+
+        rt.client(thread_client, -1)  # warm up: worker, listener, loop plumbing
+        rt.join_clients()
+        before = _open_fds()
+        for n in range(200):
+            coroutine = rt.backend.supports_async_clients and n % 2
+            rt.client(coroutine_client if coroutine else thread_client, n)
+            rt.join_clients()
+        assert seen == [-1, *range(200)]
+        assert rt._client_handles == []
+        deadline = time.monotonic() + 5.0  # a loop closes its transports a tick later
+        while _open_fds() > before + 4 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _open_fds() <= before + 4
 
 
 class TestSelection:

@@ -24,7 +24,6 @@ GOLDEN_SURFACE = [
     "AsyncBackend",
     "BackendSpec",
     "ExecutionBackend",
-    "HybridBackend",
     "ProcessBackend",
     "SimBackend",
     "ThreadedBackend",

@@ -167,9 +167,9 @@ class TestReservations:
                         inconsistencies.append((px.read(), py.read()))
 
         threads = [
-            qs_runtime.spawn_client(painter, 1, name="red"),
-            qs_runtime.spawn_client(painter, 2, name="blue"),
-            qs_runtime.spawn_client(observer, name="observer"),
+            qs_runtime.client(painter, 1, name="red"),
+            qs_runtime.client(painter, 2, name="blue"),
+            qs_runtime.client(observer, name="observer"),
         ]
         for t in threads:
             t.join()
@@ -204,13 +204,13 @@ class TestRuntimeLifecycle:
         handlers = qs_runtime.new_handlers(3, prefix="w")
         assert [h.name for h in handlers] == ["w-0", "w-1", "w-2"]
 
-    def test_spawn_client_error_collected(self):
+    def test_spawned_client_error_collected(self):
         rt = QsRuntime("all")
 
         def bad():
             raise RuntimeError("client blew up")
 
-        rt.spawn_client(bad).join()
+        rt.client(bad).join()
         with pytest.raises(ScoopError):
             rt.shutdown()
 
@@ -239,7 +239,7 @@ class TestContention:
                 with runtime.separate(ref) as c:
                     c.increment()
 
-        threads = [runtime.spawn_client(hammer, name=f"hammer-{i}") for i in range(clients)]
+        threads = [runtime.client(hammer, name=f"hammer-{i}") for i in range(clients)]
         for t in threads:
             t.join()
         with runtime.separate(ref) as c:
@@ -258,7 +258,7 @@ class TestContention:
                     after = c.read()
                     assert after == before + 1   # nobody interleaved
 
-        threads = [runtime.spawn_client(double_then_add, name=f"rmw-{i}") for i in range(clients)]
+        threads = [runtime.client(double_then_add, name=f"rmw-{i}") for i in range(clients)]
         for t in threads:
             t.join()
         with runtime.separate(ref) as c:

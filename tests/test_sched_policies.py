@@ -63,7 +63,7 @@ def fingerprint(policy) -> tuple:
                     c.read()
 
         for k in range(3):
-            rt.spawn_client(worker, k, name=f"w{k}")
+            rt.client(worker, k, name=f"w{k}")
         rt.join_clients()
         virtual = rt.backend.now()
         counters = {k: v for k, v in rt.stats().as_dict().items() if v}
@@ -136,7 +136,7 @@ class TestReplay:
                         c.read()
 
             for k in range(3):
-                rt.spawn_client(worker, k, name=f"w{k}")
+                rt.client(worker, k, name=f"w{k}")
             rt.join_clients()
             virtual = rt.backend.now()
             counters = {k: v for k, v in rt.stats().as_dict().items() if v}
@@ -154,7 +154,7 @@ class TestReplay:
                         c.read()
 
             for k in range(3):
-                rt.spawn_client(worker, k, name=f"w{k}")
+                rt.client(worker, k, name=f"w{k}")
             rt.join_clients()
             virtual = rt.backend.now()
             counters = {k: v for k, v in rt.stats().as_dict().items() if v}

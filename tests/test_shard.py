@@ -115,7 +115,7 @@ def sharded_workload(backend: str) -> dict:
                     g.on(dst).credit(amount)
 
         for i in range(3):
-            rt.spawn_client(transferrer, i, name=f"transfer-{i}")
+            rt.client(transferrer, i, name=f"transfer-{i}")
         rt.join_clients()
         with group.separate() as g:
             g.broadcast("credit", 5)
@@ -579,7 +579,7 @@ class TestAsyncShardedProxy:
                         g.gather("read", merge=sum)
 
             for i in range(3):
-                rt.spawn_client(client, i, name=f"c-{i}")
+                rt.client(client, i, name=f"c-{i}")
             rt.join_clients()
             with group.separate() as g:
                 final = g.gather("read")
@@ -598,7 +598,7 @@ class TestAsyncShardedProxy:
                         await g.gather("read", merge=sum)
 
             for i in range(3):
-                rt.spawn_async_client(client, i, name=f"c-{i}")
+                rt.aclient(client, i, name=f"c-{i}")
             rt.join_clients()
             with group.separate() as g:
                 final = g.gather("read")
@@ -622,7 +622,7 @@ class TestAsyncShardedProxy:
                     observed["merged"] = await g.gather("read", merge=sum)
                     observed["shard"] = await g.shard(0).read()
 
-            rt.spawn_async_client(client)
+            rt.aclient(client)
             rt.join_clients()
         assert observed["query"] == 6
         assert sorted(observed["gather"]) == [3, 3, 3, 6]

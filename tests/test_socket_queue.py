@@ -1,9 +1,11 @@
-"""Tests for the socket-backed private queue (Section 7 future work).
+"""Tests for the framed socket transport (the paper's Section 7 direction).
 
-Includes the regression suite for the transport bugs the prototype shipped
-with: ``dequeue(timeout=0)`` leaking ``BlockingIOError``, a timeout in the
-middle of a frame desyncing the length-prefixed stream, and the JSON wire
-silently turning argument tuples into lists.
+Includes the regression suite for the transport bugs the first prototype
+shipped with — a ``timeout=0`` receive leaking ``BlockingIOError``, a
+timeout in the middle of a frame desyncing the length-prefixed stream, a
+receive deadline leaking into concurrent sends, the JSON wire silently
+turning argument tuples into lists — all driven on a bare
+``socket.socketpair()`` + :class:`FrameStream`.
 """
 
 import socket
@@ -15,242 +17,104 @@ import pytest
 
 from repro.errors import ScoopError
 from repro.queues.codec import get_codec
-from repro.queues.socket_queue import (
-    COALESCE_MAX_FRAMES,
-    WIRE_EOF,
-    FrameStream,
-    SocketPrivateQueue,
-    SocketQueueClosed,
-    SocketQueueServer,
-    WireRequest,
-)
-from repro.util.counters import Counters
-
-
-class Counter:
-    """Plain object living on the handler side of the socket."""
-
-    def __init__(self):
-        self.value = 0
-        self.calls = []
-
-    def increment(self, by=1):
-        self.value += by
-        self.calls.append(("increment", by))
-
-    def read(self):
-        return self.value
-
-    def fail(self):
-        raise RuntimeError("deliberate failure")
+from repro.queues.socket_queue import COALESCE_MAX_FRAMES, FrameStream, SocketQueueClosed
 
 
 @pytest.fixture
-def channel():
-    counters = Counters()
-    queue = SocketPrivateQueue(counters)
-    target = Counter()
-    server = SocketQueueServer(queue, target, counters).start()
-    yield queue, target, server, counters
-    queue.enqueue_end() if not queue.closed_by_client else None
-    server.join(timeout=5)
-    queue.close_client()
-    queue.close_handler()
+def pair():
+    """(raw client socket, client stream, handler stream) over a socketpair."""
+    made = []
+
+    def make(codec="json"):
+        a, b = socket.socketpair()
+        streams = (a, FrameStream(a, codec), FrameStream(b, codec))
+        made.append(streams)
+        return streams
+
+    yield make
+    for _, left, right in made:
+        left.close()
+        right.close()
 
 
-class TestProtocol:
-    def test_async_calls_applied_in_order(self, channel):
-        queue, target, server, _ = channel
-        queue.enqueue_call("increment", 1)
-        queue.enqueue_call("increment", 2)
-        queue.enqueue_call("increment", 3)
-        queue.enqueue_end()
-        server.join(timeout=5)
-        assert target.value == 6
-        assert [c[1] for c in target.calls] == [1, 2, 3]
-        assert server.executed == 3
-
-    def test_query_returns_result_and_sets_synced(self, channel):
-        queue, target, server, _ = channel
-        queue.enqueue_call("increment", 5)
-        assert queue.synced is False
-        assert queue.query("read") == 5
-        assert queue.synced is True
-
-    def test_async_call_invalidates_synced_flag(self, channel):
-        queue, target, server, _ = channel
-        queue.query("read")
-        assert queue.synced
-        queue.enqueue_call("increment", 1)
-        assert not queue.synced
-
-    def test_query_sees_all_previously_logged_calls(self, channel):
-        """The ordering guarantee across the socket: every call logged before
-        the query is applied before the query executes."""
-        queue, target, server, _ = channel
-        for i in range(20):
-            queue.enqueue_call("increment", 1)
-        assert queue.query("read") == 20
-
-    def test_remote_error_is_reported_to_the_client(self, channel):
-        queue, target, server, _ = channel
-        with pytest.raises(ScoopError) as err:
-            queue.query("fail")
-        assert "deliberate failure" in str(err.value)
-
-    def test_counters_track_the_wire_traffic(self, channel):
-        queue, _, server, counters = channel
-        queue.enqueue_call("increment", 1)
-        queue.query("read")
-        snap = counters.snapshot()
-        assert snap["async_calls"] == 1
-        assert snap["sync_roundtrips"] == 1
-        assert snap["pq_enqueues"] >= 1
-
-    def test_end_terminates_the_server(self, channel):
-        queue, _, server, _ = channel
-        queue.enqueue_call("increment", 1)
-        queue.enqueue_end()
-        server.join(timeout=5)
-        assert queue.closed_by_client
-
-    def test_dequeue_timeout_returns_none(self):
-        queue = SocketPrivateQueue()
-        assert queue.dequeue(timeout=0.05) is None
-        queue.close_client()
-        queue.close_handler()
-
-    def test_wire_request_flags(self):
-        assert WireRequest(kind="end").is_end
-        assert WireRequest(kind="sync").is_sync
-        assert not WireRequest(kind="call").is_end
+def _frame(payload, codec="json"):
+    body = get_codec(codec).encode(payload)
+    return struct.pack(">I", len(body)) + body
 
 
 class TestTimeoutRegressions:
     """The transport bugs of the original prototype, pinned."""
 
-    def test_dequeue_timeout_zero_returns_none_on_empty_queue(self):
+    def test_recv_timeout_returns_none(self, pair):
+        _, _, handler = pair()
+        assert handler.recv(timeout=0.05) is None
+
+    def test_recv_timeout_zero_returns_none_on_an_empty_stream(self, pair):
         # regression: timeout=0 made the socket non-blocking and the
         # resulting BlockingIOError escaped to the caller
-        queue = SocketPrivateQueue()
-        try:
-            assert queue.dequeue(timeout=0) is None
-        finally:
-            queue.close_client()
-            queue.close_handler()
+        _, _, handler = pair()
+        assert handler.recv(timeout=0) is None
 
-    def test_dequeue_timeout_zero_still_sees_ready_messages(self):
-        queue = SocketPrivateQueue()
-        try:
-            queue.enqueue_call("increment", 1)
-            time.sleep(0.05)  # let the socketpair deliver
-            request = queue.dequeue(timeout=0)
-            assert request is not None and request.feature == "increment"
-            assert queue.dequeue(timeout=0) is None
-        finally:
-            queue.close_client()
-            queue.close_handler()
+    def test_recv_timeout_zero_still_sees_ready_frames(self, pair):
+        _, client, handler = pair()
+        client.send({"kind": "call", "feature": "increment", "args": [1], "kwargs": {}})
+        time.sleep(0.05)  # let the socketpair deliver
+        frame = handler.recv(timeout=0)
+        assert frame is not None and frame["feature"] == "increment"
+        assert handler.recv(timeout=0) is None
 
-    def test_partial_frame_survives_timeouts(self):
+    def test_partial_frame_survives_timeouts(self, pair):
         # regression: a timeout after a partial header/body read discarded
         # the received bytes and permanently desynced the framed stream
-        queue = SocketPrivateQueue()
-        try:
-            payload = get_codec("json").encode(
-                {"kind": "call", "feature": "increment", "args": [7], "kwargs": {}})
-            frame = struct.pack(">I", len(payload)) + payload
-            # drip the frame in: header byte-by-byte, then body in two cuts
-            sock = queue._client_sock
-            sock.sendall(frame[:3])
-            assert queue.dequeue(timeout=0.02) is None        # mid-header
-            sock.sendall(frame[3:10])
-            assert queue.dequeue(timeout=0.02) is None        # mid-body
-            sock.sendall(frame[10:])
-            request = queue.dequeue(timeout=1.0)
-            assert request is not None
-            assert (request.feature, request.args) == ("increment", (7,))
-            # and the stream is still in sync for the next normal message
-            queue.enqueue_call("increment", 8)
-            request = queue.dequeue(timeout=1.0)
-            assert request.args == (8,)
-        finally:
-            queue.close_client()
-            queue.close_handler()
+        sock, client, handler = pair()
+        frame = _frame({"kind": "call", "feature": "increment", "args": [7], "kwargs": {}})
+        # drip the frame in: header byte-by-byte, then body in two cuts
+        sock.sendall(frame[:3])
+        assert handler.recv(timeout=0.02) is None        # mid-header
+        sock.sendall(frame[3:10])
+        assert handler.recv(timeout=0.02) is None        # mid-body
+        sock.sendall(frame[10:])
+        got = handler.recv(timeout=1.0)
+        assert (got["feature"], got["args"]) == ("increment", [7])
+        # and the stream is still in sync for the next normal frame
+        client.send({"kind": "call", "feature": "increment", "args": [8], "kwargs": {}})
+        assert handler.recv(timeout=1.0)["args"] == [8]
 
-    def test_short_timeouts_interleaved_with_large_payloads(self):
+    def test_short_timeouts_interleaved_with_large_payloads(self, pair):
         # a large frame trickled through a throttled sender must assemble
-        # across many timed-out dequeues without corruption
-        queue = SocketPrivateQueue()
+        # across many timed-out receives without corruption
+        sock, _, handler = pair()
         big = "x" * 300_000
 
         def slow_send():
-            payload = get_codec("json").encode(
-                {"kind": "call", "feature": "store", "args": [big], "kwargs": {}})
-            frame = struct.pack(">I", len(payload)) + payload
+            frame = _frame({"kind": "call", "feature": "store", "args": [big], "kwargs": {}})
             for i in range(0, len(frame), 20_000):
-                queue._client_sock.sendall(frame[i:i + 20_000])
+                sock.sendall(frame[i:i + 20_000])
                 time.sleep(0.002)
 
         sender = threading.Thread(target=slow_send, daemon=True)
         sender.start()
         tries = 0
-        try:
-            while True:
-                request = queue.dequeue(timeout=0.005)
-                if request is not None:
-                    break
-                tries += 1
-                assert tries < 10_000, "frame never assembled"
-            assert request.feature == "store"
-            assert request.args == (big,)
-            assert tries > 0, "throttling should force at least one timeout"
-            sender.join(timeout=5)
-        finally:
-            queue.close_client()
-            queue.close_handler()
+        while True:
+            got = handler.recv(timeout=0.005)
+            if got is not None:
+                break
+            tries += 1
+            assert tries < 10_000, "frame never assembled"
+        assert (got["feature"], got["args"]) == ("store", [big])
+        assert tries > 0, "throttling should force at least one timeout"
+        sender.join(timeout=5)
+        assert not sender.is_alive()
 
-    def test_closed_peer_distinguished_from_timeout(self):
-        # regression: dequeue returned None for BOTH a timeout and a closed
-        # peer, so pollers could not tell a quiet interval from end-of-stream
-        queue = SocketPrivateQueue()
-        assert queue.dequeue(timeout=0.05) is None          # timeout -> None
-        queue.close_client()
-        assert queue.dequeue(timeout=0.05) is WIRE_EOF      # EOF -> sentinel
-        # the stream layer reports EOF explicitly too
+    def test_closed_peer_distinguished_from_timeout(self, pair):
+        # regression: a receive reported a timeout and a closed peer the
+        # same way, so pollers could not tell a quiet interval from
+        # end-of-stream; now timeout -> None, EOF -> SocketQueueClosed
+        _, client, handler = pair()
+        assert handler.recv(timeout=0.05) is None
+        client.close()
         with pytest.raises(SocketQueueClosed):
-            queue._handler.recv(timeout=0.05)
-        queue.close_handler()
-
-    def test_server_keeps_draining_across_idle_gaps(self):
-        # regression: SocketQueueServer._drain treated a quiet idle_timeout
-        # as end-of-stream (dequeue's None ambiguity) and silently stopped
-        # draining — calls enqueued after the pause were never executed
-        counters = Counters()
-        queue = SocketPrivateQueue(counters)
-        target = Counter()
-        # a short idle_timeout stands in for the production 5 s window
-        server = SocketQueueServer(queue, target, counters,
-                                   idle_timeout=0.1).start()
-        try:
-            queue.enqueue_call("increment", 1)
-            time.sleep(0.4)  # several idle polls elapse mid-block
-            queue.enqueue_call("increment", 2)
-            assert queue.query("read") == 3
-            queue.enqueue_end()
-            server.join(timeout=5)
-            assert target.value == 3
-            assert server.executed == 2
-        finally:
-            queue.close_client()
-            queue.close_handler()
-
-    def test_server_stops_on_client_eof_without_end(self):
-        # WIRE_EOF (a vanished client) still terminates the drain promptly
-        queue = SocketPrivateQueue()
-        server = SocketQueueServer(queue, Counter(), idle_timeout=0.1).start()
-        queue.close_client()
-        server.join(timeout=5)
-        queue.close_handler()
+            handler.recv(timeout=0.05)
 
     def test_concurrent_sends_never_inherit_a_recv_deadline(self):
         # regression: FrameStream.recv's deadline path set settimeout() on
@@ -301,93 +165,51 @@ class TestTimeoutRegressions:
 
 
 class TestCodecs:
-    def test_json_args_normalised_to_tuple(self):
-        # regression: WireRequest.args is typed Tuple but decoded as a list
-        queue = SocketPrivateQueue()
-        try:
-            queue.enqueue_call("move", 1, 2, speed=3)
-            request = queue.dequeue(timeout=1.0)
-            assert isinstance(request.args, tuple)
-            assert request.args == (1, 2)
-            assert request.kwargs == {"speed": 3}
-        finally:
-            queue.close_client()
-            queue.close_handler()
+    CALL = {"kind": "call", "feature": "place", "args": [(1, 2), [(3, 4)]],
+            "kwargs": {"corners": {"a": (5, 6)}}}
 
-    def test_pickle_codec_round_trips_tuples_faithfully(self):
-        queue = SocketPrivateQueue(codec="pickle")
-        try:
-            queue.enqueue_call("place", (1, 2), [(3, 4)], corners={"a": (5, 6)})
-            request = queue.dequeue(timeout=1.0)
-            assert request.args == ((1, 2), [(3, 4)])
-            assert isinstance(request.args[0], tuple)
-            assert isinstance(request.args[1][0], tuple)
-            assert isinstance(request.kwargs["corners"]["a"], tuple)
-        finally:
-            queue.close_client()
-            queue.close_handler()
+    def test_json_carries_flat_arguments_as_lists(self, pair):
+        # JSON has no tuple type: arguments travel as a list (the worker
+        # normalises ``args`` back to a tuple when it applies the call)
+        _, client, handler = pair("json")
+        client.send({"kind": "call", "feature": "move", "args": [1, 2], "kwargs": {"speed": 3}})
+        got = handler.recv(timeout=1.0)
+        assert got["args"] == [1, 2] and got["kwargs"] == {"speed": 3}
 
-    def test_pickle_codec_query_round_trip(self):
-        class Geometry:
-            def diagonal(self, corner):
-                return (corner[0] * 2, corner[1] * 2)
+    @pytest.mark.parametrize("codec", ["pickle", "bin"])
+    def test_faithful_codecs_round_trip_tuples(self, pair, codec):
+        _, client, handler = pair(codec)
+        client.send(self.CALL)
+        got = handler.recv(timeout=1.0)
+        assert got == self.CALL
+        assert isinstance(got["args"][0], tuple)
+        assert isinstance(got["args"][1][0], tuple)
+        assert isinstance(got["kwargs"]["corners"]["a"], tuple)
 
-        queue = SocketPrivateQueue(codec="pickle")
-        server = SocketQueueServer(queue, Geometry()).start()
-        try:
-            result = queue.query("diagonal", (3, 4))
-            assert result == (6, 8)
-            assert isinstance(result, tuple)
-        finally:
-            queue.enqueue_end()
-            server.join(timeout=5)
-            queue.close_client()
-            queue.close_handler()
+    @pytest.mark.parametrize("codec", ["pickle", "bin"])
+    def test_faithful_codecs_round_trip_a_query_result(self, pair, codec):
+        _, client, handler = pair(codec)
+        client.send({"kind": "query", "feature": "diagonal", "args": [(3, 4)], "kwargs": {}})
+        corner = handler.recv(timeout=1.0)["args"][0]
+        handler.send({"kind": "result", "value": (corner[0] * 2, corner[1] * 2)})
+        value = client.recv(timeout=1.0)["value"]
+        assert value == (6, 8) and isinstance(value, tuple)
 
     def test_unknown_codec_rejected(self):
-        with pytest.raises(ValueError, match="unknown wire codec"):
-            SocketPrivateQueue(codec="yaml")
-
-    def test_bin_codec_round_trips_tuples_faithfully(self):
-        queue = SocketPrivateQueue(codec="bin")
+        a, b = socket.socketpair()
         try:
-            queue.enqueue_call("place", (1, 2), [(3, 4)], corners={"a": (5, 6)})
-            request = queue.dequeue(timeout=1.0)
-            assert request.args == ((1, 2), [(3, 4)])
-            assert isinstance(request.args[0], tuple)
-            assert isinstance(request.args[1][0], tuple)
-            assert isinstance(request.kwargs["corners"]["a"], tuple)
+            with pytest.raises(ValueError, match="unknown wire codec"):
+                FrameStream(a, "yaml")
         finally:
-            queue.close_client()
-            queue.close_handler()
+            a.close()
+            b.close()
 
-    def test_bin_codec_query_round_trip(self):
-        class Geometry:
-            def diagonal(self, corner):
-                return (corner[0] * 2, corner[1] * 2)
-
-        queue = SocketPrivateQueue(codec="bin")
-        server = SocketQueueServer(queue, Geometry()).start()
-        try:
-            result = queue.query("diagonal", (3, 4))
-            assert result == (6, 8)
-            assert isinstance(result, tuple)
-        finally:
-            queue.enqueue_end()
-            server.join(timeout=5)
-            queue.close_client()
-            queue.close_handler()
-
-    def test_json_codec_refuses_nested_tuples_instead_of_mutating(self):
+    def test_json_codec_refuses_nested_tuples_instead_of_mutating(self, pair):
         # regression: JSON silently decoded nested tuples as lists; now the
         # mismatch is a pointed error naming the codecs that can carry them
-        queue = SocketPrivateQueue(codec="json")
-        try:
-            with pytest.raises(ScoopError, match="pickle.*bin|bin.*pickle"):
-                queue.enqueue_call("place", [(1, 2)])
-        finally:
-            queue.close_client()
-            queue.close_handler()
+        _, client, _ = pair("json")
+        with pytest.raises(ScoopError, match="pickle.*bin|bin.*pickle"):
+            client.send({"kind": "call", "feature": "place", "args": [[(1, 2)]], "kwargs": {}})
 
 
 class TestCoalescing:

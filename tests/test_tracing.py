@@ -123,7 +123,7 @@ class TestRuntimeTracing:
                         r.push((n, i))
                         r.size()
 
-            threads = [rt.spawn_client(client, n, name=f"client-{n}") for n in range(3)]
+            threads = [rt.client(client, n, name=f"client-{n}") for n in range(3)]
             rt.join_clients()
             rt.handler("reg").shutdown()
             report = check_runtime(rt)
