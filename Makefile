@@ -13,7 +13,10 @@
 #   make hybrid-smoke     parity + lifecycle suites on the process+async backend,
 #                         fan-in example, and a smoke bench artifact
 #   make shard-smoke      sharding suite on the process/async backends + smoke bench
-#   make failover-smoke   worker-kill recovery suite + fuzzed live-resharding pass
+#   make failover-smoke   worker-kill recovery suite, a 10 s cut of the journal
+#                         soak + fuzzed live-resharding pass
+#   make soak             two minutes of command-stream traffic on process: flat
+#                         RSS and descriptors, bounded journal, sub-second recovery
 #   make serve-smoke      gateway suite on the process and hybrid backends, a CLI
 #                         load run with its oracles, and a smoke serve_latency
 #                         artifact
@@ -25,7 +28,7 @@ PYTHON ?= python
 
 .PHONY: install lint test coverage bench bench-backends bench-gate explore \
 	process-smoke async-smoke hybrid-smoke shard-smoke failover-smoke \
-	serve-smoke ledger-smoke loc clean
+	serve-smoke ledger-smoke soak loc clean
 
 install:
 	$(PYTHON) -m pip install -e .[dev]
@@ -83,10 +86,12 @@ shard-smoke:
 	$(PYTHON) benchmarks/bench_backends.py --smoke --out BENCH_shard_smoke.json
 
 # kill workers mid-workload and demand lossless completion (mirrors CI
-# failover-smoke), then fuzz the live-resharding protocol under the simulator
+# failover-smoke), soak the journal for 10 s, then fuzz the live-resharding
+# protocol under the simulator
 failover-smoke:
 	mkdir -p traces
 	$(PYTHON) -m pytest -q tests/test_failover.py
+	$(PYTHON) benchmarks/soak_journal.py --seconds 10
 	$(PYTHON) -m repro explore resharding-bank --policy random --seeds 8 \
 		--save-trace traces/resharding-bank.trace.json
 
@@ -105,6 +110,11 @@ serve-smoke:
 # comparison and traffic units plus one smoke pass of every workload
 ledger-smoke:
 	$(PYTHON) -m pytest ledger/tests -q
+
+# minutes, not seconds, so not tier-1: the process backend must stay bounded in
+# memory, descriptors, journal size and recovery time (see the script's docstring)
+soak:
+	$(PYTHON) benchmarks/soak_journal.py
 
 # the size ROADMAP asks to be tracked next to the perf numbers
 loc:

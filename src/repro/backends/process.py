@@ -39,6 +39,13 @@ Division of labour:
   report carries the final one; the parent folds the deltas into the
   runtime's :class:`~repro.util.counters.Counters`, so ``rt.stats()`` shows
   ``calls_executed`` et al. exactly as the in-memory backends do.
+* **the failover journal is a window, not a log**: every data frame is
+  journaled before it is sent, and the same replies carry the worker's
+  periodic *checkpoints* (a pickle of the handler's objects, counters and
+  failures, taken between two blocks); the parent keeps the newest and
+  drops the journal up to its ticket, so a dead worker's handler is
+  restored from the last checkpoint plus the tail — bounded memory,
+  bounded recovery time.
 
 What travels is *described requests* (``feature``/``args``/``kwargs``), not
 code — the codec decides fidelity: ``pickle`` (the default; both ends are
@@ -59,6 +66,7 @@ not recorded in the parent's tracer.
 from __future__ import annotations
 
 import asyncio
+import base64
 import itertools
 import json
 import os
@@ -74,7 +82,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 from repro.backends.async_ import LoopPool
 from repro.backends.base import ExecutionBackend, ThreadClients
 from repro.errors import ScoopError
-from repro.queues.codec import get_codec
+from repro.queues.codec import CODECS, get_codec
 from repro.queues.private_queue import ResultBox, SyncRequest
 from repro.queues.socket_queue import AsyncFrameStream, FrameStream, SocketQueueClosed
 from repro.queues.wire_queue import RemoteHandle, WireQueueCore
@@ -176,7 +184,7 @@ class _RemoteQoQ:
             return
         self.closed = True
         # a worker that died before (or while) draining is failed over — the
-        # replacement replays every journaled block — and re-asked there
+        # replacement replays the journal above its checkpoint — and re-asked there
         self.report = self.backend._control_request(
             self.handler.name,
             {"op": "close", "handler": self.handler.name, "tickets": self._tickets})
@@ -554,10 +562,12 @@ class ProcessBackend(ExecutionBackend):
     failover:
         When ``True`` (default), a worker process that dies mid-run is
         detected on its broken connections and its handlers are re-pinned
-        onto surviving (or fresh) workers: hosted objects are restored from
-        their adopt-time snapshots and every block replayed from the
-        parent's frame journal in ticket order, so clients observe at most
-        a stall — never a dropped or reordered request.  ``False`` restores
+        onto surviving (or fresh) workers: each handler is restored from the
+        last checkpoint its worker shipped (before the first: from the
+        adopt-time snapshots of its objects) and the blocks above it are
+        replayed from the parent's frame journal in ticket order, so clients
+        observe at most a stall — never a dropped or reordered request.
+        Every checkpoint truncates the journal.  ``False`` restores
         the old fail-stop behaviour (a dead worker raises
         :class:`~repro.errors.ScoopError` at the first affected client).
     loops:
@@ -596,8 +606,11 @@ class ProcessBackend(ExecutionBackend):
         self._oid_seq = itertools.count(1)
         self._counters_seen: Dict[str, Dict[str, int]] = {}
         self._counters_lock = threading.Lock()
-        # failover state: adopt-time object snapshots and the per-(handler,
-        # ticket) frame journal that a replacement worker replays
+        # failover state, all under _journal_lock: each handler's newest
+        # checkpoint ({"ticket", "oids", "state"}), the adopt-time snapshots
+        # of objects no checkpoint covers yet, and the per-(handler, ticket)
+        # frame journal of the blocks above the checkpoint's ticket
+        self._checkpoints: Dict[str, Dict[str, Any]] = {}
         self._hosted: Dict[str, Dict[int, bytes]] = {}
         self._journal: Dict[str, Dict[int, Dict[str, Any]]] = {}
         self._journal_lock = threading.Lock()
@@ -639,6 +652,7 @@ class ProcessBackend(ExecutionBackend):
         env["REPRO_PROCESS_WORKER"] = json.dumps({
             "host": "127.0.0.1", "port": listener.getsockname()[1],
             "token": self.token, "codec": self.codec, "main_path": main_path,
+            "failover": self.failover,
         })
         proc = subprocess.Popen([sys.executable, "-c", _WORKER_CMD], env=env)
         listener.settimeout(30.0)
@@ -679,7 +693,7 @@ class ProcessBackend(ExecutionBackend):
             self._streams.discard(stream)
 
     # ------------------------------------------------------------------
-    # failover: journal + re-pin + restore
+    # failover: journal + checkpoint + re-pin + restore
     # ------------------------------------------------------------------
     def journal_frame(self, handler_name: str, ticket: Optional[int],
                       payload: Dict[str, Any]) -> None:
@@ -687,27 +701,70 @@ class ProcessBackend(ExecutionBackend):
         if not self.failover or ticket is None:
             return
         with self._journal_lock:
-            entry = self._journal.setdefault(handler_name, {}).setdefault(
-                ticket, {"frames": [], "ended": False, "restored": False})
+            blocks = self._journal.get(handler_name)
+            if blocks is None:
+                blocks = self._journal[handler_name] = {}
+            entry = blocks.get(ticket)
+            if entry is None:
+                entry = blocks[ticket] = {"frames": [], "ended": False, "restored": False}
             entry["frames"].append(payload)
             if payload.get("kind") == "end":
                 entry["ended"] = True
+
+    def checkpoint(self, handler: Any, checkpoint: Dict[str, Any]) -> None:
+        """Store a handler snapshot a reply carried; truncate the journal.
+
+        The worker took it between two blocks: its state holds the effects
+        of exactly the blocks up to ``ticket``, so those blocks' frames are
+        never needed again, nor are the adopt-time snapshots of the objects
+        it covers.  Replies on different connections are processed in any
+        order; an older checkpoint than the one in force is ignored.
+        """
+        ticket = int(checkpoint["ticket"])
+        state = checkpoint["state"]
+        if not CODECS[self.codec].faithful:  # it cannot carry bytes either
+            state = base64.b64decode(state)
+        dropped = 0
+        with self._journal_lock:
+            current = self._checkpoints.get(handler.name)
+            if current is not None and ticket <= current["ticket"]:
+                return
+            oids = frozenset(checkpoint["oids"])
+            self._checkpoints[handler.name] = {"ticket": ticket, "oids": oids, "state": state}
+            hosted = self._hosted.get(handler.name, {})
+            for oid in oids.intersection(hosted):
+                del hosted[oid]
+            blocks = self._journal.get(handler.name, {})
+            for served in [t for t in blocks if t <= ticket]:
+                dropped += len(blocks.pop(served)["frames"])
+        handler.counters.bump("journal_checkpoints")
+        handler.counters.add("journal_frames_dropped", dropped)
 
     def journal_for(self, handler_name: str,
                     ticket: Optional[int]) -> Optional[List[Dict[str, Any]]]:
         """The frames its client must replay for one block, in send order.
 
         ``None`` when there is nothing for the client to replay: no block
-        was ever opened, or the block had ended when its worker was failed
-        over and :meth:`_restore_handler` pre-filed it on the replacement.
+        was ever opened, or the block is part of the state a replacement is
+        restored to — at or below the checkpoint's ticket, or ended when its
+        worker was failed over and pre-filed by :meth:`_restore_handler`.
         """
         if ticket is None:
             return None
         with self._journal_lock:
+            checkpoint = self._checkpoints.get(handler_name)
+            if checkpoint is not None and ticket <= checkpoint["ticket"]:
+                return None
             entry = self._journal.get(handler_name, {}).get(ticket)
             if entry is None:
                 return []
             return None if entry["restored"] else list(entry["frames"])
+
+    def journal_size(self) -> Tuple[int, int]:
+        """``(blocks, frames)`` the journal holds now, over all handlers."""
+        with self._journal_lock:
+            entries = [entry for blocks in self._journal.values() for entry in blocks.values()]
+            return len(entries), sum(len(entry["frames"]) for entry in entries)
 
     def worker_failed(self, dead: _WorkerProcess) -> None:
         """Re-pin a dead worker's handlers onto survivors (idempotent).
@@ -747,15 +804,31 @@ class ProcessBackend(ExecutionBackend):
                     handler.counters.bump("shard_failovers")
 
     def _restore_handler(self, target: _WorkerProcess, name: str) -> None:
-        """Rebuild one orphaned handler on ``target`` (caller holds _lock)."""
-        target.request({"op": "handler", "name": name})
+        """Rebuild one orphaned handler on ``target`` (caller holds _lock).
+
+        Last checkpoint plus tail: the handler is created from the newest
+        checkpoint (its drain starts right above that ticket), objects
+        adopted since are hosted from their adopt-time snapshots, and the
+        ended blocks above the ticket are pre-filed for re-execution.
+        """
         with self._journal_lock:
-            snapshots = sorted(self._hosted.get(name, {}).items())
+            checkpoint = self._checkpoints.get(name)
+            covered = checkpoint["oids"] if checkpoint else frozenset()
+            watermark = checkpoint["ticket"] if checkpoint else -1
+            # an adopt blob stored after a checkpoint that already covers its
+            # object (the worker hosts before the parent records) is stale
+            snapshots = sorted((oid, blob) for oid, blob in self._hosted.get(name, {}).items()
+                               if oid not in covered)
             blocks = []
             for ticket, entry in sorted(self._journal.get(name, {}).items()):
-                if entry["ended"]:
+                if entry["ended"] and ticket > watermark:
                     blocks.append((ticket, list(entry["frames"])))
                     entry["restored"] = True  # its client must not replay it too
+        op: Dict[str, Any] = {"op": "handler", "name": name}
+        if checkpoint:
+            # the state travels as the bytes the dead worker pickled
+            op["checkpoint"] = {"ticket": watermark, "state": checkpoint["state"]}
+        target.request(op)
         for oid, blob in snapshots:
             target.request({"op": "host", "handler": name, "oid": oid,
                             "obj": pickle.loads(blob)})
@@ -846,8 +919,8 @@ class ProcessBackend(ExecutionBackend):
                 f"{handler.name!r}: {exc!r} (objects must be picklable, with an "
                 f"importable, module-level class)") from exc
         if self.failover:
-            # adopt-time snapshot: the state a replacement worker restores
-            # before replaying the journal (hosting just proved obj pickles)
+            # adopt-time snapshot: what a replacement worker restores until a
+            # checkpoint covers the object (hosting just proved obj pickles)
             with self._journal_lock:
                 self._hosted.setdefault(handler.name, {})[oid] = pickle.dumps(obj)
         return RemoteHandle(handler.name, oid, type(obj))
@@ -920,6 +993,7 @@ class ProcessBackend(ExecutionBackend):
         with self._streams_lock:
             streams, self._streams = self._streams, set()
         with self._journal_lock:
+            self._checkpoints.clear()
             self._hosted.clear()
             self._journal.clear()
         for stream in streams:

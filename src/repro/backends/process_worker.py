@@ -21,20 +21,30 @@ connection; every reply piggybacks a snapshot of the worker-local counters
 so the parent can fold handler-side work (``calls_executed``) into the
 runtime's totals without an extra channel.
 
+The same replies carry **checkpoints** when the backend runs with failover:
+every so many served frames the drain thread pickles everything the handler
+would lose with this process (hosted objects, counters, recorded failures)
+*between two blocks*, tagged with the ticket of the last block served.  The
+parent keeps the newest one and drops its frame journal up to that ticket;
+a replacement worker is created from it (``handler`` op) and re-executes
+only the blocks above it.
+
 The worker is started as ``python -c "from repro.backends.process_worker
 import main; main()"`` with a JSON spec in the ``REPRO_PROCESS_WORKER``
 environment variable; it connects back to the parent's control listener,
 reports the data port it chose, and then obeys control ops (``handler``,
 ``host``, ``restore``, ``close``, ``exit``).  The control channel always
-speaks pickle
-(it ships live objects at ``host`` time); data connections use the codec
-the backend was configured with.
+speaks pickle (it ships live objects at ``host`` time and a checkpoint's
+state with a restoring ``handler`` op); data connections use the codec the
+backend was configured with.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
+import pickle
 import socket
 import sys
 import threading
@@ -44,12 +54,21 @@ from collections import deque
 from typing import Any, Deque, Dict, Optional
 
 from repro.core.region import HandlerOwner, SeparateObject
+from repro.queues.codec import CODECS
 from repro.queues.socket_queue import FrameStream, SocketQueueClosed
 from repro.util.counters import Counters
 
 #: how long the drain tolerates a missing ticket after close before skipping
 #: it (a client that crashed between reserving and opening its block)
 _ABANDONED_TICKET_GRACE = 5.0
+
+#: A handler checkpoints after a block once it has served this many frames
+#: since the last checkpoint, or one frame per this many bytes of the last
+#: snapshot if that is more.  By work done, not by time: the parent's journal
+#: (and so its memory) is then bounded whatever the throughput, and the
+#: second term keeps the cost per frame constant however large the state.
+CHECKPOINT_MIN_FRAMES = 1024
+CHECKPOINT_BYTES_PER_FRAME = 64
 
 
 class _Block:
@@ -81,9 +100,17 @@ class _NullStream:
 
 
 class HandlerServer:
-    """One handler transplanted into this process: objects + ticketed drain."""
+    """One handler transplanted into this process: objects + ticketed drain.
 
-    def __init__(self, name: str) -> None:
+    ``checkpointing`` turns the periodic snapshots on (the backend runs
+    with failover); ``text_state`` ships them base64-encoded, for a reply
+    codec that cannot carry ``bytes``.  ``restored_from`` is the checkpoint
+    of a dead worker's handler to continue from: its objects, counters and
+    failures, with the ticket-ordered drain starting right above its ticket.
+    """
+
+    def __init__(self, name: str, checkpointing: bool = False, text_state: bool = False,
+                 restored_from: Optional[Dict[str, Any]] = None) -> None:
         self.name = name
         self.targets: Dict[int, Any] = {}
         self.owner = HandlerOwner(name)
@@ -94,6 +121,23 @@ class HandlerServer:
         self._blocks: Dict[int, _Block] = {}
         self._expected = 0
         self._tickets_total: Optional[int] = None
+        self._checkpointing = checkpointing
+        self._text_state = text_state
+        #: frames served since the last checkpoint, and how many trigger one
+        self._served = 0
+        self._threshold = CHECKPOINT_MIN_FRAMES
+        #: the newest checkpoint no reply has carried yet (drain thread only)
+        self._unsent: Optional[Dict[str, Any]] = None
+        if restored_from is not None:
+            targets, counters, failures = pickle.loads(restored_from["state"])
+            for oid, obj in targets.items():
+                self.host(oid, obj)
+            # the replacement re-executes only the blocks above the
+            # watermark, so it starts from the counts below it
+            for key, value in counters.items():
+                self.counters.add(key, value)
+            self.failures = failures
+            self._expected = int(restored_from["ticket"]) + 1
         self.drained = threading.Event()
         self._thread = threading.Thread(target=self._drain, name=f"drain:{name}", daemon=True)
         self._thread.start()
@@ -113,8 +157,8 @@ class HandlerServer:
     def restore(self, blocks: "list[tuple[int, list]]") -> None:
         """Pre-file journaled blocks from before a failover (ticket order).
 
-        The parent replays every *ended* block of the dead worker here; the
-        drain then re-executes them against the freshly re-hosted objects,
+        The parent replays every *ended* block above the last checkpoint
+        here; the drain then re-executes them against the restored objects,
         reconstructing the handler state the dead process took with it.
         Replies go to a :class:`_NullStream` (their clients already got
         them); in-flight blocks are not restored — their owning clients
@@ -194,18 +238,47 @@ class HandlerServer:
                         elif now - stall_started >= _ABANDONED_TICKET_GRACE:
                             self._expected += 1
                             stall_started = None
-            self._serve(block)
+            self._served += self._serve(block)
             self._expected += 1
+            if self._checkpointing and self._served >= self._threshold:
+                self._take_checkpoint()
 
-    def _serve(self, block: _Block) -> None:
+    def _take_checkpoint(self) -> None:
+        """Snapshot the handler between two blocks (drain thread only).
+
+        The drain thread is the only one that mutates hosted state, so the
+        snapshot is consistent without a lock: it holds the effects of
+        exactly the blocks up to ``_expected - 1``.  ONE pickle of all the
+        objects keeps what they share shared.
+        """
+        self._served = 0
+        targets = dict(self.targets)  # ``host`` runs on the control thread
+        try:
+            state = pickle.dumps((targets, self._counter_values(), self.failures),
+                                 protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:  # noqa: BLE001 - an object stopped being picklable
+            # the previous checkpoint stays in force and the parent's journal
+            # keeps growing: say so, and try less and less often
+            self.counters.bump("journal_checkpoint_errors")
+            self._threshold *= 2
+            return
+        self._threshold = max(CHECKPOINT_MIN_FRAMES, len(state) // CHECKPOINT_BYTES_PER_FRAME)
+        self._unsent = {
+            "ticket": self._expected - 1, "oids": sorted(targets),
+            "state": base64.b64encode(state).decode("ascii") if self._text_state else state}
+
+    def _serve(self, block: _Block) -> int:
+        """Serve one block to its ``end``; returns the frames it took."""
+        served = 0
         while True:
             with self._cond:
                 while not block.items:
                     self._cond.wait()
                 frame = block.items.popleft()
+            served += 1
             kind = frame.get("kind")
             if kind == "end":
-                return
+                return served
             if kind == "sync":
                 self._reply(block, {"kind": "release", "counters": self._counter_values()})
                 continue
@@ -247,10 +320,22 @@ class HandlerServer:
     def _counter_values(self) -> Dict[str, int]:
         return self.counters.snapshot().as_dict()
 
+    def _send(self, block: _Block, payload: Dict[str, Any]) -> None:
+        """One reply, carrying the unsent checkpoint if there is one.
+
+        A reply that does not leave (client gone, restored block, a value
+        the codec refuses) leaves the checkpoint for the next one.
+        """
+        checkpoint = self._unsent
+        if checkpoint is not None:
+            payload["checkpoint"] = checkpoint
+        block.stream.send(payload)
+        self._unsent = None
+
     def _reply(self, block: _Block, payload: Dict[str, Any],
                on_encode_error: bool = False) -> None:
         try:
-            block.stream.send(payload)
+            self._send(block, payload)
         except (BrokenPipeError, OSError):
             pass  # client gone; nothing to tell it
         except Exception as exc:  # noqa: BLE001 - unencodable result value
@@ -262,7 +347,7 @@ class HandlerServer:
         payload = {"kind": "error", "error": exc, "message": repr(exc),
                    "counters": self._counter_values()}
         try:
-            block.stream.send(payload)
+            self._send(block, payload)
         except (BrokenPipeError, OSError):
             pass
         except Exception:  # noqa: BLE001 - exception itself unencodable
@@ -276,9 +361,11 @@ class HandlerServer:
 class Worker:
     """A worker process: accepts data connections, obeys control ops."""
 
-    def __init__(self, token: str, codec: str) -> None:
+    def __init__(self, token: str, codec: str, failover: bool = False) -> None:
         self.token = token
         self.codec = codec
+        #: handlers checkpoint only for a parent that keeps a failover journal
+        self.failover = failover
         self.servers: Dict[str, HandlerServer] = {}
 
     # -- data connections ----------------------------------------------------
@@ -335,7 +422,10 @@ class Worker:
             # idempotent: a failover re-pin may re-announce a handler this
             # worker already serves (replacing it would discard restored state)
             if op["name"] not in self.servers:
-                self.servers[op["name"]] = HandlerServer(op["name"])
+                self.servers[op["name"]] = HandlerServer(
+                    op["name"], checkpointing=self.failover,
+                    text_state=not CODECS[self.codec].faithful,
+                    restored_from=op.get("checkpoint"))
             return {"ok": True}
         if name == "host":
             self.servers[op["handler"]].host(int(op["oid"]), op["obj"])
@@ -396,7 +486,8 @@ def main() -> None:
     ctrl.send({"op": "ready", "token": spec["token"],
                "port": listener.getsockname()[1], "pid": os.getpid()})
 
-    worker = Worker(spec["token"], spec.get("codec", "pickle"))
+    worker = Worker(spec["token"], spec.get("codec", "pickle"),
+                    bool(spec.get("failover", False)))
     threading.Thread(target=worker.accept_loop, args=(listener,), daemon=True).start()
     worker.control_loop(ctrl, listener)
 

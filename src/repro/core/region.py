@@ -69,6 +69,19 @@ class SeparateObject:
             "Use a separate block and log a call or query instead."
         )
 
+    def __getstate__(self) -> dict:
+        """Pickle the fields, not the ownership (a lock and a thread).
+
+        Ownership is not state: a copy arrives unbound, and whoever hosts it
+        binds it again.  This is what lets a handler process snapshot its
+        hosted objects and a ``@query`` return ``self`` across the wire.
+        (Instances always carry a ``__dict__`` — binding needs one — so that
+        is the whole state.)
+        """
+        fields = dict(object.__getattribute__(self, "__dict__"))
+        fields.pop("_scoop_handler_ref", None)
+        return fields
+
     # -- checked access ----------------------------------------------------
     def __getattribute__(self, name: str) -> Any:
         if name.startswith("_scoop_") or name in _INTERNAL_ATTRS or name.startswith("__"):

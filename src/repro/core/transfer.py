@@ -24,15 +24,16 @@ configuration       sync round-trips for an ``n``-element pull
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Union
 
 from repro.compiler.builder import FunctionBuilder
 from repro.compiler.interp import IRInterpreter
 from repro.core.region import SeparateRef
 from repro.core.runtime import QsRuntime
 from repro.core.separate import ReservedProxy
+
+if TYPE_CHECKING:  # numpy is imported where it is used (see repro.util.rng)
+    import numpy as np
 
 Getter = Callable[[Any, int], Any]
 Setter = Callable[[Any, int, Any], None]
@@ -113,10 +114,13 @@ def pull_array(
     source: Union[ReservedProxy, SeparateRef],
     getter: Getter,
     count: int,
-    dtype=np.float64,
+    dtype: Any = None,
 ) -> tuple[np.ndarray, TransferReport]:
-    """Pull ``count`` numeric elements into a fresh numpy array."""
-    out = np.zeros(count, dtype=dtype)
+    """Pull ``count`` numeric elements into a fresh numpy array (``float64``
+    unless ``dtype`` says otherwise)."""
+    import numpy as np
+
+    out = np.zeros(count, dtype=np.float64 if dtype is None else dtype)
     _, report = pull_elements(runtime, source, getter, count, out=out)
     return out, report
 

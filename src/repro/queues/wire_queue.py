@@ -63,7 +63,8 @@ class WireQueueCore:
     ``link`` is where the queue's surroundings live (the process backend):
     ``token`` and ``codec`` for the hello frame and the fidelity checks,
     ``journal_frame`` / ``journal_for`` for the failover journal, and
-    ``merge_worker_counters`` for the snapshots replies piggyback.  The
+    ``merge_worker_counters`` / ``checkpoint`` for the counter and handler
+    snapshots replies piggyback.  The
     core hands frames out (every ``call`` / ``sync`` / ``query`` / ``end``
     / ``invoke`` returns the frames to put on the wire, in order) and takes
     replies in (:meth:`classify`).
@@ -187,6 +188,10 @@ class WireQueueCore:
             # merge even from stale replies: the high-water merge makes it
             # safe, and the snapshot may be the freshest we ever see
             self.link.merge_worker_counters(self.handler, counters)
+        checkpoint = reply.get("checkpoint")
+        if checkpoint:
+            # likewise: a handler snapshot is as good on a stale reply
+            self.link.checkpoint(self.handler, checkpoint)
         if self.stale_replies > 0:
             self.stale_replies -= 1
             return None
@@ -202,10 +207,11 @@ class WireQueueCore:
     def replay(self, client_name: Optional[str]) -> List[Frame]:
         """The frames that re-establish this queue on a replacement worker.
 
-        Always the hello.  Then, unless the failover's restore already
-        pre-filed the current block from the journal (it ended before the
-        worker was declared dead), the ``open`` frame and every data frame
-        journaled for it: the worker re-executes the block from the
+        Always the hello.  Then, unless the current block is already part
+        of the state the replacement is restored to (at or below the last
+        checkpoint's ticket, or ended before the worker was declared dead
+        and pre-filed from the journal), the ``open`` frame and every data
+        frame journaled for it: the worker re-executes the block from the
         restored snapshot, so every reply consumed before the crash is
         *regenerated* — those become the stale debt :meth:`classify` drops.
         Replies pending on the dead stream died with it (hence ``=``).

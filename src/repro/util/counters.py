@@ -25,6 +25,11 @@ The counters correspond directly to the cost sources discussed in the paper:
 * ``ring_epoch``        -- ring epoch bumps (= completed rebalances)
 * ``shard_failovers``   -- handlers re-pinned onto a surviving worker after
                            a process-backend worker death
+* ``journal_checkpoints``      -- handler snapshots the process backend
+                           stored, each truncating the failover journal
+* ``journal_frames_dropped``   -- journaled frames those truncations freed
+* ``journal_checkpoint_errors``-- snapshots a worker could not take (a hosted
+                           object stopped being picklable)
 * ``serve_requests``    -- HTTP requests accepted by the ``repro serve``
                            gateway (everything that got a response)
 * ``serve_shed``        -- requests shed with 503 by admission control
@@ -65,6 +70,9 @@ COUNTER_NAMES = (
     "reshard_moves",
     "ring_epoch",
     "shard_failovers",
+    "journal_checkpoints",
+    "journal_frames_dropped",
+    "journal_checkpoint_errors",
     "serve_requests",
     "serve_shed",
     "cache_hits",

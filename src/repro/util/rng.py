@@ -10,9 +10,12 @@ that only needs reproducible randomness.
 from __future__ import annotations
 
 import random as _random
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    # at run time numpy is imported by the functions that use it: every
+    # process-backend worker imports this package and must not pay for it
+    import numpy as np
 
 #: LCG parameters (same family as the classic Cowichan reference code).
 LCG_A = 1103515245
@@ -35,6 +38,8 @@ def lcg_stream(seed: int, count: int, limit: int = 100) -> np.ndarray:
         raise ValueError("count must be non-negative")
     if limit <= 0:
         raise ValueError("limit must be positive")
+    import numpy as np
+
     out = np.empty(count, dtype=np.int64)
     state = seed % LCG_M
     for i in range(count):
@@ -52,6 +57,8 @@ def lcg_matrix(seed: int, nrows: int, ncols: int, limit: int = 100) -> np.ndarra
     """
     if nrows < 0 or ncols < 0:
         raise ValueError("matrix dimensions must be non-negative")
+    import numpy as np
+
     matrix = np.empty((nrows, ncols), dtype=np.int64)
     for row in range(nrows):
         matrix[row, :] = lcg_stream(seed + row, ncols, limit)
@@ -60,6 +67,8 @@ def lcg_matrix(seed: int, nrows: int, ncols: int, limit: int = 100) -> np.ndarra
 
 def make_rng(seed: int | None = 0) -> np.random.Generator:
     """Seeded numpy Generator for auxiliary randomness (shuffles, noise)."""
+    import numpy as np
+
     return np.random.default_rng(seed)
 
 

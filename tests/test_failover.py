@@ -3,23 +3,27 @@
 The contract under test (see ``docs/backends.md``): when a worker process
 dies mid-run, the parent detects the broken framed connections, re-pins the
 dead worker's handlers onto survivors (capped pools) or fresh processes
-(uncapped pools), restores hosted objects from their adopt-time snapshots,
-and replays the frame journal in ticket order — so every client's request
-sequence completes without a drop or a reorder, and ``shard_failovers``
-counts the re-pinned handlers.  With ``failover=False`` the backend keeps
-the old fail-stop behaviour.
+(uncapped pools), restores each handler from its last checkpoint (before the
+first one: from the adopt-time snapshots of its objects), and replays the
+frame journal above it in ticket order — so every client's request sequence
+completes without a drop or a reorder, and ``shard_failovers`` counts the
+re-pinned handlers.  The journal is a window: every checkpoint a reply
+carries truncates it.  With ``failover=False`` the backend keeps the old
+fail-stop behaviour.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 
 import pytest
 
 from repro import QsRuntime, SeparateObject, command, query
 from repro.backends import ProcessBackend
+from repro.backends.process_worker import CHECKPOINT_MIN_FRAMES
 from repro.errors import ScoopError
 
 
@@ -274,3 +278,148 @@ class TestHybridWorkerFailover:
                 rt.shutdown(check_failures=False)
             except (ScoopError, OSError):
                 pass  # fail-stop: the dead worker cannot answer the close
+
+
+#: lists shared by name inside one worker process (see ``Shared.join``)
+_POOLS: dict = {}
+
+
+class Shared(SeparateObject):
+    """An append log that can be made to alias another object's list."""
+
+    def __init__(self) -> None:
+        self.log = []
+
+    @command
+    def join(self, pool: str) -> None:
+        # objects are adopted one pickle each, so two of them can only come
+        # to share a list inside the worker
+        self.log = _POOLS.setdefault(pool, self.log)
+
+    @command
+    def record(self, value) -> None:
+        self.log.append(value)
+
+    @command
+    def grow_a_lock(self) -> None:
+        self.lock = threading.Lock()  # from now on the object will not pickle
+
+    @query
+    def size(self) -> int:
+        return len(self.log)
+
+    @query
+    def dump(self) -> list:
+        return list(self.log)
+
+
+WARM_BLOCKS, KILL_BLOCKS, PER_BLOCK = 40, 6, 50
+
+
+def _thread_writer(rt, backend, ref, i, first, blocks, kill_in, seen) -> None:
+    for k in range(first, first + blocks):
+        with rt.separate(ref) as obj:
+            for j in range(PER_BLOCK):
+                if k == kill_in and j == PER_BLOCK // 2:
+                    obj.size()  # a consumed reply: its replay must be dropped as stale
+                    seen["checkpoints"] = rt.stats()["journal_checkpoints"]
+                    _kill_worker_of(backend, "shared")
+                obj.record((i, k * PER_BLOCK + j))
+            obj.size()  # checkpoints ride on replies
+
+
+async def _coroutine_writer(rt, backend, ref, i, first, blocks, kill_in, seen) -> None:
+    for k in range(first, first + blocks):
+        async with rt.aclient().separate(ref) as obj:
+            for j in range(PER_BLOCK):
+                if k == kill_in and j == PER_BLOCK // 2:
+                    await obj.size()
+                    seen["checkpoints"] = rt.stats()["journal_checkpoints"]
+                    _kill_worker_of(backend, "shared")
+                await obj.record((i, k * PER_BLOCK + j))
+            await obj.size()
+
+
+class TestCheckpointedFailover:
+    """Restoration is the last checkpoint plus the tail of the journal."""
+
+    @pytest.mark.parametrize("loops", [0, 1], ids=["process", "process+async:1:1"])
+    def test_kill_after_three_checkpoints_is_lossless(self, loops):
+        backend = ProcessBackend(processes=1, loops=loops)
+        seen = {}
+        with QsRuntime("all", backend=backend) as rt:
+            spawn, writer = ((rt.aclient, _coroutine_writer) if loops
+                             else (rt.client, _thread_writer))
+            handler = rt.new_handler("shared")
+            a, b = handler.create(Shared), handler.create(Shared)
+            with rt.separate(a, b) as (left, right):
+                left.join("pool")
+                right.join("pool")
+
+            for i in range(2):
+                spawn(writer, rt, backend, a, i, 0, WARM_BLOCKS, None, seen)
+            rt.join_clients()
+            assert rt.stats()["journal_checkpoints"] >= 3
+            late = handler.create(Shared)  # adopted after a checkpoint
+            with rt.separate(late) as obj:
+                obj.record("late")
+
+            # client 0 kills the worker in the middle of its third block
+            for i in range(2):
+                spawn(writer, rt, backend, a, i, WARM_BLOCKS, KILL_BLOCKS,
+                      WARM_BLOCKS + 2 if i == 0 else None, seen)
+            rt.join_clients()
+            assert seen["checkpoints"] >= 3
+
+            # read through b: it still aliases a's list after the restore
+            with rt.separate(b, late) as (right, other):
+                log = right.dump()
+                assert other.dump() == ["late"]
+            total = (WARM_BLOCKS + KILL_BLOCKS) * PER_BLOCK
+            # lossless, and each client's records in issue order
+            for i in range(2):
+                assert [n for client, n in log if client == i] == list(range(total))
+            assert len(log) == 2 * total
+            assert rt.stats()["shard_failovers"] == 1
+            rt.shutdown()
+            # the replacement started from the checkpoint's counters and
+            # re-executed only the tail: joins + "late" + every record, once
+            assert rt.stats()["calls_executed"] == 3 + 2 * total
+
+    def test_the_journal_is_a_bounded_window(self):
+        backend = ProcessBackend(processes=1)
+        per_block = 32 + 3  # commands, then sync + invoke + end
+        with QsRuntime("all", backend=backend) as rt:
+            ref = rt.new_handler("shared").create(Shared)
+            for _ in range(20_000 // 32):
+                with rt.separate(ref) as obj:
+                    for n in range(32):
+                        obj.record(n)
+                    obj.size()
+                # one interval waiting to be covered, one being filled
+                assert backend.journal_size()[1] < 2 * CHECKPOINT_MIN_FRAMES + per_block
+            stats = rt.stats()
+            assert stats["journal_checkpoints"] >= 15
+            assert stats["journal_frames_dropped"] >= 15 * CHECKPOINT_MIN_FRAMES
+            assert stats["journal_checkpoint_errors"] == 0
+
+    def test_state_that_stops_pickling_degrades_to_the_full_journal(self):
+        backend = ProcessBackend(processes=1)
+        blocks = 2 * CHECKPOINT_MIN_FRAMES // 32
+        with QsRuntime("all", backend=backend) as rt:
+            ref = rt.new_handler("shared").create(Shared)
+            with rt.separate(ref) as obj:
+                obj.grow_a_lock()
+            for k in range(blocks):
+                with rt.separate(ref) as obj:
+                    for n in range(32):
+                        obj.record(k * 32 + n)
+                    obj.size()
+            stats = rt.stats()
+            assert stats["journal_checkpoint_errors"] >= 1  # loudly ...
+            assert stats["journal_checkpoints"] == 0
+            assert backend.journal_size()[0] == blocks + 1  # ... nothing truncated
+            # ... and the drain lives on; recovery is adopt-time + lifetime
+            _kill_worker_of(backend, "shared")
+            with rt.separate(ref) as obj:
+                assert obj.dump() == list(range(blocks * 32))

@@ -1,5 +1,6 @@
 """Tests for separate objects, handler ownership and race detection."""
 
+import pickle
 import threading
 
 import pytest
@@ -21,6 +22,10 @@ class Cell(SeparateObject):
     @query
     def get(self):
         return self.value
+
+    @query
+    def me(self):
+        return self
 
 
 class TestSeparateObject:
@@ -64,6 +69,35 @@ class TestSeparateObject:
         owner.grant_sync_access(me)
         owner.revoke_sync_access(threading.Thread())  # someone else revoking
         assert owner.thread_allowed(me)
+
+
+class TestPickling:
+    """Ownership is not state: a bound object pickles, and arrives unbound."""
+
+    def test_bound_object_round_trips_its_fields_and_comes_back_unbound(self):
+        owner = HandlerOwner("h")  # holds a lock: unpicklable itself
+        owner.bind_thread(threading.current_thread())
+        cell = Cell(41)
+        cell._scoop_bind(owner)
+        cell.value += 1
+        copy = pickle.loads(pickle.dumps(cell))
+        assert copy._scoop_owner() is None
+        assert copy.__dict__ == {"value": 42}
+        assert cell._scoop_owner() is owner  # the original stays bound
+
+    @pytest.mark.parametrize("backend", ["threads", "process"])
+    def test_a_hosted_object_pickles(self, backend):
+        with QsRuntime("all", backend=backend) as rt:
+            ref = rt.new_handler("cell").create(Cell, 3)
+            with rt.separate(ref) as cell:
+                cell.set(4)
+                if backend == "process":
+                    # the reply pickles the bound object inside the worker
+                    copy = cell.me()
+                else:
+                    copy = pickle.loads(pickle.dumps(cell.me()))
+            assert type(copy) is Cell and copy._scoop_owner() is None
+            assert copy.value == 4
 
 
 class TestSeparateRef:

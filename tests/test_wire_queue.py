@@ -14,6 +14,8 @@ the parity that inheritance used to give for free.
 
 from __future__ import annotations
 
+import base64
+import pickle
 from types import SimpleNamespace
 
 import pytest
@@ -64,8 +66,23 @@ def _release(calls_executed: int) -> dict:
     return {"kind": "release", "counters": {"calls_executed": calls_executed}}
 
 
+def _checkpointed(reply: dict, ticket: int, state: bytes = b"state", oids=(1,)) -> dict:
+    """``reply`` carrying a handler snapshot taken after block ``ticket``."""
+    return {**reply, "checkpoint": {"ticket": ticket, "oids": list(oids), "state": state}}
+
+
 def _kinds(frames) -> list:
     return [frame["kind"] for frame in frames]
+
+
+def _block(core, ticket: int, calls: int = 1) -> None:
+    """One whole block: ``calls`` commands, a consumed sync, the end."""
+    core.open_block(ticket, None)
+    for n in range(calls):
+        core.call(_call(n))
+    core.sync()
+    core.classify(_release(calls))
+    core.end()
 
 
 class TestOrdinaryBlock:
@@ -224,6 +241,92 @@ class TestFailover:
         assert core.classify(_release(2)) is None
         assert core.classify(_release(2)) == (None, None)
         assert core.replies_seen == 1
+
+
+class TestCheckpoints:
+    """A reply may carry a handler snapshot: the journal below it goes."""
+
+    def test_a_checkpoint_truncates_the_journal_and_counts(self, core, link):
+        for ticket in range(3):
+            _block(core, ticket, calls=2)
+        assert link.journal_size() == (3, 12)  # 2 calls + sync + end, each
+        core.open_block(3, None)
+        core.sync()
+        assert core.classify(_checkpointed(_release(6), ticket=1)) == (None, None)
+        assert link.journal_size() == (2, 5)   # block 2, and the sync of block 3
+        snap = core.handler.counters.snapshot()
+        assert (snap["journal_checkpoints"], snap["journal_frames_dropped"]) == (1, 8)
+
+    def test_a_checkpoint_on_a_stale_reply_still_truncates(self, core, link):
+        _block(core, 0)
+        core.open_block(1, None)
+        core.sync()
+        core.classify(_release(1))
+        core.replay("c")
+        assert core.stale_replies == 1
+        assert core.classify(_checkpointed(_release(1), ticket=0)) is None  # stale
+        assert link.journal_size() == (1, 1)
+        assert link.journal_for("h", 0) is None
+
+    def test_an_older_checkpoint_arriving_late_is_ignored(self, core, link):
+        for ticket in range(3):
+            _block(core, ticket)
+        core.open_block(3, None)
+        core.classify(_checkpointed(_release(3), ticket=2, state=b"newer"))
+        # the reply of another connection, processed later, carries an older one
+        core.classify(_checkpointed(_release(3), ticket=0, state=b"older"))
+        assert link._checkpoints["h"]["state"] == b"newer"
+        assert core.handler.counters.snapshot()["journal_checkpoints"] == 1
+
+    def test_a_block_at_or_below_the_watermark_is_not_replayed(self, core, link):
+        core.open_block(0, None)
+        core.sync()
+        core.classify(_release(0))
+        core.end()
+        # the queue idles in its client's cache; another connection's reply
+        # brings the checkpoint that covers its last block
+        other = WireQueueCore(link, core.handler, core.counters)
+        other.open_block(1, None)
+        other.classify(_checkpointed(_release(0), ticket=0))
+        assert link.journal_for("h", 0) is None
+        assert _kinds(core.replay("c")) == ["hello"]
+        assert core.stale_replies == 0
+
+    def test_a_block_above_the_watermark_replays_in_full(self, core, link):
+        _block(core, 0)
+        core.open_block(1, None)
+        core.call(_call(1))
+        core.sync()
+        core.classify(_checkpointed(_release(2), ticket=0))
+        core.call(_call(2))
+        assert _kinds(core.replay("c")) == ["hello", "open", "call", "sync", "call"]
+        assert core.stale_replies == 1
+
+    def test_the_restore_is_the_last_checkpoint_plus_the_tail(self, core, link):
+        link._hosted["h"] = {1: b"adopt-1", 2: pickle.dumps("adopted since")}
+        for ticket in range(3):
+            _block(core, ticket)
+        core.open_block(3, None)
+        core.call(_call(9))  # in flight: its client replays it
+        core.classify(_checkpointed(_release(2), ticket=1, state=b"objects+counters"))
+        worker = _RecordingWorker()
+        link._restore_handler(worker, "h")
+        created, hosted, restored = worker.ops
+        # the state travels as the bytes the worker pickled, not re-pickled
+        assert created == {"op": "handler", "name": "h",
+                           "checkpoint": {"ticket": 1, "state": b"objects+counters"}}
+        # oid 1 is in the checkpoint; only the object adopted since is hosted
+        assert (hosted["op"], hosted["oid"], hosted["obj"]) == ("host", 2, "adopted since")
+        assert [ticket for ticket, _ in restored["blocks"]] == [2]
+
+    def test_a_text_codec_carries_the_state_base64_encoded(self):
+        link = ProcessBackend(codec="json")
+        handler = SimpleNamespace(name="h", counters=Counters())
+        core = WireQueueCore(link, handler, handler.counters)
+        core.open_block(0, None)
+        core.classify(_checkpointed(_release(0), ticket=0,
+                                    state=base64.b64encode(b"\x80\x05raw").decode("ascii")))
+        assert link._checkpoints["h"]["state"] == b"\x80\x05raw"
 
 
 class Account(SeparateObject):
