@@ -4,29 +4,28 @@
 #   make lint        ruff over the whole repo
 #   make test        the tier-1 test suite
 #   make coverage    tier-1 suite under pytest-cov (term + coverage.xml)
-#   make bench       micro-benchmarks at the tiny preset
-#   make bench-backends   threads/sim/process/async + batched-vs-not comparison JSON
-#   make bench-gate  smoke benchmarks gated against benchmarks/thresholds.json
+#   make bench       the paper's tables, figures and ablations at the tiny preset
 #   make explore     short schedule-exploration smoke of both workloads
 #   make process-smoke    backend-parity and transport suites on the process backend
 #   make async-smoke      backend-parity and awaitable-API suites on the async backend
-#   make hybrid-smoke     parity + lifecycle suites on the process+async backend,
-#                         fan-in example, and a smoke bench artifact
-#   make shard-smoke      sharding suite on the process/async backends + smoke bench
+#   make hybrid-smoke     parity + lifecycle suites on the process+async backend
+#                         and the fan-in example
+#   make shard-smoke      sharding suite on the process/async backends + the
+#                         sharded CLI example
 #   make failover-smoke   worker-kill recovery suite, a 10 s cut of the journal
 #                         soak + fuzzed live-resharding pass
 #   make soak             two minutes of command-stream traffic on process: flat
 #                         RSS and descriptors, bounded journal, sub-second recovery
-#   make serve-smoke      gateway suite on the process and hybrid backends, a CLI
-#                         load run with its oracles, and a smoke serve_latency
-#                         artifact
+#   make serve-smoke      gateway suite on the process and hybrid backends and a
+#                         one-second CLI serve
 #   make ledger-smoke     the ledger's own tests, including a smoke pass of all
 #                         four BENCHMARK.json workloads (~50 s)
-#   make loc              lines of src/ (ROADMAP tracks it next to the perf numbers)
+#   make loc              lines of src/ and benchmarks/ (ROADMAP tracks them next
+#                         to the perf numbers)
 
 PYTHON ?= python
 
-.PHONY: install lint test coverage bench bench-backends bench-gate explore \
+.PHONY: install lint test coverage bench explore \
 	process-smoke async-smoke hybrid-smoke shard-smoke failover-smoke \
 	serve-smoke ledger-smoke soak loc clean
 
@@ -42,18 +41,10 @@ test:
 coverage:
 	$(PYTHON) -m pytest -q --cov=repro --cov-report=term --cov-report=xml:coverage.xml
 
+# every kept script under benchmarks/ that reproduces a paper table, figure
+# or ablation (mirrors CI bench-smoke); performance claims live in the ledger
 bench:
-	$(PYTHON) -m pytest benchmarks/bench_micro.py -q --benchmark-disable-gc
-
-bench-backends:
-	$(PYTHON) benchmarks/bench_backends.py
-
-# the CI perf-regression gate: fresh smoke measurement, then compare the
-# recorded speedups (batched drain, process responsiveness, async fan-in)
-# against the floors in benchmarks/thresholds.json
-bench-gate:
-	$(PYTHON) benchmarks/bench_backends.py --smoke --out BENCH_gate_smoke.json
-	$(PYTHON) benchmarks/bench_gate.py BENCH_gate_smoke.json
+	$(PYTHON) -m pytest benchmarks/bench_*.py -q --benchmark-disable-gc
 
 process-smoke:
 	REPRO_BACKEND=process $(PYTHON) -m pytest -q tests/test_backends.py \
@@ -67,23 +58,20 @@ async-smoke:
 	$(PYTHON) examples/async_fan_in.py --clients 500 --handlers 2
 
 # the hybrid backend end to end (mirrors CI hybrid-smoke): parity, dedicated
-# and lifecycle suites under the composite spec, the fan-in example with
-# coroutine clients against process workers, and a smoke-sized measurement
-# carrying the hybrid_fan_in_compute series
+# and lifecycle suites under the composite spec and the fan-in example with
+# coroutine clients against process workers
 hybrid-smoke:
 	REPRO_BACKEND=process+async:2:2 $(PYTHON) -m pytest -q tests/test_backends.py \
 		tests/test_hybrid_backend.py tests/test_client_lifecycle.py
 	$(PYTHON) examples/async_fan_in.py --backend process+async:2:2 --clients 500 --handlers 2
-	$(PYTHON) benchmarks/bench_backends.py --smoke --out BENCH_hybrid_smoke.json
 
-# the sharding suite across the deployment backends (mirrors CI shard-smoke),
-# the sharded CLI example, and a smoke-sized shard_scaling measurement
+# the sharding suite across the deployment backends (mirrors CI shard-smoke)
+# and the sharded CLI example
 shard-smoke:
 	REPRO_BACKEND=process $(PYTHON) -m pytest -q tests/test_shard.py tests/test_backends.py
 	REPRO_BACKEND=async $(PYTHON) -m pytest -q tests/test_shard.py
 	$(PYTHON) -m repro --backend process run sharded-bank --shards 4 --clients 3 --iterations 10
 	$(PYTHON) -m repro --backend async run sharded-bank --shards 4 --clients 3 --iterations 10
-	$(PYTHON) benchmarks/bench_backends.py --smoke --out BENCH_shard_smoke.json
 
 # kill workers mid-workload and demand lossless completion (mirrors CI
 # failover-smoke), soak the journal for 10 s, then fuzz the live-resharding
@@ -97,14 +85,12 @@ failover-smoke:
 
 # the HTTP gateway end to end (mirrors CI serve-smoke): the serve suite under
 # both multi-core dispatch modes (process = executor, process+async = native
-# coroutine connections), one CLI load run whose oracles must pass, and a
-# smoke-sized serve_latency measurement
+# coroutine connections) and the CLI serving for one second, as the ledger
+# starts it
 serve-smoke:
 	REPRO_BACKEND=process $(PYTHON) -m pytest -q tests/test_serve.py
 	REPRO_BACKEND=process+async $(PYTHON) -m pytest -q tests/test_serve.py
-	$(PYTHON) -m repro --backend process+async serve --port 0 --shards 2 \
-		--load --rate 150 --duration 1 --cases 16
-	$(PYTHON) benchmarks/bench_serve.py --smoke --out BENCH_serve_smoke.json
+	$(PYTHON) -m repro --backend process+async serve --port 0 --shards 2 --duration 1
 
 # the performance ledger's own suite (mirrors CI ledger-smoke): statistics,
 # comparison and traffic units plus one smoke pass of every workload
@@ -116,9 +102,10 @@ ledger-smoke:
 soak:
 	$(PYTHON) benchmarks/soak_journal.py
 
-# the size ROADMAP asks to be tracked next to the perf numbers
+# the sizes ROADMAP asks to be tracked next to the perf numbers
 loc:
-	@find src -name '*.py' | xargs cat | wc -l
+	@for dir in src benchmarks; do \
+		printf '%-12s%s\n' $$dir/ "$$(find $$dir -name '*.py' | xargs cat | wc -l)"; done
 
 # bank-transfers must stay clean on every schedule; the philosophers hunt is
 # *expected* to find its seeded deadlock (exit 1 = "problem found") and the

@@ -17,9 +17,7 @@ coalescing), just with coroutines where threads would be.
 
 The final audit shows why the reasoning guarantees matter at this scale:
 every one of the N clients' requests executed, in per-client program order,
-without a single lock in user code.  Compare ``--backend threads`` fan-in
-in ``benchmarks/bench_backends.py`` (the ``fan_in`` series) for what the
-same pressure costs when every client needs an OS thread.
+without a single lock in user code.
 
 With ``--backend process+async:4:2`` the same coroutine clients fan into
 handlers hosted in *worker processes* (the hybrid backend): identical

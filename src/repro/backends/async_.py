@@ -6,7 +6,7 @@ motivating regime of "heavy traffic from millions of users".
 :class:`AsyncBackend` moves the *client* side onto :mod:`asyncio` event
 loops, where a client is a coroutine task costing a few KiB instead of
 a stack and a kernel schedulable entity; ten thousand concurrent clients
-are routine (see the ``fan_in`` series of ``benchmarks/bench_backends.py``).
+are routine (``examples/async_fan_in.py --clients 10000``).
 
 How the pieces execute:
 

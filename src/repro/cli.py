@@ -32,10 +32,8 @@ command            what it does
                    (``bank-transfers``, ``dining-philosophers``,
                    ``sharded-bank --shards N``)
 ``serve``          serve the case/allegation portal over HTTP on a sharded
-                   runtime (``repro --backend process serve --port 8080``);
-                   with ``--load``, drive an open-loop Poisson load run
-                   against it and report the latency histogram, shed rate
-                   and write oracles (see ``docs/serving.md``)
+                   runtime (``repro --backend process serve --port 8080``,
+                   see ``docs/serving.md``)
 =================  ==========================================================
 
 The global ``--backend {threads,sim,process,async,process+async}`` option
@@ -403,20 +401,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Serve the case portal; optionally drive a load run against it."""
+    """Serve the case portal until ``--duration`` elapses or Ctrl-C."""
     import time
 
     from repro import QsRuntime
     from repro.errors import ScoopError
-    from repro.serve import run_load, serve_cases
+    from repro.serve import serve_cases
 
     if args.shards < 1:
         raise SystemExit("repro serve: --shards must be >= 1")
-    if args.rate <= 0:
-        raise SystemExit("repro serve: --rate must be positive")
-    if not 0.0 <= args.read_fraction <= 1.0:
-        raise SystemExit("repro serve: --read-fraction must be in [0, 1]")
-    duration = args.duration if args.duration is not None else (2.0 if args.load else None)
 
     with QsRuntime(backend=args.backend) as rt:
         try:
@@ -430,23 +423,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
               f"(backend {rt.backend.name}, {gateway.mode} dispatch, "
               f"{args.shards} shards, watermark {gateway.admission.watermark})")
         try:
-            if args.load:
-                report = run_load(host, port, rate=args.rate, duration=duration,
-                                  cases=args.cases, read_fraction=args.read_fraction,
-                                  seed=args.seed)
-                for key, value in report.as_dict().items():
-                    print(f"  {key}: {value}")
-                snap = rt.counters.snapshot()
-                print("  counters:",
-                      {name: snap[name] for name in
-                       ("serve_requests", "serve_shed", "cache_hits",
-                        "cache_misses", "cache_invalidations")})
-                ok = (report.lost_writes == 0 and report.duplicated_writes == 0
-                      and report.read_your_writes and report.errors == 0)
-                print("oracles:", "ok" if ok else "FAILED")
-                return 0 if ok else 1
-            if duration is not None:
-                time.sleep(duration)
+            if args.duration is not None:
+                time.sleep(args.duration)
             else:  # pragma: no cover - interactive serving loop
                 while True:
                     time.sleep(3600)
@@ -568,20 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-shard queue-depth watermark for 503 shedding")
     p_serve.add_argument("--no-cache", action="store_true",
                          help="disable the read-path cache")
-    p_serve.add_argument("--load", action="store_true",
-                         help="drive an open-loop Poisson load run against the "
-                              "gateway, print the report and exit")
-    p_serve.add_argument("--rate", type=float, default=200.0,
-                         help="offered load in requests/s (with --load)")
     p_serve.add_argument("--duration", type=float, default=None,
-                         help="seconds to serve (default: 2.0 with --load, "
-                              "forever otherwise)")
-    p_serve.add_argument("--cases", type=int, default=50,
-                         help="distinct case ids in the load mix (with --load)")
-    p_serve.add_argument("--read-fraction", type=float, default=0.9,
-                         help="fraction of GETs in the load mix (with --load)")
-    p_serve.add_argument("--seed", type=int, default=1234,
-                         help="load-generator RNG seed (with --load)")
+                         help="seconds to serve (default: forever)")
     p_serve.set_defaults(func=cmd_serve)
 
     p_trace = sub.add_parser("trace", help="run a traced workload and check the guarantees")

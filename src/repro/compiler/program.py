@@ -100,9 +100,6 @@ class Program:
                         sites.append(CallSite(name, block_name, index, instr))
         return sites
 
-    def callees_of(self, caller: str) -> Set[str]:
-        return {site.callee for site in self.call_sites(caller)}
-
     def callers_of(self, callee: str) -> Set[str]:
         return {site.caller for site in self.call_sites() if site.callee == callee}
 

@@ -39,16 +39,6 @@ class ElisionReport:
     removed_by_block: Dict[str, int] = field(default_factory=dict)
     sync_sets: Optional[SyncSets] = None
 
-    @property
-    def kept_syncs(self) -> int:
-        return self.total_syncs - self.removed_syncs
-
-    @property
-    def removal_ratio(self) -> float:
-        if self.total_syncs == 0:
-            return 0.0
-        return self.removed_syncs / self.total_syncs
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"ElisionReport({self.function_name!r}: removed {self.removed_syncs}"

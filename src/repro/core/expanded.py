@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import copy
 import sys
-from typing import Any, Dict, Iterable, Optional, Set, Tuple, Type
+from typing import Any, Dict, Optional, Set, Tuple, Type
 
 from repro.util.counters import Counters
 
@@ -129,8 +129,3 @@ def prepare_arguments(args: Tuple[Any, ...], kwargs: Dict[str, Any],
         for key, value in kwargs.items()
     }
     return new_args, new_kwargs
-
-
-def expanded_types() -> Iterable[type]:
-    """The currently registered non-subclass expanded types (for inspection)."""
-    return frozenset(_REGISTERED)

@@ -62,6 +62,7 @@ def collect(preset: str = "small") -> Dict[str, object]:
         speedup = max(1e-9, base.total_seconds) / max(1e-9, port.total_seconds)
         concurrent_speedups.append(speedup)
         rows.append({"task": task, "kind": "concurrent",
+                     "baseline_ops": base.communication_ops, "eve_ops": port.communication_ops,
                      "baseline_s": round(base.total_seconds, 4), "eve_s": round(port.total_seconds, 4),
                      "speedup_time": round(speedup, 2)})
     return {

@@ -135,10 +135,6 @@ class CooperativeScheduler:
                 self._ready.append(task)
 
     @property
-    def all_done(self) -> bool:
-        return all(t.done for t in self._tasks)
-
-    @property
     def tasks(self) -> List[Task]:
         return list(self._tasks)
 

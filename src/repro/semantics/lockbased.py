@@ -63,12 +63,6 @@ class LockState:
         )
 
     # -- accessors -----------------------------------------------------------
-    def program_of(self, client: str) -> Stmt:
-        for name, program in self.programs:
-            if name == client:
-                return program
-        raise SemanticsError(f"unknown client {client!r}")
-
     def owner_of(self, handler: str) -> str:
         for name, owner in self.locks:
             if name == handler:

@@ -31,9 +31,6 @@ class Stmt:
 
     __slots__ = ()
 
-    def is_skip(self) -> bool:
-        return isinstance(self, Skip)
-
 
 @dataclass(frozen=True)
 class Skip(Stmt):

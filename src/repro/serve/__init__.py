@@ -1,17 +1,17 @@
 """``repro.serve``: an HTTP gateway over sharded QoQ handlers.
 
-The first end-to-end, open-loop scenario: REST traffic in, sharded
-handler dispatch out, with a read-path cache, per-shard admission
-control and a Poisson load generator.  See ``docs/serving.md`` for the
-design and ``repro serve --help`` for the CLI.
+The first end-to-end scenario: REST traffic in, sharded handler dispatch
+out, with a read-path cache and per-shard admission control.  See
+``docs/serving.md`` for the design and ``repro serve --help`` for the CLI;
+load is driven from outside the library, by ``ledger/run.py``.
 
 Public surface::
 
-    from repro.serve import Gateway, Router, serve_cases, run_load
+    from repro.serve import Gateway, Router, serve_cases
 
     with QsRuntime(backend="process") as rt:
         gateway = serve_cases(rt, shards=4)
-        report = run_load(*gateway.address, rate=200, duration=2.0)
+        host, port = gateway.address        # speak HTTP/1.1 to it
         gateway.stop()
 """
 
@@ -20,7 +20,6 @@ from repro.serve.app import CaseStore, case_router, create_case_group
 from repro.serve.cache import MISS, ReadCache
 from repro.serve.gateway import Gateway, serve_cases
 from repro.serve.http import BadRequest, HttpRequest
-from repro.serve.loadgen import LoadReport, run_load
 from repro.serve.router import Match, Route, Router
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "DEFAULT_WATERMARK",
     "Gateway",
     "HttpRequest",
-    "LoadReport",
     "MISS",
     "Match",
     "ReadCache",
@@ -39,6 +37,5 @@ __all__ = [
     "Ticket",
     "case_router",
     "create_case_group",
-    "run_load",
     "serve_cases",
 ]

@@ -83,10 +83,6 @@ class CaseStore:
         case = self._cases.get(case_id)
         return list(case["allegations"]) if case is not None else []
 
-    @query
-    def case_count(self) -> int:
-        return len(self._cases)
-
 
 # ----------------------------------------------------------------------
 # route handlers: async def handler(ctx, request, **params) -> (status, payload)

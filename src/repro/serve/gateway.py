@@ -68,8 +68,7 @@ class Gateway:
     def __init__(self, runtime: Any, group: Any, router: Optional[Router] = None,
                  host: str = "127.0.0.1", port: int = 0,
                  watermark: int = DEFAULT_WATERMARK,
-                 cache: "ReadCache | bool" = True,
-                 executor_threads: Optional[int] = None) -> None:
+                 cache: "ReadCache | bool" = True) -> None:
         if runtime.backend.name == "sim":
             raise ScoopError(
                 "the sim backend runs in virtual time and cannot host a real "
@@ -88,7 +87,6 @@ class Gateway:
                             and runtime.config.use_qoq)
         self._host = host
         self._requested_port = port
-        self._executor_threads = executor_threads or min(32, max(8, group.shards * 4))
         self._conn_seq = itertools.count()
 
         self._started = False
@@ -132,7 +130,8 @@ class Gateway:
             self._handle = self.runtime.aclient(self._serve_main, name="serve:gateway")
         else:
             self._executor = ThreadPoolExecutor(
-                max_workers=self._executor_threads, thread_name_prefix="serve:dispatch")
+                max_workers=min(32, max(8, self.group.shards * 4)),
+                thread_name_prefix="serve:dispatch")
             self._own_loop = asyncio.new_event_loop()
             self._thread = threading.Thread(target=self._run_own_loop,
                                             name="serve:gateway-loop", daemon=True)
@@ -326,12 +325,11 @@ def _default_router() -> Router:
 
 def serve_cases(runtime: Any, shards: int = 4, host: str = "127.0.0.1",
                 port: int = 0, watermark: int = DEFAULT_WATERMARK,
-                cache: bool = True,
-                executor_threads: Optional[int] = None) -> Gateway:
+                cache: bool = True) -> Gateway:
     """Wire the case portal end to end and start it; returns the gateway."""
     from repro.serve.app import create_case_group
 
     group = create_case_group(runtime, shards=shards)
     gateway = Gateway(runtime, group, host=host, port=port, watermark=watermark,
-                      cache=cache, executor_threads=executor_threads)
+                      cache=cache)
     return gateway.start()

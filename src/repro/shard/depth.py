@@ -71,11 +71,6 @@ class ShardDepthProbe:
         with self._lock:
             return self._in_flight.get(name, 0)
 
-    def visible_backlog(self, key: Any) -> int:
-        """Locally visible QoQ depth for ``key``'s shard (0 on process/hybrid)."""
-        shard = self._group.shard_of(key)
-        return len(self._group.handlers[shard].qoq)
-
     def depth(self, key: Any) -> int:
         """In-flight plus visible backlog — the admission-control signal."""
         shard = self._group.shard_of(key)

@@ -10,7 +10,7 @@ that only needs reproducible randomness.
 from __future__ import annotations
 
 import random as _random
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     # at run time numpy is imported by the functions that use it: every
@@ -81,11 +81,3 @@ def py_random(seed: int = 0) -> _random.Random:
     callers can share one generator across composed explorations.
     """
     return _random.Random(seed)
-
-
-def interleavings_seed_sequence(seed: int) -> Iterator[int]:
-    """Infinite stream of derived seeds (used by the semantics explorer)."""
-    state = seed % LCG_M
-    while True:
-        state = lcg_next(state)
-        yield state

@@ -26,7 +26,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 #: event kinds emitted by the runtime (kept as plain strings for cheap checks)
 EVENT_KINDS = (
@@ -181,22 +181,7 @@ class Tracer:
             out.setdefault(event.handler, []).append(event)
         return out
 
-    def blocks_of(self, handler: str) -> List[int]:
-        """Reservation ids served by ``handler`` in execution order."""
-        seen: List[int] = []
-        for event in self.events(handler=handler, kind="exec"):
-            if event.block is not None and (not seen or seen[-1] != event.block):
-                if event.block not in seen:
-                    seen.append(event.block)
-        return seen
-
     def format(self, events: Optional[Sequence[TraceEvent]] = None) -> str:
         """Human-readable multi-line rendering (used by the CLI)."""
         events = self.events() if events is None else list(events)
         return "\n".join(str(e) for e in events)
-
-
-def filter_events(events: Iterable[TraceEvent],
-                  predicate: Callable[[TraceEvent], bool]) -> List[TraceEvent]:
-    """Tiny helper kept for symmetry with the semantics' trace utilities."""
-    return [e for e in events if predicate(e)]

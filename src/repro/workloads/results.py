@@ -41,19 +41,6 @@ class WorkloadResult:
     def sync_roundtrips(self) -> int:
         return self.counters["sync_roundtrips"]
 
-    def summary_row(self) -> dict:
-        return {
-            "task": self.name,
-            "config": self.config,
-            "total_s": round(self.total_seconds, 6),
-            "compute_s": round(self.compute_seconds, 6),
-            "comm_s": round(self.comm_seconds, 6),
-            "comm_ops": self.communication_ops,
-            "sync_roundtrips": self.sync_roundtrips,
-            "syncs_elided": self.counters["syncs_elided"],
-            "async_calls": self.counters["async_calls"],
-        }
-
     def __str__(self) -> str:
         return (
             f"{self.name}[{self.config}] total={self.total_seconds:.4f}s "

@@ -124,4 +124,9 @@ class TestSummaryAndEve:
         data = eve_collect("tiny")
         assert data["overall_geomean"] > 1.5
         assert data["parallel_geomean"] > 1.0
-        assert data["concurrent_geomean"] > 1.0
+        # the concurrent half is a ratio of single timed runs; tier-1 asserts
+        # what that time is made of, the ledger owns the wall-clock claim
+        concurrent = [row for row in data["rows"] if row["kind"] == "concurrent"]
+        assert concurrent
+        for row in concurrent:
+            assert row["eve_ops"] < row["baseline_ops"], row

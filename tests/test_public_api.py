@@ -76,7 +76,6 @@ GOLDEN_SERVE_SURFACE = [
     "DEFAULT_WATERMARK",
     "Gateway",
     "HttpRequest",
-    "LoadReport",
     "MISS",
     "Match",
     "ReadCache",
@@ -85,7 +84,6 @@ GOLDEN_SERVE_SURFACE = [
     "Ticket",
     "case_router",
     "create_case_group",
-    "run_load",
     "serve_cases",
 ]
 

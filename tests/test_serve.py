@@ -19,11 +19,38 @@ from repro.serve import (
     serve_cases,
 )
 from repro.serve.http import format_request, format_response, read_request, read_response
-from repro.serve.loadgen import _request
 from repro.util.counters import Counters
 
 #: every real-time backend the gateway must serve on (sim is rejected)
 GATEWAY_BACKENDS = ("threads", "process", "async", "process+async")
+
+
+async def _request(host, port, method, target, payload=None):
+    """One request on its own connection; returns (status, decoded body)."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        body = json.dumps(payload).encode() if payload is not None else b""
+        writer.write(format_request(method, target, body, keep_alive=False))
+        await writer.drain()
+        status, _headers, raw = await read_response(reader)
+        return status, (json.loads(raw) if raw else None)
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+
+
+async def _request_unshed(host, port, method, target, payload=None):
+    """Like ``_request`` but retries a shed (503) response: admission refuses
+    before dispatch, so a retry can neither lose nor duplicate a write."""
+    deadline = time.monotonic() + 10.0
+    while True:
+        status, body = await _request(host, port, method, target, payload)
+        if status != 503 or time.monotonic() >= deadline:
+            return status, body
+        await asyncio.sleep(0.02)
 
 
 def http(addr, method, target, payload=None):
@@ -306,6 +333,45 @@ class TestGatewayOnEveryBackend:
             tokens = [a["token"] for a in body["allegations"]]
             assert len(tokens) == acked == 16
             assert len(set(tokens)) == 16
+
+    def test_read_your_writes_under_concurrent_writers(self, backend):
+        # every listing read below is cacheable and every other client keeps
+        # writing the same two cases, so a client sees its own token only if
+        # each POST drops the listing cached since the previous one (the epoch
+        # guard's own race is pinned by TestReadCache, it cannot be timed here)
+        clients, rounds, cases = 10, 4, ("c0", "c1")
+        with gateway_on(backend) as (rt, gateway):
+            host, port = gateway.address
+            for case in cases:
+                http(gateway.address, "PUT", f"/cases/{case}", {})
+
+            async def client(number):
+                acked = []
+                for round_ in range(rounds):
+                    case = cases[(number + round_) % len(cases)]
+                    token = f"client{number}-write{round_}"
+                    status, _ = await _request_unshed(
+                        host, port, "POST", f"/cases/{case}/allegations", {"token": token})
+                    assert status == 201, f"{token}: POST answered {status}"
+                    acked.append(token)
+                    status, body = await _request_unshed(
+                        host, port, "GET", f"/cases/{case}/allegations")
+                    assert status == 200, f"{token}: GET answered {status}"
+                    assert token in [a["token"] for a in body["allegations"]], \
+                        f"{token} was acknowledged but its writer cannot read it"
+                return acked
+
+            async def go():
+                return await asyncio.gather(*[client(n) for n in range(clients)])
+
+            acked = [token for per_client in asyncio.run(go()) for token in per_client]
+            assert len(acked) == clients * rounds
+            stored = []
+            for case in cases:
+                _, body = http(gateway.address, "GET", f"/cases/{case}/allegations")
+                stored += [a["token"] for a in body["allegations"]]
+            assert sorted(stored) == sorted(acked)      # each exactly once
+            assert rt.counters.get("cache_invalidations") >= len(acked)
 
 
 # ---------------------------------------------------------------------------
