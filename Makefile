@@ -20,6 +20,9 @@
 #                         one-second CLI serve
 #   make ledger-smoke     the ledger's own tests, including a smoke pass of all
 #                         four BENCHMARK.json workloads (~50 s)
+#   make pairs WORKLOAD=qs_command_stream PAIRS=10
+#                         alternating parent/change ledger passes of one workload,
+#                         judged by ledger/compare.py (PARENT=HEAD by default)
 #   make loc              lines of src/ and benchmarks/ (ROADMAP tracks them next
 #                         to the perf numbers)
 
@@ -27,7 +30,7 @@ PYTHON ?= python
 
 .PHONY: install lint test coverage bench explore \
 	process-smoke async-smoke hybrid-smoke shard-smoke failover-smoke \
-	serve-smoke ledger-smoke soak loc clean
+	serve-smoke ledger-smoke pairs soak loc clean
 
 install:
 	$(PYTHON) -m pip install -e .[dev]
@@ -62,7 +65,8 @@ async-smoke:
 # coroutine clients against process workers
 hybrid-smoke:
 	REPRO_BACKEND=process+async:2:2 $(PYTHON) -m pytest -q tests/test_backends.py \
-		tests/test_hybrid_backend.py tests/test_client_lifecycle.py
+		tests/test_hybrid_backend.py tests/test_client_lifecycle.py \
+		tests/test_wire_queue.py tests/test_process_backend.py
 	$(PYTHON) examples/async_fan_in.py --backend process+async:2:2 --clients 500 --handlers 2
 
 # the sharding suite across the deployment backends (mirrors CI shard-smoke)
@@ -96,6 +100,14 @@ serve-smoke:
 # comparison and traffic units plus one smoke pass of every workload
 ledger-smoke:
 	$(PYTHON) -m pytest ledger/tests -q
+
+# how a performance claim is measured: N alternating passes of the parent
+# revision and this working tree on one BENCHMARK.json workload (26 s each)
+WORKLOAD ?= qs_command_stream
+PAIRS ?= 10
+PARENT ?= HEAD
+pairs:
+	$(PYTHON) benchmarks/ledger_pairs.py --workload $(WORKLOAD) --pairs $(PAIRS) --parent $(PARENT)
 
 # minutes, not seconds, so not tier-1: the process backend must stay bounded in
 # memory, descriptors, journal size and recovery time (see the script's docstring)

@@ -35,10 +35,12 @@ A backend is the product of two small axes:
 2. *where a handler drains* — `start_handler` / `stop_handler` /
    `notify_handler`, plus the placement hooks: where a handler's objects
    live (`adopt_object`), what a client's private queue to a handler is
-   (`create_private_queue`), and where the body of a client-executed query
-   runs (`execute_synced_query`).  The in-memory backends keep the defaults
-   (objects and queues are local, query bodies run on the client); the
-   process backend reroutes all three over its sockets.
+   (`create_private_queue`), what an unsynced client-executed query puts
+   on that queue (`enqueue_query_sync`) and where the body of an already
+   synced one runs (`execute_synced_query`).  The in-memory backends keep
+   the defaults (objects and queues are local, a query is the SYNC marker
+   and its body runs on the client); the process backend reroutes all four
+   over its sockets, and there the body *is* the sync: one frame, one reply.
 
 Backends whose handlers run :meth:`Handler._loop <repro.core.handler.Handler>`
 on a thread of their own (``threads``, ``sim``) also implement its two
@@ -54,6 +56,8 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, List, Optional
+
+from repro.queues.private_queue import PrivateQueue, SyncRequest
 
 
 class ClientHandle(ABC):
@@ -183,9 +187,20 @@ class ExecutionBackend(ABC):
         :class:`~repro.queues.private_queue.PrivateQueue`; the process
         backend substitutes a socket-backed queue with the same surface.
         """
-        from repro.queues.private_queue import PrivateQueue
-
         return PrivateQueue(handler=handler, counters=counters)
+
+    def enqueue_query_sync(self, queue: Any, ref: Any, fn: Callable[[Any], Any],
+                           described: Dict[str, Any]) -> SyncRequest:
+        """Put an unsynced client-executed query on ``queue`` (Fig. 10b).
+
+        Returns the in-flight round trip the client waits on, in its own
+        wait style.  In shared memory that is the SYNC marker alone: the
+        release leaves ``outcome`` unset and the body then runs on the
+        waiting client (:meth:`execute_synced_query`).  The process backend
+        ships the body (``described``: the keywords of
+        :meth:`execute_synced_query`) in the marker's place, so its one reply is release and result both.
+        """
+        return queue.enqueue_sync(SyncRequest(release=self.create_event()))
 
     def execute_synced_query(self, client: Any, ref: Any, fn: Callable[[Any], Any],
                              feature: Optional[str] = None, args: tuple = (),

@@ -23,6 +23,12 @@ Division of labour:
   whose reader task resolves reply continuations so the event loop never
   blocks on the socket).  The backend picks per queue, from the thread that
   asks, so both client kinds coexist with identical counters.
+* **a query is one round trip**: a packaged ``query`` frame or a
+  client-executed body as an ``invoke`` frame.  An unsynced one sends no
+  ``sync`` first — the worker serves a block's frames in order, so the body
+  is its own sync and its reply is release and result both — and both
+  drivers split it into issue (journal, feed, flush) and wait (the reply).
+  Only an explicit ``sync()`` barrier still sends a ``sync`` frame.
 * **each handler becomes a socket server in a worker process**
   (:mod:`repro.backends.process_worker`): one
   :class:`~repro.queues.socket_queue.FrameStream` connection per (client,
@@ -35,8 +41,8 @@ Division of labour:
   the FIFO-of-private-queues service order is bit-identical to the
   shared-memory backends no matter how frames race on the wire.
 * **counters aggregate across the process boundary**: every sync release /
-  query result piggybacks the worker's counter snapshot, and the close
-  report carries the final one; the parent folds the deltas into the
+  query result piggybacks the worker's non-zero counters, and the close
+  report carries the final ones; the parent folds the deltas into the
   runtime's :class:`~repro.util.counters.Counters`, so ``rt.stats()`` shows
   ``calls_executed`` et al. exactly as the in-memory backends do.
 * **the failover journal is a window, not a log**: every data frame is
@@ -193,6 +199,13 @@ class _RemoteQoQ:
         return 0
 
 
+def _unwrap(value: Any, error: Optional[BaseException]) -> Any:
+    """A classified reply as the call it answers would have ended."""
+    if error is not None:
+        raise error
+    return value
+
+
 def _settle(box: ResultBox, value: Any, error: Optional[BaseException]) -> None:
     """Fill a packaged query's result box from a classified reply."""
     if error is not None:
@@ -271,11 +284,13 @@ class _WireQueue:
 class ProcessPrivateQueue(_WireQueue):
     """The blocking driver: a thread client's queue over a ``FrameStream``.
 
-    "Issue, flush, ``recv``, classify": sync and query replies are read
-    synchronously by the owning client thread — an SPSC channel needs no
-    demultiplexer.  A dead worker is noticed inline (a failed write, the
-    delivery probe after a flush, EOF while waiting) and failed over before
-    the operation returns.
+    "Issue, flush, ``recv``, classify": replies are read synchronously by
+    the owning client thread — an SPSC channel needs no demultiplexer.  A
+    barrier ``sync`` and a packaged query read theirs before returning; an
+    unsynced client-executed query only *issues* (journal, feed, flush) and
+    leaves the read to whoever waits for it.  A dead worker is noticed
+    inline (a failed write, the delivery probe after a flush, EOF while
+    waiting) and failed over before the operation returns.
     """
 
     def _connect(self) -> FrameStream:
@@ -395,13 +410,40 @@ class ProcessPrivateQueue(_WireQueue):
         _settle(request.result, *self._await_reply("query"))
         return request.result
 
+    def enqueue_query_sync(self, handle: Any, fn: Callable[[Any], Any],
+                           **described: Any) -> SyncRequest:
+        """Ship an unsynced query's body as its own sync; the read is the waiter's."""
+        self._send(self.core.invoke(handle, fn, carries_sync=True, **described))
+        release = _ReadOnWait(self)
+        release.request = SyncRequest(release=release)
+        return release.request
+
     def invoke(self, handle: Any, fn: Callable[[Any], Any], **described: Any) -> Any:
         """Run a client-executed query body on the (synced) remote handler."""
         self._send(self.core.invoke(handle, fn, **described))
-        value, error = self._await_reply("invoke")
-        if error is not None:
-            raise error
-        return value
+        return _unwrap(*self._await_reply("invoke"))
+
+
+class _ReadOnWait:
+    """The release of a query in flight on the blocking driver.
+
+    No reader thread fires an event there: waiting for the release *is*
+    reading the reply, on the waiter's thread.  Nothing else was sent to the
+    handler since (``Client._check_no_pending_query``), so the next genuine
+    reply is that query's; one abandoned with its block is never read here
+    (the core books it as stale debt, :meth:`WireQueueCore.end`).
+    """
+
+    __slots__ = ("queue", "request")
+
+    def __init__(self, queue: ProcessPrivateQueue) -> None:
+        self.queue = queue
+        self.request: Optional[SyncRequest] = None
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        request, self.request = self.request, None  # waited for once; no cycle left
+        request.outcome = self.queue._await_reply("query")
+        return True
 
 
 class AsyncProcessPrivateQueue(_WireQueue):
@@ -420,8 +462,8 @@ class AsyncProcessPrivateQueue(_WireQueue):
                  worker: _WorkerProcess, counters: Any) -> None:
         super().__init__(backend, handler, worker, counters)
         #: FIFO of reply continuations: ("sync", SyncRequest) fires the
-        #: release, ("query", ResultBox) fills the box, ("invoke", Future)
-        #: resolves the awaited client-executed body
+        #: release, ("query", ResultBox) fills the box, ("invoke",
+        #: SyncRequest) hands a client-executed body's outcome over, then fires
         self._waiting: Deque[Tuple[str, Any]] = deque()
         self._failed: Optional[BaseException] = None
         self._failovers = 0
@@ -464,12 +506,32 @@ class AsyncProcessPrivateQueue(_WireQueue):
         self._waiting.append(("query", request.result))
         return request.result
 
+    def _issue_invoke(self, handle: Any, fn: Callable[[Any], Any], carries_sync: bool,
+                      **described: Any) -> SyncRequest:
+        self._send(self.core.invoke(handle, fn, carries_sync=carries_sync, **described))
+        request = SyncRequest(release=self.backend.create_event())
+        self._waiting.append(("invoke", request))
+        return request
+
+    def enqueue_query_sync(self, handle: Any, fn: Callable[[Any], Any],
+                           **described: Any) -> SyncRequest:
+        """Ship an unsynced query's body as its own sync; the await is the waiter's."""
+        return self._issue_invoke(handle, fn, True, **described)
+
     async def invoke_async(self, handle: Any, fn: Callable[[Any], Any], **described: Any) -> Any:
         """Awaitable twin of the blocking driver's ``invoke``."""
-        self._send(self.core.invoke(handle, fn, **described))
-        fut = asyncio.get_running_loop().create_future()
-        self._waiting.append(("invoke", fut))
-        return await fut
+        request = self._issue_invoke(handle, fn, False, **described)
+        await request.release.wait_async()
+        return _unwrap(*request.outcome)
+
+    def enqueue_end(self) -> None:
+        super().enqueue_end()
+        if self._waiting:
+            # abandoned with the block: their replies are the core's stale
+            # debt now, so the continuations would only steal later ones
+            self._drop_waiting(ScoopError(
+                f"a reply from handler {self.handler.name!r} was abandoned when "
+                f"its separate block closed"))
 
     # -- reply delivery (runs on the owning loop, from the reader task) ------
     @staticmethod
@@ -480,11 +542,9 @@ class AsyncProcessPrivateQueue(_WireQueue):
             target.fire()
         elif kind == "query":
             _settle(target, value, error)
-        elif not target.done():  # invoke
-            if error is not None:
-                target.set_exception(error)
-            else:
-                target.set_result(value)
+        else:  # invoke
+            target.outcome = (value, error)
+            target.fire()
 
     def _deliver(self, reply: Dict[str, Any]) -> None:
         self._failovers = 0  # contact with a live worker resets the budget
@@ -495,6 +555,9 @@ class AsyncProcessPrivateQueue(_WireQueue):
     def _fail_waiting(self, exc: BaseException) -> None:
         """Poison the queue: resolve every waiter, refuse further sends."""
         self._failed = exc
+        self._drop_waiting(exc)
+
+    def _drop_waiting(self, exc: BaseException) -> None:
         while self._waiting:
             self._resolve(*self._waiting.popleft(), None, exc)
 
@@ -948,6 +1011,10 @@ class ProcessBackend(ExecutionBackend):
         # thread belongs to a coroutine client and must never block it
         driver = AsyncProcessPrivateQueue if self.on_loop_thread() else ProcessPrivateQueue
         return driver(self, handler, self._worker_for(handler.name), counters)
+
+    def enqueue_query_sync(self, queue: _WireQueue, ref: Any, fn: Callable[[Any], Any],
+                           described: Dict[str, Any]) -> Any:
+        return queue.enqueue_query_sync(ref._raw(), fn, **described)
 
     def execute_synced_query(self, client: Any, ref: Any, fn: Callable[[Any], Any],
                              **described: Any) -> Any:

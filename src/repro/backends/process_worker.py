@@ -17,8 +17,8 @@ is the Fig. 7 handler loop transplanted across a process boundary:
   process hop even though frames from different clients race on the wire.
 
 Results, sync releases and error reports travel back on the same framed
-connection; every reply piggybacks a snapshot of the worker-local counters
-so the parent can fold handler-side work (``calls_executed``) into the
+connection; every reply piggybacks the non-zero worker-local counters so
+the parent can fold handler-side work (``calls_executed``) into the
 runtime's totals without an extra channel.
 
 The same replies carry **checkpoints** when the backend runs with failover:
@@ -318,7 +318,9 @@ class HandlerServer:
 
     # -- replies -------------------------------------------------------------
     def _counter_values(self) -> Dict[str, int]:
-        return self.counters.snapshot().as_dict()
+        """The non-zero counters: the parent reads an absent name as unchanged."""
+        return {name: value for name, value in self.counters.snapshot().as_dict().items()
+                if value}
 
     def _send(self, block: _Block, payload: Dict[str, Any]) -> None:
         """One reply, carrying the unsent checkpoint if there is one.

@@ -9,7 +9,7 @@ surface (``runtime.separate(...)`` + blocking queries).  This module is the
     async def client() -> None:
         async with rt.aclient().separate(account) as acc:
             await acc.deposit(42)          # command: logged, never waits
-            print(await acc.current())     # query: awaits sync + runs body
+            print(await acc.current())     # query: issue, then await the result
 
     rt = QsRuntime("all", backend="async")
     rt.aclient(client)
@@ -17,11 +17,10 @@ surface (``runtime.separate(...)`` + blocking queries).  This module is the
 
 Every protocol step — reservation, multi-handler atomicity, sync
 coalescing, private-queue caching, counters, tracing — is the *shared*
-:class:`~repro.core.client.Client` code; only the two waits (a sync
-release, a packaged query result) are awaited on
-:class:`~repro.backends.async_.AsyncEventHandle` futures instead of blocked
-on.  A program therefore produces identical observable results and counters
-whether its clients are threads or coroutines.
+:class:`~repro.core.client.Client` code; only the waits (a sync release,
+a packaged query result, a query body crossing a socket) are awaited
+instead of blocked on.  A program therefore produces identical observable
+results and counters whether its clients are threads or coroutines.
 
 Reservation itself is the queue-of-queues protocol's completely
 asynchronous enqueue, so ``__aenter__`` never waits; the lock-based
@@ -34,7 +33,6 @@ now.
 from __future__ import annotations
 
 import contextvars
-import operator
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.api import COMMAND, method_kind
@@ -117,18 +115,11 @@ class AsyncClient:
     async def query(self, ref: SeparateRef, method: str, *args: Any, **kwargs: Any) -> Any:
         """Awaitable synchronous query returning the method's result.
 
-        Mirrors :meth:`Client.query` through the shared issue/wait split:
-        everything but the two ``await`` points lives in the blocking
-        client, so the protocols cannot drift apart.
+        Issue + ``wait_async()``: the same
+        :class:`~repro.core.client.PendingQuery` the blocking
+        :meth:`Client.query` waits on, so the protocols cannot drift apart.
         """
-        client = self._client
-        fn = operator.methodcaller(method, *args, **kwargs)
-        box = client._start_query(ref, fn, args, dict(kwargs), feature=method, described=True)
-        if box is not None:
-            return await box.wait_async()
-        await self.sync(ref)
-        return await client._execute_client_query_async(ref, fn, args, dict(kwargs),
-                                                        feature=method)
+        return await self._client.issue_query(ref, method, *args, **kwargs).wait_async()
 
     def issue_query(self, ref: SeparateRef, method: str, *args: Any, **kwargs: Any):
         """Issue a query without awaiting it; ``await pending.wait_async()`` later.
@@ -136,7 +127,7 @@ class AsyncClient:
         The awaitable half of the issue/wait split
         (:meth:`~repro.core.client.Client.issue_query`): scatter-gather
         (:class:`~repro.shard.proxy.AsyncShardedProxy`) issues one query
-        per shard up front so the shard-side bodies overlap, then awaits
+        per shard up front so the per-shard work overlaps, then awaits
         the :class:`~repro.core.client.PendingQuery` results in shard
         order.  Issuing never blocks the loop — the QoQ protocol's enqueue
         is asynchronous and the waits live entirely in ``wait_async``.
@@ -145,18 +136,7 @@ class AsyncClient:
 
     async def query_function(self, ref: SeparateRef, fn: Callable[..., Any],
                              *args: Any, **kwargs: Any) -> Any:
-        client = self._client
-        feature = getattr(fn, "__name__", "<callable>")
-
-        def wrapped(obj):
-            return fn(obj, *args, **kwargs)
-
-        box = client._start_query(ref, wrapped, args, dict(kwargs), feature=feature, raw_fn=fn)
-        if box is not None:
-            return await box.wait_async()
-        await self.sync(ref)
-        return await client._execute_client_query_async(ref, wrapped, args, dict(kwargs),
-                                                        feature=feature, raw_fn=fn)
+        return await self._client.issue_query_function(ref, fn, *args, **kwargs).wait_async()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"AsyncClient({self.name!r})"

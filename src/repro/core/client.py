@@ -13,11 +13,16 @@ paper):
   handler's reservation lock for the whole block (the original protocol).
 * ``call``   — package an asynchronous call and append it to the private
   queue (rule *call*, Fig. 9).
-* ``query``  — either ship a packaged query and wait for its result (the
-  original rule) or, with the client-executed-query optimization, send a
-  SYNC marker, wait for the release and run the query body locally
-  (Fig. 10b).  Dynamic sync coalescing (Section 3.4.1) skips the marker when
-  the handler is already parked on this client's queue.
+* ``query``  — *issue*, then *wait* (:class:`PendingQuery`; the blocking
+  ``query`` and the awaitable one differ only in the wait).  Issue either
+  ships a packaged query (the original rule) or, with the client-executed
+  optimization (Fig. 10b), asks the backend what an unsynced query puts on
+  the queue: in memory the SYNC marker, the body then running locally after
+  the release; on a wire queue the body itself, which the handler reaches
+  in FIFO order exactly where the marker would have stood, so its one reply
+  is release and result both.  Dynamic sync coalescing (Section 3.4.1)
+  skips the marker when the handler is already parked on this client's
+  queue; the body alone then runs where the backend places it.
 """
 
 from __future__ import annotations
@@ -77,72 +82,107 @@ class Reservation:
 class PendingQuery:
     """A query that has been *issued* but whose wait is still the caller's.
 
-    This is the issue/wait client split made first-class: scatter-gather
-    (:mod:`repro.shard`) issues one query per shard up front, then collects
-    the results — blocking (:meth:`wait`) or awaited (:meth:`wait_async`) —
-    so the per-shard handler work overlaps instead of serialising.  Under
-    the unoptimized protocol the pending state is the packaged query's
-    result box; under client-executed queries it is the in-flight SYNC
-    round trip (``None`` when dynamic coalescing elided it), after which the
-    query body runs on the waiting side via the backend's
-    ``execute_synced_query`` placement hook.
+    The one implementation of the query protocol: ``Client.query`` is issue
+    + :meth:`wait`, the awaitable client's is issue + :meth:`wait_async`,
+    and scatter-gather (:mod:`repro.shard`) issues one query per shard up
+    front and collects afterwards.  The pending state is one of three:
+
+    * the packaged query's result box (the unoptimized protocol);
+    * the in-flight sync round trip of a client-executed query.  What rides
+      it is the backend's choice (``enqueue_query_sync``): in memory the
+      SYNC marker alone, so scattered *syncs* overlap and each body runs on
+      the waiting side after its release; on a wire queue the body itself,
+      so the shard-side *bodies* overlap and the release carries the result;
+    * nothing, when dynamic coalescing elided the sync: the body runs at
+      wait time through the backend's ``execute_synced_query``.
 
     At most one query may be pending per handler, and each result may be
     waited for once — waiting is what restores the client's synchronous
     control, so issuing anything else to the same handler first (or waiting
-    twice) would invalidate the pending state.  Both misuses raise
-    :class:`~repro.errors.ScoopError` instead of corrupting the protocol;
-    a pending query abandoned when its separate block closes is simply
-    dropped with the block.
+    twice) would invalidate the pending state.  A pending query abandoned
+    when its separate block closes is dropped with the block and can no
+    longer be waited for.  All three misuses raise
+    :class:`~repro.errors.ScoopError` instead of corrupting the protocol.
     """
 
-    __slots__ = ("_client", "_ref", "_fn", "_args", "_kwargs", "_feature", "_box", "_sync",
+    __slots__ = ("_client", "_ref", "_fn", "_feature", "_described", "_box", "_sync",
                  "_consumed")
 
     def __init__(self, client: "Client", ref: SeparateRef, fn: Callable[[Any], Any],
-                 args: tuple, kwargs: dict, feature: str,
+                 feature: str, described: Optional[dict] = None,
                  box: Optional[ResultBox] = None,
                  sync_request: Optional[SyncRequest] = None) -> None:
         self._client = client
         self._ref = ref
         self._fn = fn
-        self._args = args
-        self._kwargs = kwargs
         self._feature = feature
+        #: what ``fn`` literally is, as the backend's query hooks take it
+        #: (client-executed queries only: a packaged one is already shipped)
+        self._described = described
         self._box = box
         self._sync = sync_request
         self._consumed = False
 
     def _consume(self) -> None:
+        handler = self._ref.handler
         if self._consumed:
             raise ScoopError(
                 f"the result of pending query {self._feature!r} on handler "
-                f"{self._ref.handler.name!r} has already been consumed")
+                f"{handler.name!r} has already been consumed")
         self._consumed = True
         if self._box is None:
-            self._client._pending_queries.pop(self._ref.handler, None)
+            pending = self._client._pending_queries
+            if pending.get(handler) is not self:  # not pop: another one may be pending now
+                raise ScoopError(
+                    f"pending query {self._feature!r} on handler {handler.name!r} was "
+                    "abandoned when its separate block closed")
+            del pending[handler]
+
+    def _outcome(self) -> Any:
+        """The result of a body that rode its own sync (a wire queue)."""
+        value, error = self._sync.outcome
+        if error is not None:
+            raise error
+        return self._traced(value)
+
+    def _traced(self, value: Any) -> Any:
+        """Record that the (client-executed) body ran; pass its value on."""
+        client, handler = self._client, self._ref.handler
+        if client.tracer.enabled:
+            client.tracer.record("exec-client", handler.name, client=client.name,
+                                 feature=self._feature, block=client.queue_for(handler).block_id)
+        return value
 
     def wait(self) -> Any:
         """Block for (and return) the query's result."""
         self._consume()
         if self._box is not None:
             return self._box.wait()
-        if self._sync is not None:
-            self._sync.release.wait()
-            self._client._finish_sync(self._ref)
-        return self._client._execute_client_query(
-            self._ref, self._fn, self._args, self._kwargs, feature=self._feature)
+        client, sync = self._client, self._sync
+        if sync is not None:
+            sync.release.wait()
+            client._finish_sync(self._ref)
+            if sync.outcome is not None:
+                return self._outcome()
+        # synced, body still to run: where the backend places it (Section
+        # 3.2: in memory, right here on the client)
+        return self._traced(client.backend.execute_synced_query(
+            client, self._ref, self._fn, **self._described))
 
     async def wait_async(self) -> Any:
         """Awaitable twin of :meth:`wait` (asyncio-capable backends only)."""
         self._consume()
         if self._box is not None:
             return await self._box.wait_async()
-        if self._sync is not None:
-            await self._sync.release.wait_async()
-            self._client._finish_sync(self._ref)
-        return await self._client._execute_client_query_async(
-            self._ref, self._fn, self._args, self._kwargs, feature=self._feature)
+        client, sync = self._client, self._sync
+        if sync is not None:
+            await sync.release.wait_async()
+            client._finish_sync(self._ref)
+            if sync.outcome is not None:
+                return self._outcome()
+        # a backend whose query bodies cross a socket awaits the round trip
+        return self._traced(await client.backend.execute_synced_query_async(
+            client, self._ref, self._fn, **self._described))
 
 
 class Client:
@@ -239,8 +279,8 @@ class Client:
                 raise ReservationError(
                     f"separate blocks must be released innermost-first (handler {handler.name!r})"
                 )
-            # a pending issued query dies with its block (the handler fired
-            # the sync and will resume past it at the END marker)
+            # a pending issued query dies with its block (the handler serves
+            # what was issued and resumes past it at the END marker)
             self._pending_queries.pop(handler, None)
             reservation.private_queue.enqueue_end()
             self.backend.notify_handler(handler)
@@ -349,12 +389,8 @@ class Client:
 
     def query(self, ref: SeparateRef, method: str, *args: Any, **kwargs: Any) -> Any:
         """Issue a synchronous query and return its result."""
-        fn = operator.methodcaller(method, *args, **kwargs)
-        box = self._start_query(ref, fn, args, dict(kwargs), feature=method, described=True)
-        if box is not None:
-            return box.wait()
-        self.sync(ref)
-        return self._execute_client_query(ref, fn, args, dict(kwargs), feature=method)
+        return self._issue(ref, operator.methodcaller(method, *args, **kwargs),
+                           args, kwargs, method).wait()
 
     def issue_query(self, ref: SeparateRef, method: str, *args: Any, **kwargs: Any) -> PendingQuery:
         """Issue a synchronous query without waiting for its result.
@@ -364,79 +400,58 @@ class Client:
         *different* handlers before waiting is how scatter-gather overlaps
         per-shard work; at most one query may be pending per handler.
         """
-        fn = operator.methodcaller(method, *args, **kwargs)
-        box = self._start_query(ref, fn, args, dict(kwargs), feature=method, described=True)
-        if box is not None:
-            # packaged query: the request is on the queue, FIFO keeps it
-            # ordered against anything logged later — nothing to guard
-            return PendingQuery(self, ref, fn, args, dict(kwargs), method, box=box)
-        pending = PendingQuery(self, ref, fn, args, dict(kwargs), method,
-                               sync_request=self._begin_sync(ref))
-        # client-executed query: between the SYNC and the wait the handler
-        # must stay parked on this queue, so further requests are rejected
-        # until the result is consumed (see _check_no_pending_query)
-        self._pending_queries[ref.handler] = pending
-        return pending
+        return self._issue(ref, operator.methodcaller(method, *args, **kwargs),
+                           args, kwargs, feature=method)
 
     def query_function(self, ref: SeparateRef, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
         """Synchronous query applying ``fn(raw_object, *args, **kwargs)``."""
-        feature = getattr(fn, "__name__", "<callable>")
+        return self.issue_query_function(ref, fn, *args, **kwargs).wait()
+
+    def issue_query_function(self, ref: SeparateRef, fn: Callable[..., Any],
+                             *args: Any, **kwargs: Any) -> PendingQuery:
+        """:meth:`issue_query` for ``fn(raw_object, *args, **kwargs)``."""
         def wrapped(obj):
             return fn(obj, *args, **kwargs)
-        box = self._start_query(ref, wrapped, args, dict(kwargs), feature=feature, raw_fn=fn)
-        if box is not None:
-            return box.wait()
-        self.sync(ref)
-        return self._execute_client_query(ref, wrapped, args, dict(kwargs),
-                                          feature=feature, raw_fn=fn)
+        return self._issue(ref, wrapped, args, kwargs,
+                           feature=getattr(fn, "__name__", "<callable>"), raw_fn=fn)
 
-    def _start_query(self, ref: SeparateRef, fn: Callable[[Any], Any], args: tuple, kwargs: dict,
-                     feature: str, described: bool = False,
-                     raw_fn: Optional[Callable[..., Any]] = None) -> Optional[ResultBox]:
-        """Common query entry shared with the awaitable client.
+    def _issue(self, ref: SeparateRef, fn: Callable[[Any], Any], args: tuple, kwargs: dict,
+               feature: str, raw_fn: Optional[Callable[..., Any]] = None) -> PendingQuery:
+        """Put a query on the handler's queue; every wait is the caller's.
 
-        Records the query and, under the *unoptimized* protocol, ships it
-        packaged — returning the box the caller waits on (blocking or
-        awaited).  Returns ``None`` under the client-executed protocol: the
-        caller must sync (again in its own wait style) and then run
-        :meth:`_execute_client_query`.
+        ``fn`` is the one-argument body.  What it literally is travels
+        along for transports that ship data, not closures: ``getattr(obj,
+        feature)(*args, **kwargs)``, or ``raw_fn(obj, *args, **kwargs)``
+        when ``raw_fn`` is given.
         """
-        self._check_no_pending_query(ref.handler)
+        handler = ref.handler
+        self._check_no_pending_query(handler)
+        queue = self.queue_for(handler)
         self.counters.bump("queries")
-        self.tracer.record("log-query", ref.handler.name, client=self.name,
-                           feature=feature, block=self.queue_for(ref.handler).block_id)
-        if self.config.client_executed_queries:
-            return None
-        return self._start_remote_query(ref, fn, args, kwargs, feature=feature,
-                                        described=described, raw_fn=raw_fn)
-
-    def _execute_client_query(self, ref: SeparateRef, fn: Callable[[Any], Any], args: tuple,
-                              kwargs: dict, feature: str,
-                              raw_fn: Optional[Callable[..., Any]] = None) -> Any:
-        """Run a synced query body on the client (Section 3.2) and trace it."""
-        result = self.backend.execute_synced_query(
-            self, ref, fn, feature=feature if raw_fn is None else None,
-            args=args, kwargs=kwargs, raw_fn=raw_fn)
-        self.tracer.record("exec-client", ref.handler.name, client=self.name,
-                           feature=feature, block=self.queue_for(ref.handler).block_id)
-        return result
-
-    async def _execute_client_query_async(self, ref: SeparateRef, fn: Callable[[Any], Any],
-                                          args: tuple, kwargs: dict, feature: str,
-                                          raw_fn: Optional[Callable[..., Any]] = None) -> Any:
-        """Awaitable twin of :meth:`_execute_client_query`.
-
-        Coroutine clients land here (via :class:`PendingQuery.wait_async`
-        and the :class:`~repro.core.async_api.AsyncClient` query paths) so
-        a backend whose query bodies cross a socket can await the round
-        trip; in-memory backends run the body inline either way.
-        """
-        result = await self.backend.execute_synced_query_async(
-            self, ref, fn, feature=feature if raw_fn is None else None,
-            args=args, kwargs=kwargs, raw_fn=raw_fn)
-        self.tracer.record("exec-client", ref.handler.name, client=self.name,
-                           feature=feature, block=self.queue_for(ref.handler).block_id)
-        return result
+        self.tracer.record("log-query", handler.name, client=self.name,
+                           feature=feature, block=queue.block_id)
+        if not self.config.client_executed_queries:
+            # packaged query: the request is on the queue, FIFO keeps it
+            # ordered against anything logged later — nothing to guard
+            request = CallRequest(fn=fn, args=(ref._raw(),), feature=feature,
+                                  payload_bytes=_payload_size(args, kwargs), block=queue.block_id,
+                                  result=ResultBox(event=self.backend.create_event()),
+                                  call_args=args, call_kwargs=kwargs, raw_fn=raw_fn)
+            box = queue.enqueue_query(request)
+            self.backend.notify_handler(handler)
+            return PendingQuery(self, ref, fn, feature, box=box)
+        described = {"feature": feature if raw_fn is None else None,
+                     "args": args, "kwargs": kwargs, "raw_fn": raw_fn}
+        pending = PendingQuery(self, ref, fn, feature, described)
+        if not self._sync_elided(handler, queue):
+            # allocated first: as little as possible between hand-off and wait
+            pending._sync = self.backend.enqueue_query_sync(queue, ref, fn, described)
+            self.backend.notify_handler(handler)
+        # client-executed query: until the wait the handler must stay parked
+        # on this queue, so further requests are rejected until the result
+        # is consumed (see _check_no_pending_query)
+        self._pending_queries[handler] = pending
+        return pending
 
     # -- pieces ----------------------------------------------------------
     def sync(self, ref: SeparateRef) -> bool:
@@ -463,13 +478,19 @@ class Client:
         handler = ref.handler
         self._check_no_pending_query(handler)
         queue = self.queue_for(handler)
-        if self.config.dynamic_sync_coalescing and queue.synced:
-            self.counters.bump("syncs_elided")
-            self.tracer.record("sync-elided", handler.name, client=self.name, block=queue.block_id)
+        if self._sync_elided(handler, queue):
             return None
         request = queue.enqueue_sync(SyncRequest(release=self.backend.create_event()))
         self.backend.notify_handler(handler)
         return request
+
+    def _sync_elided(self, handler: Handler, queue: PrivateQueue) -> bool:
+        """Dynamic sync coalescing (Section 3.4.1): already parked on ``queue``?"""
+        if self.config.dynamic_sync_coalescing and queue.synced:
+            self.counters.bump("syncs_elided")
+            self.tracer.record("sync-elided", handler.name, client=self.name, block=queue.block_id)
+            return True
+        return False
 
     def _finish_sync(self, ref: SeparateRef) -> None:
         """Bookkeeping once the sync release has been observed."""
@@ -493,30 +514,6 @@ class Client:
             self.tracer.record("exec-client", ref.handler.name, client=self.name,
                                feature=getattr(fn, "__name__", "<callable>"), block=queue.block_id)
         return result
-
-    def _start_remote_query(self, ref: SeparateRef, fn: Callable[[Any], Any], args: tuple,
-                            kwargs: dict, feature: str = "", described: bool = False,
-                            raw_fn: Optional[Callable[..., Any]] = None) -> ResultBox:
-        """Ship a packaged query; return its result box without waiting.
-
-        ``described`` means the request literally is ``getattr(obj,
-        feature)(*args, **kwargs)``; ``raw_fn`` means it is ``raw_fn(obj,
-        *args, **kwargs)`` — both forms a socket transport can ship
-        without pickling the wrapper closure in ``fn``.  The issue/wait
-        split lets the awaitable client ``await`` the box instead of
-        blocking on it.
-        """
-        handler = ref.handler
-        queue = self.queue_for(handler)
-        request = CallRequest(fn=fn, args=(ref._raw(),), payload_bytes=_payload_size(args, kwargs),
-                              feature=feature, block=queue.block_id,
-                              result=ResultBox(event=self.backend.create_event()),
-                              call_args=args if (described or raw_fn is not None) else None,
-                              call_kwargs=dict(kwargs) if (described or raw_fn is not None) else None,
-                              raw_fn=raw_fn)
-        box = queue.enqueue_query(request)
-        self.backend.notify_handler(handler)
-        return box
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Client({self.name!r}, reservations={sum(len(v) for v in self._reservations.values())})"

@@ -155,9 +155,16 @@ class CallRequest:
 
 @dataclass
 class SyncRequest:
-    """SYNC marker: handler signals ``release`` when it reaches this entry."""
+    """SYNC marker: handler signals ``release`` when it reaches this entry.
+
+    ``outcome`` stays ``None`` in memory: the release says the handler is
+    parked and the query body runs on the waiting client.  On a wire queue an
+    unsynced query's body travels *as* its sync, so the release is also the
+    result: ``(value, error)`` of the body the handler ran at the marker.
+    """
 
     release: threading.Event = field(default_factory=threading.Event)
+    outcome: "tuple[Any, BaseException | None] | None" = None
 
     def fire(self) -> None:
         self.release.set()

@@ -6,9 +6,15 @@ one layer up, for the *private-queue protocol* a client speaks to a handler
 hosted in a worker process (:mod:`repro.backends.process_worker`): it turns
 requests into frames and replies into outcomes, and owns every piece of
 protocol state in between — the block's ticket and its deferred ``open``,
-journal-before-feed, the request counters, the stale-reply debt a failover
-leaves behind, and the replay sequence that re-establishes a queue on a
-replacement worker.  It never touches a stream.
+journal-before-feed, the request counters, the replies the block is still
+owed, the stale-reply debt a failover or an abandoned query leaves behind,
+and the replay sequence that re-establishes a queue on a replacement worker.
+It never touches a stream.
+
+A query costs one frame out and one reply in: a packaged ``query``, or a
+client-executed body as an ``invoke`` that, when the handler is not yet
+synced, stands in for the ``sync`` as well (:meth:`WireQueueCore.invoke`).
+Only an explicit ``sync()`` barrier puts a ``sync`` frame on the wire.
 
 Two thin drivers in :mod:`repro.backends.process` move its frames: a
 blocking one ("issue, flush, ``recv``, classify") over a
@@ -70,8 +76,8 @@ class WireQueueCore:
     replies in (:meth:`classify`).
     """
 
-    __slots__ = ("link", "handler", "counters", "ticket", "block_id",
-                 "_open_pending", "replies_seen", "stale_replies")
+    __slots__ = ("link", "handler", "counters", "ticket", "block_id", "_open_pending",
+                 "replies_seen", "unread", "abandoned", "stale_replies")
 
     def __init__(self, link: Any, handler: Any, counters: Any) -> None:
         self.link = link
@@ -83,7 +89,11 @@ class WireQueueCore:
         self._open_pending = False
         #: genuine replies consumed in the current block
         self.replies_seen = 0
-        #: replies to discard because a failover replay regenerates them
+        #: replies the current block has issued and not consumed yet ...
+        self.unread = 0
+        #: ... and those of them it ended without anyone waiting for
+        self.abandoned = 0
+        #: replies to discard: regenerated by a failover replay, or abandoned
         self.stale_replies = 0
 
     # -- blocks --------------------------------------------------------------
@@ -101,7 +111,7 @@ class WireQueueCore:
         # NOT stale_replies: stale replies belong to the *connection* (a
         # failover replay's regenerated replies can straddle a block change),
         # so that debt survives until drained or the stream is replaced.
-        self.replies_seen = 0
+        self.replies_seen = self.unread = self.abandoned = 0
 
     def _open_frame(self) -> Frame:
         return {"kind": "open", "ticket": self.ticket, "block": self.block_id}
@@ -112,14 +122,18 @@ class WireQueueCore:
         return {"kind": "hello", "handler": self.handler.name,
                 "token": self.link.token, "client": client_name}
 
-    def _issue(self, payload: Frame) -> List[Frame]:
+    def _issue(self, payload: Frame, answered: bool = False) -> List[Frame]:
         """Journal one data frame, then hand it out behind the deferred open.
 
         The journal write happens *before* the frame reaches any stream, so
         a frame lost with a crashing worker is part of the next
         :meth:`replay` — drivers never retry a frame after a reconnect.
+        ``answered`` frames (``sync`` / ``query`` / ``invoke``) are owed one
+        reply each.
         """
         self.link.journal_frame(self.handler.name, self.ticket, payload)
+        if answered:
+            self.unread += 1
         if self._open_pending:
             self._open_pending = False
             return [self._open_frame(), payload]
@@ -135,27 +149,48 @@ class WireQueueCore:
     def sync(self) -> List[Frame]:
         self.counters.bump("pq_enqueues")
         self.counters.bump("sync_roundtrips")
-        return self._issue({"kind": "sync"})
+        return self._issue({"kind": "sync"}, answered=True)
 
     def query(self, request: Any) -> List[Frame]:
         self.counters.bump("pq_enqueues")
         self.counters.bump("sync_roundtrips")
-        return self._issue(self._call_payload("query", request))
+        return self._issue(self._call_payload("query", request), answered=True)
 
     def end(self) -> List[Frame]:
+        """End the block; whatever it left unread is abandoned with it.
+
+        A pending query dropped with its block leaves a reply nobody will
+        wait for, and the next block on the cached connection would take it
+        for its own: it joins the stale debt.  Booked *before* the frame
+        leaves, so a failover while sending it re-derives the debt
+        (:meth:`replay`) from ``abandoned`` instead of stacking on it.
+        """
         self.counters.bump("pq_enqueues")
+        self.abandoned, self.unread = self.unread, 0
+        self.stale_replies += self.abandoned
         return self._issue({"kind": "end"})
 
     def invoke(self, handle: Any, fn: Callable[[Any], Any], feature: Optional[str] = None,
                args: tuple = (), kwargs: Optional[dict] = None,
-               raw_fn: Optional[Callable[..., Any]] = None) -> List[Frame]:
-        """A client-executed query body for the (synced) remote handler.
+               raw_fn: Optional[Callable[..., Any]] = None,
+               carries_sync: bool = False) -> List[Frame]:
+        """A client-executed query body for the remote handler.
 
         The arguments are those of ``execute_synced_query``: a named
         ``feature`` travels as data; otherwise the picklable ``raw_fn``
         (applied as ``raw_fn(obj, *args, **kwargs)``) or the one-argument
         closure ``fn`` itself is shipped.
+
+        ``carries_sync`` says the handler is not yet parked on this queue
+        and the frame stands where the ``sync`` would have: the worker's
+        drain serves a block's frames strictly in order, so when it runs the
+        body it has finished everything logged before it, and a ``sync`` →
+        ``release`` exchange in front would carry no information.  The frame
+        is the same; the accounting is that of :meth:`sync`.
         """
+        if carries_sync:
+            self.counters.bump("pq_enqueues")
+            self.counters.bump("sync_roundtrips")
         payload: Frame = {"kind": "invoke", "oid": self._oid_of(handle),
                           "args": list(args), "kwargs": kwargs or {}}
         if feature:
@@ -166,7 +201,7 @@ class WireQueueCore:
                 payload["fn"] = raw_fn
             else:
                 payload.update(fn=fn, args=[], kwargs={})
-        return self._issue(payload)
+        return self._issue(payload, answered=True)
 
     def sent(self, flushed: int) -> None:
         """Account for a burst of ``flushed`` frames leaving in one write."""
@@ -196,6 +231,8 @@ class WireQueueCore:
             self.stale_replies -= 1
             return None
         self.replies_seen += 1
+        if self.unread:
+            self.unread -= 1
         if reply["kind"] != "error":
             return reply.get("value"), None
         error = reply.get("error")
@@ -212,19 +249,21 @@ class WireQueueCore:
         checkpoint's ticket, or ended before the worker was declared dead
         and pre-filed from the journal), the ``open`` frame and every data
         frame journaled for it: the worker re-executes the block from the
-        restored snapshot, so every reply consumed before the crash is
-        *regenerated* — those become the stale debt :meth:`classify` drops.
-        Replies pending on the dead stream died with it (hence ``=``).
+        restored snapshot, so every reply consumed before the crash, and
+        every one the block abandoned at its end, is *regenerated* — those
+        become the stale debt :meth:`classify` drops; the unread ones come
+        again for whoever waits.  Replies pending on the dead stream died
+        with it (hence ``=``), and a block that is not replayed is owed none.
         """
         frames = [self.hello(client_name)]
         journaled = self.link.journal_for(self.handler.name, self.ticket)
         if journaled is None:
-            self.stale_replies = 0
+            self.stale_replies = self.unread = 0
         else:
             frames.append(self._open_frame())
             frames.extend(journaled)
             self._open_pending = False
-            self.stale_replies = self.replies_seen
+            self.stale_replies = self.replies_seen + self.abandoned
         return frames
 
     # -- payloads ------------------------------------------------------------

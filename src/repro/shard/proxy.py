@@ -13,7 +13,8 @@ Inside the block the :class:`ShardedProxy` routes:
   shard (commands never wait, so a broadcast costs N enqueues);
 * ``proxy.gather(method, ..., merge=fn)`` — scatter-gather query: issue the
   query on every shard first (:meth:`~repro.core.client.Client.issue_query`,
-  the issue/wait split), then collect, so the per-shard bodies overlap; the
+  the issue/wait split), then collect, so the per-shard work overlaps (see
+  :meth:`ShardedProxy.gather` for what that is on which backend); the
   optional ``merge`` folds the per-shard results (default: the list in
   shard order).
 
@@ -106,9 +107,14 @@ class ShardedProxy:
                merge: Optional[Callable[[List[Any]], Any]] = None, **kwargs: Any) -> Any:
         """Query every shard in parallel and merge the results.
 
-        All queries are *issued* first, then waited in shard order, so the
-        shard-side work overlaps; the wait order makes the unmerged result
-        list deterministic (shard 0 first) on every backend.
+        All queries are *issued* first, then waited in shard order; the
+        wait order makes the unmerged result list deterministic (shard 0
+        first) on every backend.  What overlaps is whatever issuing puts on
+        the shard: on the process backends the query *bodies* (a body rides
+        as its own sync and runs on the shard's worker), in memory the
+        packaged bodies, or at level ``all`` the *syncs* — the handlers'
+        earlier queued work — after which each client-executed body runs on
+        this waiting client, one after the other.
         """
         self._client.counters.bump("shard_gathers")
         pending = [self._client.issue_query(ref, method, *args, **kwargs)

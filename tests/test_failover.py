@@ -14,6 +14,7 @@ fail-stop behaviour.
 
 from __future__ import annotations
 
+import asyncio
 import os
 import signal
 import threading
@@ -309,6 +310,11 @@ class Shared(SeparateObject):
         return len(self.log)
 
     @query
+    def slow_size(self, seconds: float) -> int:
+        time.sleep(seconds)
+        return len(self.log)
+
+    @query
     def dump(self) -> list:
         return list(self.log)
 
@@ -338,6 +344,101 @@ async def _coroutine_writer(rt, backend, ref, i, first, blocks, kill_in, seen) -
                     _kill_worker_of(backend, "shared")
                 await obj.record((i, k * PER_BLOCK + j))
             await obj.size()
+
+
+class TestAQueryRidingItsSyncFailsOver:
+    """An unsynced query is one frame and one reply; the worker dies between."""
+
+    @pytest.mark.parametrize("loops", [0, 1], ids=["process", "process+async:1:1"])
+    def test_kill_between_the_query_frame_and_its_reply(self, loops):
+        backend = ProcessBackend(processes=1, loops=loops)
+        seen = {}
+
+        def observe(client, value) -> None:
+            seen["dump"] = value
+            seen["replies"] = client.queue_for(ref.handler).core.replies_seen
+
+        with QsRuntime("all", backend=backend) as rt:
+            ref = rt.new_handler("shared").create(Shared)
+
+            def thread_client() -> None:
+                client = rt.client()
+                with rt.separate(ref) as obj:
+                    obj.record(0)
+                    assert obj.size() == 1  # a consumed reply: its replay is stale
+                    for j in range(1, 5):
+                        obj.record(j)
+                    pending = client.issue_query(ref, "dump")  # the frame has left
+                    _kill_worker_of(backend, "shared")
+                    observe(client, pending.wait())
+                    seen["size"] = obj.size()  # parked on the replacement: no sync
+
+            async def coroutine_client() -> None:
+                client = rt.aclient()
+                async with client.separate(ref) as obj:
+                    await obj.record(0)
+                    assert await obj.size() == 1
+                    for j in range(1, 5):
+                        await obj.record(j)
+                    pending = client.issue_query(ref, "dump")
+                    _kill_worker_of(backend, "shared")
+                    observe(client._client, await pending.wait_async())
+                    seen["size"] = await obj.size()
+
+            rt.client(coroutine_client if loops else thread_client)
+            rt.join_clients()
+            rt.shutdown()
+            stats = rt.stats()
+        # the right value, once: the replayed block regenerates the first
+        # reply (dropped as stale) and produces the one the kill swallowed
+        assert seen == {"dump": [0, 1, 2, 3, 4], "replies": 2, "size": 5}
+        assert stats["calls_executed"] == stats["async_calls"] == 5
+        assert (stats["sync_roundtrips"], stats["syncs_elided"]) == (2, 1)
+        assert stats["shard_failovers"] == 1
+
+    @pytest.mark.parametrize("loops", [0, 1], ids=["process", "process+async:1:1"])
+    def test_kill_under_a_running_body_whose_query_is_then_abandoned(self, loops):
+        # the block ends before anyone notices the dead worker, so the
+        # failover pre-files it on the replacement and nothing is replayed to
+        # this client: the abandoned reply died with the worker, and the next
+        # block's own reply must not be discarded (or stolen) in its place
+        backend = ProcessBackend(processes=1, loops=loops, reply_timeout=10.0)
+        seen = {}
+
+        with QsRuntime("all", backend=backend) as rt:
+            ref = rt.new_handler("shared").create(Shared)
+
+            def thread_client() -> None:
+                client = rt.client()
+                with rt.separate(ref) as obj:
+                    obj.record(0)
+                    client.issue_query(ref, "slow_size", 0.5)  # never waited for
+                    time.sleep(0.1)  # the body is running
+                    _kill_worker_of(backend, "shared")
+                with rt.separate(ref) as obj:  # the cached queue
+                    obj.record(1)
+                    seen["size"] = obj.size()
+                    seen["debt"] = client.queue_for(ref.handler).core.stale_replies
+
+            async def coroutine_client() -> None:
+                client = rt.aclient()
+                async with client.separate(ref) as obj:
+                    await obj.record(0)
+                    client.issue_query(ref, "slow_size", 0.5)
+                    await asyncio.sleep(0.1)
+                    _kill_worker_of(backend, "shared")
+                async with client.separate(ref) as obj:
+                    await obj.record(1)
+                    seen["size"] = await asyncio.wait_for(obj.size(), 10.0)
+                    seen["debt"] = client._client.queue_for(ref.handler).core.stale_replies
+
+            rt.client(coroutine_client if loops else thread_client)
+            rt.join_clients()
+            rt.shutdown()
+            stats = rt.stats()
+        assert seen == {"size": 2, "debt": 0}
+        assert stats["calls_executed"] == stats["async_calls"] == 2
+        assert stats["shard_failovers"] == 1
 
 
 class TestCheckpointedFailover:

@@ -11,6 +11,7 @@ exceptions, worker-process pooling, and the selection plumbing
 from __future__ import annotations
 
 import os
+import socket
 import subprocess
 import sys
 import time
@@ -20,7 +21,11 @@ import pytest
 from repro import QsRuntime, SeparateObject, command, query
 from repro.backends import ProcessBackend
 from repro.backends.process import RemoteHandle, RemoteHandlerError
+from repro.backends.process_worker import HandlerServer
 from repro.errors import QueryFailedError, ScoopError
+from repro.queues.codec import get_codec
+from repro.queues.socket_queue import FrameBuffers, FrameStream
+from repro.queues.wire_queue import WireQueueCore
 
 
 class Box(SeparateObject):
@@ -34,6 +39,11 @@ class Box(SeparateObject):
     def put(self, value) -> None:
         self.value = value
         self.calls += 1
+
+    @command
+    def put_slowly(self, value, seconds: float) -> None:
+        time.sleep(seconds)
+        self.put(value)
 
     @query
     def get(self):
@@ -131,6 +141,11 @@ class TestCodecs:
             with rt.separate(ref) as b:
                 with pytest.raises(ScoopError, match="'pickle' or 'bin'"):
                     b.apply(top_level_halve, 10)
+                # a query body the codec refuses never became pending
+                with pytest.raises(ScoopError, match="'pickle' or 'bin'"):
+                    b.compute(top_level_halve, 10)
+                b.put(3)
+                assert b.get() == 3
 
     def test_pickle_codec_ships_callables(self):
         with QsRuntime("all", backend="process") as rt:
@@ -224,6 +239,180 @@ class TestCountersAggregation:
         rt.shutdown()
         # no query ever forced a reply; the close report must carry the count
         assert rt.stats()["calls_executed"] == 2
+
+
+    @pytest.mark.parametrize("codec, limit", [("pickle", 100), ("bin", 64), ("json", 96)])
+    def test_a_reply_carries_only_the_nonzero_counters(self, codec, limit):
+        # every reply used to pickle all 32 counter names, 29 of them zero:
+        # ~700 B where the ones that say something take under 100
+        ours, theirs = socket.socketpair()
+        server = HandlerServer("box")
+        server.host(1, Box())
+        server.add_connection(FrameStream(theirs, codec), "c")
+        stream = FrameStream(ours, codec)
+        try:
+            stream.send({"kind": "open", "ticket": 0, "block": None})
+            for i in range(3):
+                stream.send({"kind": "call", "oid": 1, "feature": "put", "args": [i], "kwargs": {}})
+            stream.send({"kind": "invoke", "oid": 1, "feature": "calls_seen",
+                         "args": [], "kwargs": {}})
+            stream.send({"kind": "end"})
+            reply = stream.recv(timeout=10.0)
+            assert reply == {"kind": "result", "value": 3, "counters": {"calls_executed": 3}}
+            assert len(get_codec(codec).encode(reply)) < limit
+            assert server.report()["counters"] == {"calls_executed": 3}
+        finally:
+            server.close(1)
+            stream.close()
+        assert server.drained.wait(timeout=5.0)
+
+
+def _wire_recorder(monkeypatch):
+    """Record every private-queue frame the parent frames and every reply
+    it classifies (the control channel's ops have no ``kind``)."""
+    frames, replies = [], []
+    add_frame, classify = FrameBuffers.add_frame, WireQueueCore.classify
+
+    def recording_add_frame(self, payload):
+        if "kind" in payload:
+            frames.append(payload["kind"])
+        return add_frame(self, payload)
+
+    def recording_classify(self, reply):
+        replies.append(reply["kind"])
+        return classify(self, reply)
+
+    monkeypatch.setattr(FrameBuffers, "add_frame", recording_add_frame)
+    monkeypatch.setattr(WireQueueCore, "classify", recording_classify)
+    return frames, replies
+
+
+_BOTH_DRIVERS = [("process", False), ("process+async:1:1", False), ("process+async:1:1", True)]
+
+
+def _run_one_client(rt, thread_client, coroutine_client, coroutine: bool) -> None:
+    rt.client(coroutine_client if coroutine else thread_client)
+    rt.join_clients()
+
+
+class TestOneRoundTripPerQuery:
+    """The sync rides the query body: exact frame and reply counts."""
+
+    @pytest.mark.parametrize("spec, coroutine", _BOTH_DRIVERS)
+    def test_k_calls_and_a_query_are_k_plus_3_frames_and_one_reply(self, spec, coroutine,
+                                                                   monkeypatch):
+        frames, replies = _wire_recorder(monkeypatch)
+        with QsRuntime("all", backend=spec) as rt:
+            ref = rt.new_handler("box").create(Box)
+
+            def thread_client() -> None:
+                with rt.separate(ref) as b:
+                    for i in range(5):
+                        b.put(i)
+                    assert b.calls_seen() == 5
+
+            async def coroutine_client() -> None:
+                async with rt.aclient().separate(ref) as b:
+                    for i in range(5):
+                        await b.put(i)
+                    assert await b.calls_seen() == 5
+
+            _run_one_client(rt, thread_client, coroutine_client, coroutine)
+            stats = rt.stats()
+        assert frames == ["hello", "open"] + ["call"] * 5 + ["invoke", "end"]
+        assert replies == ["result"]
+        # the counter still counts the round trip the sync rides on
+        assert (stats["queries"], stats["sync_roundtrips"], stats["syncs_elided"]) == (1, 1, 0)
+
+    @pytest.mark.parametrize("spec, coroutine", _BOTH_DRIVERS)
+    def test_an_explicit_sync_is_still_a_barrier_with_its_own_frame(self, spec, coroutine,
+                                                                    monkeypatch):
+        frames, replies = _wire_recorder(monkeypatch)
+        waited = []
+        with QsRuntime("all", backend=spec) as rt:
+            ref = rt.new_handler("box").create(Box)
+
+            def thread_client() -> None:
+                with rt.separate(ref) as b:
+                    b.put_slowly("done", 0.15)
+                    started = time.perf_counter()
+                    assert b.sync_() is True
+                    waited.append(time.perf_counter() - started)
+                    assert b.get() == "done"  # parked: the body alone travels
+
+            async def coroutine_client() -> None:
+                async with rt.aclient().separate(ref) as b:
+                    await b.put_slowly("done", 0.15)
+                    started = time.perf_counter()
+                    assert await b.sync_() is True
+                    waited.append(time.perf_counter() - started)
+                    assert await b.get() == "done"
+
+            _run_one_client(rt, thread_client, coroutine_client, coroutine)
+            stats = rt.stats()
+        assert frames == ["hello", "open", "call", "sync", "invoke", "end"]
+        assert replies == ["release", "result"]
+        assert waited[0] >= 0.1, "sync_() must block until the handler reaches the marker"
+        assert (stats["sync_roundtrips"], stats["syncs_elided"]) == (1, 1)
+
+    @pytest.mark.parametrize("spec, coroutine", _BOTH_DRIVERS)
+    def test_an_abandoned_query_leaves_no_reply_for_the_next_block(self, spec, coroutine):
+        # the queue (and its connection) is cached across blocks: the reply
+        # nobody read must not answer the next block's first query
+        seen = []
+        with QsRuntime("all", backend=spec) as rt:
+            ref = rt.new_handler("box").create(Box)
+
+            def thread_client() -> None:
+                client = rt.client()
+                with rt.separate(ref) as b:
+                    b.put("first")
+                    abandoned = client.issue_query(ref, "get")
+                with rt.separate(ref) as b:
+                    b.put("second")
+                    seen.append(b.get())
+                    with pytest.raises(ScoopError, match="abandoned"):
+                        abandoned.wait()
+                    seen.append(b.calls_seen())
+
+            async def coroutine_client() -> None:
+                client = rt.aclient()
+                async with client.separate(ref) as b:
+                    await b.put("first")
+                    abandoned = client.issue_query(ref, "get")
+                async with client.separate(ref) as b:
+                    await b.put("second")
+                    seen.append(await b.get())
+                    with pytest.raises(ScoopError, match="abandoned"):
+                        await abandoned.wait_async()
+                    seen.append(await b.calls_seen())
+
+            _run_one_client(rt, thread_client, coroutine_client, coroutine)
+        assert seen == ["second", 2]
+
+    @pytest.mark.parametrize("spec, coroutine", _BOTH_DRIVERS)
+    def test_a_failing_body_still_leaves_the_handler_synced(self, spec, coroutine, monkeypatch):
+        frames, _ = _wire_recorder(monkeypatch)
+        with QsRuntime("all", backend=spec) as rt:
+            ref = rt.new_handler("boom").create(Exploder)
+
+            def thread_client() -> None:
+                with rt.separate(ref) as e:
+                    with pytest.raises(KeyError, match="deliberate query failure"):
+                        e.blow_up()
+                    assert e.ok() == "fine"
+
+            async def coroutine_client() -> None:
+                async with rt.aclient().separate(ref) as e:
+                    with pytest.raises(KeyError, match="deliberate query failure"):
+                        await e.blow_up()
+                    assert await e.ok() == "fine"
+
+            _run_one_client(rt, thread_client, coroutine_client, coroutine)
+            stats = rt.stats()
+        # in memory the sync succeeds before the body raises; same books here
+        assert frames == ["hello", "open", "invoke", "invoke", "end"]
+        assert (stats["sync_roundtrips"], stats["syncs_elided"]) == (1, 1)
 
 
 class TestRemoteFailures:

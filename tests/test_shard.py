@@ -12,6 +12,7 @@ pool.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -54,6 +55,11 @@ class Cell(SeparateObject):
 
     @query
     def read(self) -> int:
+        return self.value
+
+    @query
+    def nap(self, seconds: float) -> int:
+        time.sleep(seconds)
         return self.value
 
 
@@ -516,6 +522,39 @@ def test_gather_on_every_level(level):
             assert sorted(g.gather("read")) == [2, 2, 3]
 
 
+@pytest.mark.parametrize("backend, coroutine", [
+    ("process", False), ("process+async:4:2", False), ("process+async:4:2", True)])
+def test_gather_bodies_overlap_on_process_backends(backend, coroutine):
+    """Scatter-gather scatters: on a wire queue the body rides the sync, so
+    issuing puts four 50 ms bodies on four workers before the first wait
+    (two sequential round trips per shard, 0.2 s, before that)."""
+    walls = []
+    with QsRuntime("all", backend=backend) as rt:
+        group = rt.sharded("cells", shards=4).create(Cell, 1)
+
+        def thread_client() -> None:
+            for _ in range(3):  # the first block also connects; keep the best
+                with group.separate() as g:
+                    started = time.perf_counter()
+                    assert g.gather("nap", 0.05) == [1, 1, 1, 1]
+                    walls.append(time.perf_counter() - started)
+
+        async def coroutine_client() -> None:
+            for _ in range(3):
+                async with group.separate_async() as g:
+                    started = time.perf_counter()
+                    assert await g.gather("nap", 0.05) == [1, 1, 1, 1]
+                    walls.append(time.perf_counter() - started)
+
+        if coroutine:
+            rt.aclient(coroutine_client)
+        else:
+            rt.client(thread_client)
+        rt.join_clients()
+    assert len(walls) == 3
+    assert 0.05 <= min(walls) < 0.12, walls
+
+
 # ----------------------------------------------------------------------------
 # the issue/wait split's misuse guards
 # ----------------------------------------------------------------------------
@@ -557,10 +596,28 @@ class TestPendingQueryGuards:
         ref = qs_runtime.new_handler("cell").create(Cell)
         client = qs_runtime.current_client()
         with qs_runtime.separate(ref):
-            client.issue_query(ref, "read")  # never waited for
+            abandoned = client.issue_query(ref, "read")  # never waited for
         with qs_runtime.separate(ref) as cell:  # fresh block works normally
             cell.add(2)
+            # the handler is reserved again, but not by the dropped query:
+            # its wait must not pass for this block's sync
+            with pytest.raises(ScoopError, match="abandoned"):
+                abandoned.wait()
             assert cell.read() == 2
+
+    def test_an_abandoned_query_does_not_take_the_pending_one_with_it(self, qs_runtime):
+        ref = qs_runtime.new_handler("cell").create(Cell)
+        client = qs_runtime.current_client()
+        with qs_runtime.separate(ref):
+            abandoned = client.issue_query(ref, "read")
+        with qs_runtime.separate(ref) as cell:
+            cell.add(2)
+            pending = client.issue_query(ref, "read")
+            with pytest.raises(ScoopError, match="abandoned"):
+                abandoned.wait()
+            with pytest.raises(ScoopError, match="pending"):
+                cell.add(1)  # the handler is still owed to ``pending``
+            assert pending.wait() == 2
 
 
 # ----------------------------------------------------------------------------

@@ -150,6 +150,94 @@ class TestOrdinaryBlock:
             core.invoke(object(), _double, feature="read")
 
 
+def _new_core() -> WireQueueCore:
+    handler = SimpleNamespace(name="h", counters=Counters())
+    return WireQueueCore(ProcessBackend(), handler, handler.counters)
+
+
+def _read(core, **extra) -> list:
+    return core.invoke(TARGET, lambda obj: obj.read(), feature="read", **extra)
+
+
+class TestAQueryRidingItsSync:
+    """An unsynced client-executed query is the ``invoke`` frame alone."""
+
+    def test_one_frame_one_reply_and_the_syncs_accounting(self):
+        two_trips, fused = _new_core(), _new_core()
+        for core in (two_trips, fused):
+            core.open_block(0, None)
+            for n in range(3):
+                core.call(_call(n))
+        # what the wire used to carry: sync, release, invoke, result
+        two_trips.sync()
+        two_trips.classify(_release(3))
+        body = _read(two_trips)
+        assert _kinds(body) == ["invoke"]
+        # and what it carries now: the same invoke frame, counted as the sync
+        assert _read(fused, carries_sync=True) == body
+        for core in (two_trips, fused):
+            assert core.classify({"kind": "result", "value": 3,
+                                  "counters": {"calls_executed": 3}}) == (3, None)
+            core.end()
+        assert fused.counters.snapshot() == two_trips.counters.snapshot()
+        assert fused.counters.snapshot()["sync_roundtrips"] == 1
+        assert (two_trips.replies_seen, fused.replies_seen) == (2, 1)
+        assert _kinds(fused.link.journal_for("h", 0)) == ["call"] * 3 + ["invoke", "end"]
+        assert _kinds(two_trips.link.journal_for("h", 0)) == ["call"] * 3 + ["sync", "invoke", "end"]
+
+    def test_replay_before_and_after_the_reply(self, core):
+        core.open_block(ticket=2, block_id=None)
+        core.call(_call(1))
+        _read(core, carries_sync=True)
+        # the worker dies with the reply: the replayed block produces it anew
+        assert _kinds(core.replay("c")) == ["hello", "open", "call", "invoke"]
+        assert core.stale_replies == 0
+        assert core.classify({"kind": "result", "value": 1}) == (1, None)
+        # ... and dies again after it was consumed: now its twin is stale
+        assert _kinds(core.replay("c")) == ["hello", "open", "call", "invoke"]
+        assert core.stale_replies == 1
+        assert core.classify({"kind": "result", "value": 1}) is None
+        assert core.replies_seen == 1
+
+    def test_an_abandoned_reply_is_not_the_next_blocks(self, core):
+        core.open_block(0, None)
+        _read(core, carries_sync=True)  # issued, never waited for
+        assert (core.unread, core.stale_replies) == (1, 0)
+        core.end()  # ... so it is abandoned with its block
+        assert (core.unread, core.abandoned, core.stale_replies) == (0, 1, 1)
+        core.open_block(1, None)  # the same cached connection
+        _read(core, carries_sync=True)
+        assert core.classify({"kind": "result", "value": "block 0"}) is None
+        assert core.classify({"kind": "result", "value": "block 1"}) == ("block 1", None)
+        assert (core.stale_replies, core.replies_seen, core.unread) == (0, 1, 0)
+
+    def test_a_failover_at_the_end_frame_owes_the_abandoned_reply_again(self, core, link):
+        core.open_block(0, None)
+        _read(core, carries_sync=True)
+        link._restore_handler(_RecordingWorker(), "h")  # someone else's failover: still open
+        core.end()        # journaled after it; the dead worker is noticed as it is sent
+        core.replay("c")  # so this client replays the block, which regenerates the reply
+        assert core.stale_replies == 1  # re-derived, not stacked on the debt end() booked
+        core.open_block(1, None)
+        _read(core, carries_sync=True)
+        assert core.classify({"kind": "result", "value": "block 0"}) is None
+        assert core.classify({"kind": "result", "value": "block 1"}) == ("block 1", None)
+
+    def test_an_abandoned_reply_that_died_with_its_worker_is_not_owed(self, core, link):
+        core.open_block(0, None)
+        _read(core, carries_sync=True)
+        core.end()  # journaled: the failover this send runs into pre-files the block
+        worker = _RecordingWorker()
+        link._restore_handler(worker, "h")
+        assert [_kinds(frames) for _, frames in worker.ops[-1]["blocks"]] == [["invoke", "end"]]
+        assert _kinds(core.replay("c")) == ["hello"]
+        # the restored block's replies go nowhere: nothing to discard
+        assert (core.stale_replies, core.unread) == (0, 0)
+        core.open_block(1, None)
+        _read(core, carries_sync=True)
+        assert core.classify({"kind": "result", "value": "block 1"}) == ("block 1", None)
+
+
 class TestFailover:
     def test_replay_after_k_consumed_replies(self, core, link):
         core.open_block(ticket=4, block_id=9)
@@ -361,6 +449,7 @@ def _run_block(level: str, coroutine: bool) -> dict:
                 acc.credit(2)
                 seen["second"] = acc.read()
                 seen["third"] = acc.read()
+                _observe_wire(rt.client().queue_for(ref.handler))
 
         async def coroutine_client() -> None:
             async with rt.aclient().separate(ref) as acc:
@@ -371,6 +460,11 @@ def _run_block(level: str, coroutine: bool) -> dict:
                 await acc.credit(2)
                 seen["second"] = await acc.read()
                 seen["third"] = await acc.read()
+                _observe_wire(rt.aclient()._client.queue_for(ref.handler))
+
+        def _observe_wire(queue) -> None:
+            seen["replies"] = queue.core.replies_seen
+            seen["journal"] = _kinds(backend.journal_for("acct", queue.core.ticket))
 
         rt.client(coroutine_client if coroutine else thread_client)
         rt.join_clients()
@@ -382,14 +476,18 @@ def _run_block(level: str, coroutine: bool) -> dict:
 class TestBothDriversAgainstARealWorker:
     @pytest.mark.parametrize("level", ["all", "qoq"])
     def test_identical_results_and_counter_snapshots(self, level):
-        # "all": client-executed queries (sync + invoke, third read coalesced);
-        # "qoq": packaged queries through the result box
+        # "all": client-executed queries (the first two ride their own sync,
+        # the third finds the handler parked); "qoq": packaged queries
         blocking = _run_block(level, coroutine=False)
         continuation = _run_block(level, coroutine=True)
         assert blocking.pop("driver") is ProcessPrivateQueue
         assert continuation.pop("driver") is AsyncProcessPrivateQueue
         assert (blocking["first"], blocking["second"], blocking["third"]) == (40, 42, 42)
         assert continuation == blocking
+        # one reply per query, synced or not, and no sync frame on the wire
+        assert blocking["replies"] == 3
+        body = "invoke" if level == "all" else "query"
+        assert blocking["journal"] == ["call"] * _BURST + [body, "call", body, body]
         counters = blocking["counters"]
         assert counters["calls_executed"] >= _BURST + 1
         assert counters["wire_frames_coalesced"] >= 31
