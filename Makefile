@@ -60,8 +60,8 @@ async-smoke:
 	REPRO_BACKEND=async:2 $(PYTHON) -m pytest -q tests/test_backends.py
 	$(PYTHON) examples/async_fan_in.py --clients 500 --handlers 2
 
-# the hybrid backend end to end (mirrors CI hybrid-smoke): parity, dedicated
-# and lifecycle suites under the composite spec and the fan-in example with
+# process+async end to end (mirrors CI hybrid-smoke): parity, coroutine-client
+# and lifecycle suites under a process+async spec and the fan-in example with
 # coroutine clients against process workers
 hybrid-smoke:
 	REPRO_BACKEND=process+async:2:2 $(PYTHON) -m pytest -q tests/test_backends.py \

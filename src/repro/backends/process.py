@@ -45,13 +45,15 @@ Division of labour:
   report carries the final ones; the parent folds the deltas into the
   runtime's :class:`~repro.util.counters.Counters`, so ``rt.stats()`` shows
   ``calls_executed`` et al. exactly as the in-memory backends do.
-* **the failover journal is a window, not a log**: every data frame is
-  journaled before it is sent, and the same replies carry the worker's
-  periodic *checkpoints* (a pickle of the handler's objects, counters and
-  failures, taken between two blocks); the parent keeps the newest and
-  drops the journal up to its ticket, so a dead worker's handler is
-  restored from the last checkpoint plus the tail — bounded memory,
-  bounded recovery time.
+* **a dead worker is a stall, not a loss**: every data frame is journaled
+  before it is sent, and the same replies carry the worker's periodic
+  *checkpoints* (a pickle of the handler's objects, counters and failures,
+  taken between two blocks).  One sans-IO
+  :class:`~repro.queues.wire_queue.HandlerJournal` per handler keeps the
+  newest checkpoint and only the blocks above its ticket, so a dead
+  worker's handler is restored on a replacement from the last checkpoint
+  plus the tail — bounded memory, bounded recovery time.  This backend has
+  no fail-stop mode.
 
 What travels is *described requests* (``feature``/``args``/``kwargs``), not
 code — the codec decides fidelity: ``pickle`` (the default; both ends are
@@ -72,7 +74,6 @@ not recorded in the parent's tracer.
 from __future__ import annotations
 
 import asyncio
-import base64
 import itertools
 import json
 import os
@@ -88,13 +89,17 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 from repro.backends.async_ import LoopPool
 from repro.backends.base import ExecutionBackend, ThreadClients
 from repro.errors import ScoopError
-from repro.queues.codec import CODECS, get_codec
+from repro.queues.codec import get_codec
 from repro.queues.private_queue import ResultBox, SyncRequest
 from repro.queues.socket_queue import AsyncFrameStream, FrameStream, SocketQueueClosed
-from repro.queues.wire_queue import RemoteHandle, WireQueueCore
+from repro.queues.wire_queue import HandlerJournal, RemoteHandle, WireQueueCore
 
 #: worker bootstrap, kept import-only so no parent state is assumed
 _WORKER_CMD = "from repro.backends.process_worker import main; main()"
+
+#: how long a thread client waits for one sync/query reply before raising —
+#: the process-backend analogue of a hung handler (tests lower it)
+REPLY_TIMEOUT = 300.0
 
 
 class RemoteHandlerError(ScoopError):
@@ -231,7 +236,7 @@ class _WireQueue:
         self.backend = backend
         self.handler = handler
         self.worker = worker
-        self.core = WireQueueCore(backend, handler, counters)
+        self.core = WireQueueCore(backend, handler, counters, backend.journal(handler.name))
         self.synced = False
         self.client_name: Optional[str] = None
         self.closed_by_client = False
@@ -327,8 +332,6 @@ class ProcessPrivateQueue(_WireQueue):
             if flush:
                 self._sent(stream, stream.flush())
         except (OSError, SocketQueueClosed):
-            if not self.backend.failover:
-                raise
             self._failover_reconnect()
 
     def _sent(self, stream: FrameStream, flushed: int) -> None:
@@ -378,20 +381,16 @@ class ProcessPrivateQueue(_WireQueue):
     def _await_reply(self, what: str) -> Tuple[Any, Optional[BaseException]]:
         while True:
             try:
-                reply = self._stream.recv(timeout=self.backend.reply_timeout)
+                reply = self._stream.recv(timeout=REPLY_TIMEOUT)
             except (SocketQueueClosed, OSError):
-                if self.backend.failover:
-                    # the worker died with our reply: fail over and let the
-                    # replayed block regenerate it (minus the stale ones)
-                    self._failover_reconnect()
-                    continue
-                raise ScoopError(
-                    f"handler process for {self.handler.name!r} closed the connection "
-                    f"while a {what} reply was pending") from None
+                # the worker died with our reply: fail over and let the
+                # replayed block regenerate it (minus the stale ones)
+                self._failover_reconnect()
+                continue
             if reply is None:
                 raise ScoopError(
                     f"no {what} reply from handler {self.handler.name!r} within "
-                    f"{self.backend.reply_timeout}s")
+                    f"{REPLY_TIMEOUT}s")
             outcome = self.core.classify(reply)
             if outcome is not None:
                 return outcome
@@ -585,7 +584,7 @@ class AsyncProcessPrivateQueue(_WireQueue):
         never both, never neither.
         """
         backend = self.backend
-        if backend._shutting_down or not backend.failover:
+        if backend._shutting_down:
             self._fail_waiting(ScoopError(
                 f"handler process for {self.handler.name!r} closed the "
                 f"connection while a coroutine client was attached"))
@@ -619,20 +618,6 @@ class ProcessBackend(ExecutionBackend):
         Wire codec for request/reply payloads: ``"pickle"`` (default; full
         argument fidelity between same-trust processes), ``"bin"`` or
         ``"json"``.
-    reply_timeout:
-        Upper bound on waiting for a sync/query reply before raising — the
-        process-backend analogue of a hung handler.
-    failover:
-        When ``True`` (default), a worker process that dies mid-run is
-        detected on its broken connections and its handlers are re-pinned
-        onto surviving (or fresh) workers: each handler is restored from the
-        last checkpoint its worker shipped (before the first: from the
-        adopt-time snapshots of its objects) and the blocks above it are
-        replayed from the parent's frame journal in ticket order, so clients
-        observe at most a stall — never a dropped or reordered request.
-        Every checkpoint truncates the journal.  ``False`` restores
-        the old fail-stop behaviour (a dead worker raises
-        :class:`~repro.errors.ScoopError` at the first affected client).
     loops:
         Number of client event loops (``nloops`` in the selection spec).
         ``0`` (default): clients are threads, the backend is ``"process"``.
@@ -640,18 +625,23 @@ class ProcessBackend(ExecutionBackend):
         are spread round-robin across that many loops, so reply decoding
         and continuation dispatch parallelise over real threads while the
         handler bodies run on worker cores; thread clients still work.
+
+    A worker process that dies mid-run is detected on its broken connections
+    and its handlers are re-pinned onto surviving (or fresh) workers: each
+    handler is restored from the last checkpoint its worker shipped (before
+    the first: from the adopt-time snapshots of its objects) and the blocks
+    above it are replayed from its :class:`HandlerJournal` in ticket order,
+    so clients observe at most a stall — never a dropped or reordered
+    request.
     """
 
     def __init__(self, processes: Optional[int] = None, codec: str = "pickle",
-                 reply_timeout: float = 300.0, failover: bool = True,
                  loops: int = 0) -> None:
         if processes is not None and processes < 1:
             raise ValueError("processes must be >= 1")
         self.runtime: Any = None
         self.processes = processes
         self.codec = get_codec(codec).name
-        self.reply_timeout = reply_timeout
-        self.failover = failover
         self.nloops = loops
         self.name = "process+async" if loops else "process"
         self._bind_clients(LoopPool(loops) if loops else ThreadClients())
@@ -669,14 +659,8 @@ class ProcessBackend(ExecutionBackend):
         self._oid_seq = itertools.count(1)
         self._counters_seen: Dict[str, Dict[str, int]] = {}
         self._counters_lock = threading.Lock()
-        # failover state, all under _journal_lock: each handler's newest
-        # checkpoint ({"ticket", "oids", "state"}), the adopt-time snapshots
-        # of objects no checkpoint covers yet, and the per-(handler, ticket)
-        # frame journal of the blocks above the checkpoint's ticket
-        self._checkpoints: Dict[str, Dict[str, Any]] = {}
-        self._hosted: Dict[str, Dict[int, bytes]] = {}
-        self._journal: Dict[str, Dict[int, Dict[str, Any]]] = {}
-        self._journal_lock = threading.Lock()
+        #: each handler's failover replay window (each with its own lock)
+        self._journals: Dict[str, HandlerJournal] = {}
         #: loop-affinity hints recorded for shard replicas (describe_placement)
         self._loop_hint: Dict[str, int] = {}
 
@@ -715,7 +699,6 @@ class ProcessBackend(ExecutionBackend):
         env["REPRO_PROCESS_WORKER"] = json.dumps({
             "host": "127.0.0.1", "port": listener.getsockname()[1],
             "token": self.token, "codec": self.codec, "main_path": main_path,
-            "failover": self.failover,
         })
         proc = subprocess.Popen([sys.executable, "-c", _WORKER_CMD], env=env)
         listener.settimeout(30.0)
@@ -756,78 +739,19 @@ class ProcessBackend(ExecutionBackend):
             self._streams.discard(stream)
 
     # ------------------------------------------------------------------
-    # failover: journal + checkpoint + re-pin + restore
+    # failover: re-pin + restore from the handler's journal
     # ------------------------------------------------------------------
-    def journal_frame(self, handler_name: str, ticket: Optional[int],
-                      payload: Dict[str, Any]) -> None:
-        """Record one data frame so a replacement worker can replay it."""
-        if not self.failover or ticket is None:
-            return
-        with self._journal_lock:
-            blocks = self._journal.get(handler_name)
-            if blocks is None:
-                blocks = self._journal[handler_name] = {}
-            entry = blocks.get(ticket)
-            if entry is None:
-                entry = blocks[ticket] = {"frames": [], "ended": False, "restored": False}
-            entry["frames"].append(payload)
-            if payload.get("kind") == "end":
-                entry["ended"] = True
-
-    def checkpoint(self, handler: Any, checkpoint: Dict[str, Any]) -> None:
-        """Store a handler snapshot a reply carried; truncate the journal.
-
-        The worker took it between two blocks: its state holds the effects
-        of exactly the blocks up to ``ticket``, so those blocks' frames are
-        never needed again, nor are the adopt-time snapshots of the objects
-        it covers.  Replies on different connections are processed in any
-        order; an older checkpoint than the one in force is ignored.
-        """
-        ticket = int(checkpoint["ticket"])
-        state = checkpoint["state"]
-        if not CODECS[self.codec].faithful:  # it cannot carry bytes either
-            state = base64.b64decode(state)
-        dropped = 0
-        with self._journal_lock:
-            current = self._checkpoints.get(handler.name)
-            if current is not None and ticket <= current["ticket"]:
-                return
-            oids = frozenset(checkpoint["oids"])
-            self._checkpoints[handler.name] = {"ticket": ticket, "oids": oids, "state": state}
-            hosted = self._hosted.get(handler.name, {})
-            for oid in oids.intersection(hosted):
-                del hosted[oid]
-            blocks = self._journal.get(handler.name, {})
-            for served in [t for t in blocks if t <= ticket]:
-                dropped += len(blocks.pop(served)["frames"])
-        handler.counters.bump("journal_checkpoints")
-        handler.counters.add("journal_frames_dropped", dropped)
-
-    def journal_for(self, handler_name: str,
-                    ticket: Optional[int]) -> Optional[List[Dict[str, Any]]]:
-        """The frames its client must replay for one block, in send order.
-
-        ``None`` when there is nothing for the client to replay: no block
-        was ever opened, or the block is part of the state a replacement is
-        restored to — at or below the checkpoint's ticket, or ended when its
-        worker was failed over and pre-filed by :meth:`_restore_handler`.
-        """
-        if ticket is None:
-            return None
-        with self._journal_lock:
-            checkpoint = self._checkpoints.get(handler_name)
-            if checkpoint is not None and ticket <= checkpoint["ticket"]:
-                return None
-            entry = self._journal.get(handler_name, {}).get(ticket)
-            if entry is None:
-                return []
-            return None if entry["restored"] else list(entry["frames"])
+    def journal(self, handler_name: str) -> HandlerJournal:
+        """The failover journal of ``handler_name`` (created on first use)."""
+        journal = self._journals.get(handler_name)
+        if journal is None:
+            journal = self._journals.setdefault(handler_name, HandlerJournal())
+        return journal
 
     def journal_size(self) -> Tuple[int, int]:
-        """``(blocks, frames)`` the journal holds now, over all handlers."""
-        with self._journal_lock:
-            entries = [entry for blocks in self._journal.values() for entry in blocks.values()]
-            return len(entries), sum(len(entry["frames"]) for entry in entries)
+        """``(blocks, frames)`` the journals hold now, over all handlers."""
+        sizes = [journal.size() for journal in list(self._journals.values())]
+        return sum(blocks for blocks, _ in sizes), sum(frames for _, frames in sizes)
 
     def worker_failed(self, dead: _WorkerProcess) -> None:
         """Re-pin a dead worker's handlers onto survivors (idempotent).
@@ -869,35 +793,20 @@ class ProcessBackend(ExecutionBackend):
     def _restore_handler(self, target: _WorkerProcess, name: str) -> None:
         """Rebuild one orphaned handler on ``target`` (caller holds _lock).
 
-        Last checkpoint plus tail: the handler is created from the newest
-        checkpoint (its drain starts right above that ticket), objects
-        adopted since are hosted from their adopt-time snapshots, and the
-        ended blocks above the ticket are pre-filed for re-execution.
+        The I/O half of :meth:`HandlerJournal.take_restore`: the handler is
+        created from the newest checkpoint (its drain starts right above
+        that ticket), objects adopted since are hosted from their adopt-time
+        pickles, and the ended blocks above the ticket are pre-filed for
+        re-execution.  Both kinds of state travel as the bytes they were
+        pickled to; only the worker unpickles them.
         """
-        with self._journal_lock:
-            checkpoint = self._checkpoints.get(name)
-            covered = checkpoint["oids"] if checkpoint else frozenset()
-            watermark = checkpoint["ticket"] if checkpoint else -1
-            # an adopt blob stored after a checkpoint that already covers its
-            # object (the worker hosts before the parent records) is stale
-            snapshots = sorted((oid, blob) for oid, blob in self._hosted.get(name, {}).items()
-                               if oid not in covered)
-            blocks = []
-            for ticket, entry in sorted(self._journal.get(name, {}).items()):
-                if entry["ended"] and ticket > watermark:
-                    blocks.append((ticket, list(entry["frames"])))
-                    entry["restored"] = True  # its client must not replay it too
+        checkpoint, adopted, blocks = self.journal(name).take_restore()
         op: Dict[str, Any] = {"op": "handler", "name": name}
         if checkpoint:
-            # the state travels as the bytes the dead worker pickled
-            op["checkpoint"] = {"ticket": watermark, "state": checkpoint["state"]}
+            op["checkpoint"] = {"ticket": checkpoint["ticket"], "state": checkpoint["state"]}
         target.request(op)
-        for oid, blob in snapshots:
-            target.request({"op": "host", "handler": name, "oid": oid,
-                            "obj": pickle.loads(blob)})
-        # only *ended* blocks are pre-filed: an in-flight block is replayed
-        # by its owning client over its reconnected queue, which alone knows
-        # whether more frames are coming
+        for oid, blob in adopted:
+            target.request({"op": "host", "handler": name, "oid": oid, "obj": blob})
         if blocks:
             target.request({"op": "restore", "handler": name, "blocks": blocks})
 
@@ -944,7 +853,7 @@ class ProcessBackend(ExecutionBackend):
         try:
             return worker.request(op)
         except ScoopError:
-            if not self.failover or worker.proc.poll() is None:
+            if worker.proc.poll() is None:
                 raise
             self.worker_failed(worker)
             return self._worker_for(handler_name).request(op)
@@ -972,20 +881,17 @@ class ProcessBackend(ExecutionBackend):
     def adopt_object(self, handler: Any, obj: Any) -> Any:
         oid = next(self._oid_seq)
         try:
-            self._control_request(
-                handler.name, {"op": "host", "handler": handler.name, "oid": oid, "obj": obj})
-        except ScoopError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - unpicklable object, most likely
+            blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # noqa: BLE001 - whatever pickle refuses with
             raise ScoopError(
                 f"cannot host {type(obj).__name__} in handler process "
                 f"{handler.name!r}: {exc!r} (objects must be picklable, with an "
                 f"importable, module-level class)") from exc
-        if self.failover:
-            # adopt-time snapshot: what a replacement worker restores until a
-            # checkpoint covers the object (hosting just proved obj pickles)
-            with self._journal_lock:
-                self._hosted.setdefault(handler.name, {})[oid] = pickle.dumps(obj)
+        self._control_request(
+            handler.name, {"op": "host", "handler": handler.name, "oid": oid, "obj": blob})
+        # the same bytes are what a replacement worker hosts until a
+        # checkpoint covers the object
+        self.journal(handler.name).adopted(oid, blob)
         return RemoteHandle(handler.name, oid, type(obj))
 
     def describe_placement(self, names: List[str]) -> Dict[str, str]:
@@ -1059,10 +965,7 @@ class ProcessBackend(ExecutionBackend):
             self._assignment.clear()
         with self._streams_lock:
             streams, self._streams = self._streams, set()
-        with self._journal_lock:
-            self._checkpoints.clear()
-            self._hosted.clear()
-            self._journal.clear()
+        self._journals.clear()
         for stream in streams:
             stream.close()
         for worker in workers:

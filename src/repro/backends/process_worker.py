@@ -21,22 +21,22 @@ connection; every reply piggybacks the non-zero worker-local counters so
 the parent can fold handler-side work (``calls_executed``) into the
 runtime's totals without an extra channel.
 
-The same replies carry **checkpoints** when the backend runs with failover:
-every so many served frames the drain thread pickles everything the handler
-would lose with this process (hosted objects, counters, recorded failures)
-*between two blocks*, tagged with the ticket of the last block served.  The
-parent keeps the newest one and drops its frame journal up to that ticket;
-a replacement worker is created from it (``handler`` op) and re-executes
-only the blocks above it.
+The same replies carry **checkpoints**: every so many served frames the
+drain thread pickles everything the handler would lose with this process
+(hosted objects, counters, recorded failures) *between two blocks*, tagged
+with the ticket of the last block served.  The parent's journal for the
+handler keeps the newest one and drops its frames up to that ticket; a
+replacement worker is created from it (``handler`` op) and re-executes only
+the blocks above it.
 
 The worker is started as ``python -c "from repro.backends.process_worker
 import main; main()"`` with a JSON spec in the ``REPRO_PROCESS_WORKER``
 environment variable; it connects back to the parent's control listener,
 reports the data port it chose, and then obeys control ops (``handler``,
 ``host``, ``restore``, ``close``, ``exit``).  The control channel always
-speaks pickle (it ships live objects at ``host`` time and a checkpoint's
-state with a restoring ``handler`` op); data connections use the codec the
-backend was configured with.
+speaks pickle; hosted objects and a checkpoint's state travel on it as the
+bytes the parent or a dead worker pickled them to, and are unpickled here.
+Data connections use the codec the backend was configured with.
 """
 
 from __future__ import annotations
@@ -102,14 +102,13 @@ class _NullStream:
 class HandlerServer:
     """One handler transplanted into this process: objects + ticketed drain.
 
-    ``checkpointing`` turns the periodic snapshots on (the backend runs
-    with failover); ``text_state`` ships them base64-encoded, for a reply
+    ``text_state`` ships its periodic snapshots base64-encoded, for a reply
     codec that cannot carry ``bytes``.  ``restored_from`` is the checkpoint
     of a dead worker's handler to continue from: its objects, counters and
     failures, with the ticket-ordered drain starting right above its ticket.
     """
 
-    def __init__(self, name: str, checkpointing: bool = False, text_state: bool = False,
+    def __init__(self, name: str, text_state: bool = False,
                  restored_from: Optional[Dict[str, Any]] = None) -> None:
         self.name = name
         self.targets: Dict[int, Any] = {}
@@ -121,7 +120,6 @@ class HandlerServer:
         self._blocks: Dict[int, _Block] = {}
         self._expected = 0
         self._tickets_total: Optional[int] = None
-        self._checkpointing = checkpointing
         self._text_state = text_state
         #: frames served since the last checkpoint, and how many trigger one
         self._served = 0
@@ -240,7 +238,7 @@ class HandlerServer:
                             stall_started = None
             self._served += self._serve(block)
             self._expected += 1
-            if self._checkpointing and self._served >= self._threshold:
+            if self._served >= self._threshold:
                 self._take_checkpoint()
 
     def _take_checkpoint(self) -> None:
@@ -363,11 +361,9 @@ class HandlerServer:
 class Worker:
     """A worker process: accepts data connections, obeys control ops."""
 
-    def __init__(self, token: str, codec: str, failover: bool = False) -> None:
+    def __init__(self, token: str, codec: str) -> None:
         self.token = token
         self.codec = codec
-        #: handlers checkpoint only for a parent that keeps a failover journal
-        self.failover = failover
         self.servers: Dict[str, HandlerServer] = {}
 
     # -- data connections ----------------------------------------------------
@@ -400,7 +396,7 @@ class Worker:
                 op = ctrl.recv(None)
             except (SocketQueueClosed, OSError):
                 return  # parent died: exit with it
-            except Exception as exc:  # noqa: BLE001 - e.g. an unpicklable host op
+            except Exception as exc:  # noqa: BLE001 - a frame that does not decode
                 # the frame was consumed whole, so the stream is still in
                 # sync; report the decode failure instead of dying silently
                 ctrl.send({"ok": False, "error": repr(exc),
@@ -425,12 +421,11 @@ class Worker:
             # worker already serves (replacing it would discard restored state)
             if op["name"] not in self.servers:
                 self.servers[op["name"]] = HandlerServer(
-                    op["name"], checkpointing=self.failover,
-                    text_state=not CODECS[self.codec].faithful,
+                    op["name"], text_state=not CODECS[self.codec].faithful,
                     restored_from=op.get("checkpoint"))
             return {"ok": True}
         if name == "host":
-            self.servers[op["handler"]].host(int(op["oid"]), op["obj"])
+            self.servers[op["handler"]].host(int(op["oid"]), pickle.loads(op["obj"]))
             return {"ok": True}
         if name == "restore":
             self.servers[op["handler"]].restore(op.get("blocks") or [])
@@ -488,8 +483,7 @@ def main() -> None:
     ctrl.send({"op": "ready", "token": spec["token"],
                "port": listener.getsockname()[1], "pid": os.getpid()})
 
-    worker = Worker(spec["token"], spec.get("codec", "pickle"),
-                    bool(spec.get("failover", False)))
+    worker = Worker(spec["token"], spec.get("codec", "pickle"))
     threading.Thread(target=worker.accept_loop, args=(listener,), daemon=True).start()
     worker.control_loop(ctrl, listener)
 

@@ -19,8 +19,9 @@ machines.  This module is the byte-stream half of that:
   of a frame *never* desyncs the stream: the bytes already received wait in
   the buffer and the next read resumes where the last one stopped.  Small
   frames can be *coalesced*: ``feed`` buffers encoded frames and ``flush``
-  ships them in one ``sendall`` (one syscall for a burst of calls), and
-  ``recv_many`` decodes every complete frame a single buffer fill yields.
+  ships them in one ``sendall`` (one syscall for a burst of calls); on the
+  receiving side one buffer fill can hold a whole burst, and the ``recv``
+  calls that follow decode it without another syscall.
 * :class:`AsyncFrameStream` is the asyncio binding over the same core:
   ``feed``/``flush``/``send`` are non-blocking (bursts land in the
   transport's write buffer, or in a pre-connection outbox that the
@@ -44,7 +45,7 @@ import socket
 import struct
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ScoopError
 from repro.queues.codec import Codec, get_codec
@@ -296,28 +297,6 @@ class FrameStream:
                 return frame
             if not self._fill(self._core.needed_bytes(), timeout, deadline):
                 return None
-
-    def recv_many(self, timeout: Optional[float] = None,
-                  max_frames: Optional[int] = None) -> List[Dict[str, Any]]:
-        """Receive at least one frame, plus every further *complete* frame
-        already buffered — without extra syscalls.
-
-        This is the receive half of coalescing: one kernel read may carry a
-        whole burst of small frames, and draining them all at once means one
-        wakeup per burst instead of one per frame.  Returns ``[]`` on
-        timeout; raises :class:`SocketQueueClosed` on EOF (only when no
-        complete frame was decoded first — decoded frames are never lost).
-        """
-        first = self.recv(timeout=timeout)
-        if first is None:
-            return []
-        frames = [first]
-        while max_frames is None or len(frames) < max_frames:
-            buffered = self._core.pop_frame()  # no syscall
-            if buffered is None:
-                break
-            frames.append(buffered)
-        return frames
 
     def _fill(self, missing: int, timeout: Optional[float], deadline: Optional[float]) -> bool:
         """Read at least ``missing`` more bytes; False on timeout.

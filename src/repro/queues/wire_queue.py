@@ -23,11 +23,16 @@ blocking one ("issue, flush, ``recv``, classify") over a
 :class:`~repro.queues.socket_queue.AsyncFrameStream`.  Both hold a core, so
 the wire format, the counters and the failover arithmetic cannot drift
 between thread clients and coroutine clients.
+
+The other sans-IO half of failover is :class:`HandlerJournal`, one per
+handler: the replay window every core of that handler writes into.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import base64
+import threading
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ScoopError
 from repro.queues.codec import CODECS
@@ -63,26 +68,121 @@ class RemoteHandle:
         return f"<RemoteHandle {self._scoop_class.__name__}#{self.oid} @ {self.handler_name}>"
 
 
+class HandlerJournal:
+    """One handler's failover replay window; does no I/O, has its own lock.
+
+    Holds what a replacement worker is built from: the newest checkpoint a
+    reply carried (``{"ticket", "oids", "state"}``; its ticket is the
+    *watermark*), the adopt-time pickles of objects it does not cover, and
+    the data frames of every block above the watermark, by ticket.  Blocks
+    at or below it are in the checkpoint's state and are never kept.  Every
+    wire queue to the handler appends, replies on any of them install
+    checkpoints, and a failover takes the restore — hence the lock.
+    """
+
+    __slots__ = ("_lock", "_checkpoint", "_watermark", "_adopted", "_blocks", "_restored")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._checkpoint: Optional[Dict[str, Any]] = None
+        self._watermark = -1
+        self._adopted: Dict[int, bytes] = {}
+        self._blocks: Dict[int, List[Frame]] = {}
+        #: tickets pre-filed on a replacement worker: their clients must not replay them
+        self._restored: Set[int] = set()
+
+    def append(self, ticket: Optional[int], frame: Frame) -> None:
+        """Record one data frame of block ``ticket`` (before it is sent)."""
+        with self._lock:
+            if ticket is not None and ticket > self._watermark:
+                self._blocks.setdefault(ticket, []).append(frame)
+
+    def adopted(self, oid: int, blob: bytes) -> None:
+        """Keep an object's adopt-time pickle until a checkpoint covers it."""
+        with self._lock:
+            # the worker hosts before the parent records: a checkpoint that
+            # covers the object may already be here
+            if self._checkpoint is None or oid not in self._checkpoint["oids"]:
+                self._adopted[oid] = blob
+
+    def checkpoint(self, ticket: int, oids: Iterable[int], state: bytes) -> Optional[int]:
+        """Install a snapshot taken after block ``ticket``; drop what it covers.
+
+        Returns how many journaled frames it dropped, or ``None`` when a
+        newer checkpoint is in force (replies on different connections are
+        processed in any order).
+        """
+        covered = frozenset(oids)
+        with self._lock:
+            if ticket <= self._watermark:
+                return None
+            self._checkpoint = {"ticket": ticket, "oids": covered, "state": state}
+            self._watermark = ticket
+            for oid in covered.intersection(self._adopted):
+                del self._adopted[oid]
+            self._restored = {t for t in self._restored if t > ticket}
+            served = [t for t in self._blocks if t <= ticket]
+            return sum(len(self._blocks.pop(t)) for t in served)
+
+    def tail(self, ticket: Optional[int]) -> Optional[List[Frame]]:
+        """The frames block ``ticket``'s client replays, in send order.
+
+        ``None`` when there is nothing for the client to replay: no block
+        was ever opened, or the block is in the state a replacement is
+        restored to — at or below the watermark, or pre-filed by
+        :meth:`take_restore`.
+        """
+        with self._lock:
+            if ticket is None or ticket <= self._watermark or ticket in self._restored:
+                return None
+            return list(self._blocks.get(ticket, ()))
+
+    def take_restore(self) -> Tuple[Optional[Dict[str, Any]], List[Tuple[int, bytes]],
+                                    List[Tuple[int, List[Frame]]]]:
+        """``(checkpoint, adopted, blocks)`` for a replacement worker.
+
+        The newest checkpoint (or ``None``), the ``(oid, pickle)`` pairs it
+        does not cover, and the ``(ticket, frames)`` of every *ended* block
+        above it in ticket order — marked restored, so their clients do not
+        replay them too.  An open block is replayed by its own client, which
+        alone knows whether more frames are coming.
+        """
+        with self._lock:
+            blocks = [(t, list(frames)) for t, frames in sorted(self._blocks.items())
+                      if frames[-1]["kind"] == "end"]
+            self._restored.update(t for t, _ in blocks)
+            return self._checkpoint, sorted(self._adopted.items()), blocks
+
+    def size(self) -> Tuple[int, int]:
+        """``(blocks, frames)`` held now."""
+        with self._lock:
+            return len(self._blocks), sum(map(len, self._blocks.values()))
+
+
 class WireQueueCore:
     """Protocol state of one (client, handler) wire queue; does no I/O.
 
     ``link`` is where the queue's surroundings live (the process backend):
-    ``token`` and ``codec`` for the hello frame and the fidelity checks,
-    ``journal_frame`` / ``journal_for`` for the failover journal, and
-    ``merge_worker_counters`` / ``checkpoint`` for the counter and handler
-    snapshots replies piggyback.  The
-    core hands frames out (every ``call`` / ``sync`` / ``query`` / ``end``
-    / ``invoke`` returns the frames to put on the wire, in order) and takes
-    replies in (:meth:`classify`).
+    ``token`` and ``codec`` for the hello frame, the fidelity checks and the
+    checkpoint encoding, and ``merge_worker_counters`` for the counter
+    snapshots replies piggyback.  ``journal`` is the handler's
+    :class:`HandlerJournal`: every data frame goes into it before it is
+    handed out, every checkpoint a reply carries is installed there, and a
+    replay reads the block's tail from it.  The core hands frames out
+    (every ``call`` / ``sync`` / ``query`` / ``end`` / ``invoke`` returns the
+    frames to put on the wire, in order) and takes replies in
+    (:meth:`classify`).
     """
 
-    __slots__ = ("link", "handler", "counters", "ticket", "block_id", "_open_pending",
-                 "replies_seen", "unread", "abandoned", "stale_replies")
+    __slots__ = ("link", "handler", "counters", "journal", "ticket", "block_id",
+                 "_open_pending", "replies_seen", "unread", "abandoned", "stale_replies")
 
-    def __init__(self, link: Any, handler: Any, counters: Any) -> None:
+    def __init__(self, link: Any, handler: Any, counters: Any,
+                 journal: HandlerJournal) -> None:
         self.link = link
         self.handler = handler
         self.counters = counters
+        self.journal = journal
         #: the current block's ticket (kept past the deferred open, for replay)
         self.ticket: Optional[int] = None
         self.block_id: Optional[int] = None
@@ -131,7 +231,7 @@ class WireQueueCore:
         ``answered`` frames (``sync`` / ``query`` / ``invoke``) are owed one
         reply each.
         """
-        self.link.journal_frame(self.handler.name, self.ticket, payload)
+        self.journal.append(self.ticket, payload)
         if answered:
             self.unread += 1
         if self._open_pending:
@@ -226,7 +326,7 @@ class WireQueueCore:
         checkpoint = reply.get("checkpoint")
         if checkpoint:
             # likewise: a handler snapshot is as good on a stale reply
-            self.link.checkpoint(self.handler, checkpoint)
+            self._install(checkpoint)
         if self.stale_replies > 0:
             self.stale_replies -= 1
             return None
@@ -239,6 +339,16 @@ class WireQueueCore:
         if not isinstance(error, BaseException):
             error = RemoteCallError(reply.get("message", "remote call failed"))
         return None, error
+
+    def _install(self, checkpoint: Frame) -> None:
+        """Hand a reply's handler snapshot to the journal, and count it."""
+        state = checkpoint["state"]
+        if not CODECS[self.link.codec].faithful:  # it cannot carry bytes either
+            state = base64.b64decode(state)
+        dropped = self.journal.checkpoint(int(checkpoint["ticket"]), checkpoint["oids"], state)
+        if dropped is not None:
+            self.handler.counters.bump("journal_checkpoints")
+            self.handler.counters.add("journal_frames_dropped", dropped)
 
     # -- failover ------------------------------------------------------------
     def replay(self, client_name: Optional[str]) -> List[Frame]:
@@ -256,7 +366,7 @@ class WireQueueCore:
         with it (hence ``=``), and a block that is not replayed is owed none.
         """
         frames = [self.hello(client_name)]
-        journaled = self.link.journal_for(self.handler.name, self.ticket)
+        journaled = self.journal.tail(self.ticket)
         if journaled is None:
             self.stale_replies = self.unread = 0
         else:

@@ -8,8 +8,7 @@ first one: from the adopt-time snapshots of its objects), and replays the
 frame journal above it in ticket order — so every client's request sequence
 completes without a drop or a reorder, and ``shard_failovers`` counts the
 re-pinned handlers.  The journal is a window: every checkpoint a reply
-carries truncates it.  With ``failover=False`` the backend keeps the old
-fail-stop behaviour.
+carries truncates it.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ import pytest
 
 from repro import QsRuntime, SeparateObject, command, query
 from repro.backends import ProcessBackend
+from repro.backends import process as process_backend
 from repro.backends.process_worker import CHECKPOINT_MIN_FRAMES
-from repro.errors import ScoopError
 
 
 class Ledger(SeparateObject):
@@ -147,7 +146,7 @@ class TestWorkerFailover:
                 assert led.dump() == {"k": [1, 2]}
             assert rt.stats()["shard_failovers"] == 1
 
-    def test_fire_and_forget_block_into_a_dead_worker_is_not_lost(self):
+    def test_fire_and_forget_block_into_a_dead_worker_is_not_lost(self, monkeypatch):
         """A coalesced block with no reply wait must not vanish silently.
 
         The whole block leaves in *one* sendall, and a sendall into a
@@ -156,7 +155,7 @@ class TestWorkerFailover:
         completes the block, nobody replays it, and its ticket becomes a
         gap that wedges the replacement's in-order drain forever."""
         backend = ProcessBackend(processes=2)
-        backend.reply_timeout = 30.0  # fail fast if the drain wedges
+        monkeypatch.setattr(process_backend, "REPLY_TIMEOUT", 30.0)  # fail fast if the drain wedges
         with QsRuntime("all", backend=backend) as rt:
             ref = rt.new_handler("ledger").create(Ledger)
             with rt.separate(ref) as led:
@@ -190,25 +189,6 @@ class TestWorkerFailover:
             stats = rt.stats()
             assert stats["shard_failovers"] >= 1
             assert stats["ring_epoch"] == 1
-
-    def test_failover_disabled_keeps_fail_stop(self):
-        backend = ProcessBackend(processes=1, failover=False)
-        rt = QsRuntime("all", backend=backend)
-        try:
-            ref = rt.new_handler("ledger").create(Ledger)
-            with rt.separate(ref) as led:
-                led.record("k", 1)
-            _kill_worker_of(backend, "ledger")
-            with pytest.raises((ScoopError, OSError)):
-                with rt.separate(ref) as led:
-                    led.record("k", 2)
-                    led.dump()
-            assert rt.stats()["shard_failovers"] == 0
-        finally:
-            try:
-                rt.shutdown(check_failures=False)
-            except (ScoopError, OSError):
-                pass  # fail-stop: the dead worker cannot answer the close
 
 
 class TestHybridWorkerFailover:
@@ -250,35 +230,6 @@ class TestHybridWorkerFailover:
                             f"client {client_id} reordered in {log}")
                         seen[client_id] = j
             assert rt.stats()["shard_failovers"] >= 1
-
-    def test_failover_disabled_poisons_the_coroutine_queue(self):
-        backend = ProcessBackend(processes=1, loops=1, failover=False)
-        rt = QsRuntime("all", backend=backend)
-        outcomes = []
-        try:
-            ref = rt.new_handler("ledger").create(Ledger)
-
-            async def writer() -> None:
-                async with rt.aclient().separate(ref) as led:
-                    await led.record("k", 1)
-                    assert await led.dump() == {"k": [1]}
-                _kill_worker_of(backend, "ledger")
-                try:
-                    async with rt.aclient().separate(ref) as led:
-                        await led.record("k", 2)
-                        await led.dump()
-                except (ScoopError, OSError) as exc:
-                    outcomes.append(type(exc).__name__)
-
-            rt.aclient(writer)
-            rt.join_clients()
-            assert outcomes, "the dead worker must surface as an error"
-            assert rt.stats()["shard_failovers"] == 0
-        finally:
-            try:
-                rt.shutdown(check_failures=False)
-            except (ScoopError, OSError):
-                pass  # fail-stop: the dead worker cannot answer the close
 
 
 #: lists shared by name inside one worker process (see ``Shared.join``)
@@ -397,12 +348,13 @@ class TestAQueryRidingItsSyncFailsOver:
         assert stats["shard_failovers"] == 1
 
     @pytest.mark.parametrize("loops", [0, 1], ids=["process", "process+async:1:1"])
-    def test_kill_under_a_running_body_whose_query_is_then_abandoned(self, loops):
+    def test_kill_under_a_running_body_whose_query_is_then_abandoned(self, loops, monkeypatch):
         # the block ends before anyone notices the dead worker, so the
         # failover pre-files it on the replacement and nothing is replayed to
         # this client: the abandoned reply died with the worker, and the next
         # block's own reply must not be discarded (or stolen) in its place
-        backend = ProcessBackend(processes=1, loops=loops, reply_timeout=10.0)
+        backend = ProcessBackend(processes=1, loops=loops)
+        monkeypatch.setattr(process_backend, "REPLY_TIMEOUT", 10.0)
         seen = {}
 
         with QsRuntime("all", backend=backend) as rt:

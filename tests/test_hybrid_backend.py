@@ -1,14 +1,15 @@
-"""Hybrid-backend specifics: coroutine fan-in over real process workers.
+"""Coroutine clients of the process backend: ``ProcessBackend(loops>=1)``.
 
 Backend *parity* (same programs, same observations, same counters as the
 other backends with thread clients) lives in ``tests/test_backends.py``;
-this file covers what the ``process+async`` composite adds on top: the
-awaitable client surface running against process-hosted handlers, counter
-parity between client styles *and* against the plain process backend
-(including the wire counters, which must not depend on who drives the
-socket), placement reporting (``worker:<pid>+loop:<i>``), query failure
-propagation through awaited result boxes, mixed client styles, fan-in
-scale, and the composite's guard rails.
+this file covers what client event loops add to the process backend (the
+``process+async`` configuration): the awaitable client surface running
+against process-hosted handlers, counter parity between client styles *and*
+against plain ``process`` (including the wire counters, which must not
+depend on who drives the socket), placement reporting
+(``worker:<pid>+loop:<i>``), query failure propagation through awaited
+result boxes, mixed client styles, fan-in scale, and the configuration's
+guard rails.
 """
 
 from __future__ import annotations

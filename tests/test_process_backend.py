@@ -10,6 +10,7 @@ exceptions, worker-process pooling, and the selection plumbing
 
 from __future__ import annotations
 
+import inspect
 import os
 import socket
 import subprocess
@@ -20,7 +21,7 @@ import pytest
 
 from repro import QsRuntime, SeparateObject, command, query
 from repro.backends import ProcessBackend
-from repro.backends.process import RemoteHandle, RemoteHandlerError
+from repro.backends.process import RemoteHandle, RemoteHandlerError, _WorkerProcess
 from repro.backends.process_worker import HandlerServer
 from repro.errors import QueryFailedError, ScoopError
 from repro.queues.codec import get_codec
@@ -99,6 +100,25 @@ class TestHosting:
             with rt.separate(ref) as b:
                 b.put(1)
                 assert b.get() == 1
+
+    def test_an_adopted_object_is_pickled_once_for_host_and_journal(self, monkeypatch):
+        ops = []
+        request = _WorkerProcess.request
+
+        def recording(worker, op, timeout=60.0):
+            ops.append(op)
+            return request(worker, op, timeout)
+
+        monkeypatch.setattr(_WorkerProcess, "request", recording)
+        with QsRuntime("all", backend="process") as rt:
+            ref = rt.new_handler("box").create(Box)
+            (host,) = [op for op in ops if op["op"] == "host"]
+            # the worker unpickles the bytes a replacement would be hosted from
+            assert isinstance(host["obj"], bytes)
+            assert rt.backend.journal("box").take_restore()[1] == [(host["oid"], host["obj"])]
+            with rt.separate(ref) as b:
+                b.put(7)
+                assert b.get() == 7
 
     def test_multiple_objects_per_handler(self):
         with QsRuntime("all", backend="process") as rt:
@@ -539,6 +559,11 @@ class TestSelection:
         with QsRuntime(QsConfig.all().with_(backend="process:1:json")) as rt:
             assert rt.backend.name == "process"
             assert rt.backend.codec == "json"
+
+    def test_the_constructor_takes_what_the_spec_grammar_can_express(self):
+        # failover is the only mode and the reply bound a module constant
+        assert list(inspect.signature(ProcessBackend).parameters) == [
+            "processes", "codec", "loops"]
 
     def test_runtime_event_is_a_thread_event(self):
         # clients stay threads of the parent under the process backend

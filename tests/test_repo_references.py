@@ -1,5 +1,6 @@
-"""Docs, Makefile and CI may only name benchmark files and make targets that exist."""
+"""Docs, Makefile and CI may only name files, tests and make targets that exist."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -13,10 +14,37 @@ SOURCES = [path for path in (
 
 BENCH_FILE = re.compile(r"\bbenchmarks/[\w*-]+(?:\.[\w*-]+)+")
 ROOT_JSON = re.compile(r"(?<![\w/])BENCH[\w*]*\.json")
+#: a test file, optionally with a node id: tests/test_x.py::TestClass::test_name
+TEST_NODE = re.compile(r"\btests/(\w+\.py)((?:::\w+)*)")
 #: a target counts as named when it sits in a code span or a Makefile header line
 MAKE_IN_CODE = re.compile(r"`[^`\n]*\bmake ([a-z][\w-]*)[^`\n]*`")
 MAKE_IN_HEADER = re.compile(r"^#\s+make ([a-z][\w-]*)", re.MULTILINE)
 TARGETS = set(re.findall(r"^([a-z][\w-]*):", (ROOT / "Makefile").read_text(), re.MULTILINE))
+
+
+def _defines(body, name: str):
+    """The ``class`` or ``def`` called ``name`` among ``body``'s statements."""
+    for node in body:
+        if (isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name == name):
+            return node
+    return None
+
+
+def _missing_test_nodes(text: str) -> list:
+    missing = []
+    for file_name, node_id in sorted(set(TEST_NODE.findall(text))):
+        path = ROOT / "tests" / file_name
+        if not path.exists():
+            missing.append(f"tests/{file_name}")
+            continue
+        scope = ast.parse(path.read_text())
+        for name in node_id.split("::")[1:]:
+            scope = _defines(scope.body, name)
+            if scope is None:
+                missing.append(f"tests/{file_name}{node_id}")
+                break
+    return missing
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
@@ -26,5 +54,6 @@ def test_named_files_and_targets_exist(source):
     named_targets = set(MAKE_IN_CODE.findall(text)) | set(MAKE_IN_HEADER.findall(text))
     # a name may be a family (benchmarks/bench_*.py): at least one file must match
     dangling = sorted(name for name in named_files if not any(ROOT.glob(name)))
+    dangling += _missing_test_nodes(text)
     dangling += sorted(f"make {name}" for name in named_targets - TARGETS)
     assert not dangling, f"{source.relative_to(ROOT)} names what does not exist: {dangling}"

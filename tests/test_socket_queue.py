@@ -213,7 +213,7 @@ class TestCodecs:
 
 
 class TestCoalescing:
-    """feed/flush (send side) and recv_many (receive side) batching."""
+    """feed/flush batching, and ``recv`` taking a burst apart frame by frame."""
 
     def _pair(self, codec="json"):
         a, b = socket.socketpair()
@@ -229,7 +229,7 @@ class TestCoalescing:
             assert right.recv(timeout=0.05) is None
             assert left.flush() == 3
             assert left.pending_frames == 0
-            frames = right.recv_many(timeout=1.0)
+            frames = [right.recv(timeout=1.0) for _ in range(3)]
             assert [f["n"] for f in frames] == [0, 1, 2]
         finally:
             left.close()
@@ -244,9 +244,7 @@ class TestCoalescing:
             assert flushed.count(COALESCE_MAX_FRAMES) == 1
             assert left.pending_frames == 5
             assert left.flush() == 5
-            got = []
-            while len(got) < COALESCE_MAX_FRAMES + 5:
-                got.extend(right.recv_many(timeout=1.0))
+            got = [right.recv(timeout=1.0) for _ in range(COALESCE_MAX_FRAMES + 5)]
             assert [f["n"] for f in got] == list(range(COALESCE_MAX_FRAMES + 5))
         finally:
             left.close()
@@ -258,22 +256,22 @@ class TestCoalescing:
         try:
             left.feed({"kind": "call", "n": 0})
             left.send({"kind": "sync", "n": 1})
-            frames = right.recv_many(timeout=1.0)
+            frames = [right.recv(timeout=1.0) for _ in range(2)]
             assert [f["n"] for f in frames] == [0, 1]
         finally:
             left.close()
             right.close()
 
-    def test_recv_many_respects_max_frames(self):
+    def test_recv_takes_a_burst_apart_from_one_buffer_fill(self):
         left, right = self._pair()
         try:
             for n in range(6):
                 left.feed({"kind": "call", "n": n})
             left.flush()
-            first = right.recv_many(timeout=1.0, max_frames=4)
-            assert [f["n"] for f in first] == [0, 1, 2, 3]
-            rest = right.recv_many(timeout=1.0)
-            assert [f["n"] for f in rest] == [4, 5]
+            assert right.recv(timeout=1.0)["n"] == 0
+            # the rest of the burst is already buffered: no socket read needed
+            right.sock.close()
+            assert [right.recv(timeout=0)["n"] for _ in range(5)] == [1, 2, 3, 4, 5]
         finally:
             left.close()
             right.close()
@@ -286,10 +284,10 @@ class TestCoalescing:
             left.close()
             right.close()
 
-    def test_recv_many_timeout_returns_empty_list(self):
+    def test_recv_timeout_returns_none(self):
         left, right = self._pair()
         try:
-            assert right.recv_many(timeout=0.02) == []
+            assert right.recv(timeout=0.02) is None
         finally:
             left.close()
             right.close()

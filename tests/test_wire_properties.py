@@ -179,26 +179,19 @@ def test_bin_frames_larger_than_one_recv(size, tail):
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(payloads=st.lists(_bin_payloads, min_size=1, max_size=10),
-       codec_name=st.sampled_from(["bin", "pickle"]),
-       max_frames=st.one_of(st.none(), st.integers(min_value=1, max_value=4)))
-def test_coalesced_bursts_decode_to_the_identical_sequence(payloads, codec_name,
-                                                           max_frames):
+       codec_name=st.sampled_from(["bin", "pickle"]))
+def test_coalesced_bursts_decode_to_the_identical_sequence(payloads, codec_name):
     """The coalescing contract: a burst of frames fed and flushed as ONE
-    sendall decodes — via recv_many, in any batch granularity — to exactly
-    the fed sequence."""
+    sendall decodes — one ``recv`` per frame, however many of them a single
+    buffer fill carried — to exactly the fed sequence."""
     a, b = socket.socketpair()
     try:
         left, right = FrameStream(a, codec_name), FrameStream(b, codec_name)
         auto_flushed = sum(left.feed(p) for p in payloads)
         flushed = left.flush()
         assert auto_flushed + flushed == len(payloads)
-        received = []
-        while len(received) < len(payloads):
-            batch = right.recv_many(timeout=1.0, max_frames=max_frames)
-            assert batch, "burst never fully arrived"
-            if max_frames is not None:
-                assert len(batch) <= max_frames
-            received.extend(batch)
+        received = [right.recv(timeout=1.0) for _ in payloads]
+        assert None not in received, "burst never fully arrived"
         assert received == payloads
         assert right.recv(timeout=0.01) is None  # nothing trailing
     finally:

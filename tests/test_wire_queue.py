@@ -1,11 +1,12 @@
-"""The wire-queue protocol core, driven without a socket — then both drivers.
+"""The wire-queue protocol core and the handler journal, driven without a socket.
 
-:class:`~repro.queues.wire_queue.WireQueueCore` does no I/O, so its whole
+:class:`~repro.queues.wire_queue.WireQueueCore` and
+:class:`~repro.queues.wire_queue.HandlerJournal` do no I/O, so their whole
 contract is checkable with scripted replies: the frames a block puts on the
 wire, the counters it bumps, and the failover arithmetic (what is replayed,
-how many regenerated replies are discarded, what survives a block change).
-The link is a real, never-attached :class:`ProcessBackend` — it owns the
-journal the core writes — with a recording stand-in for the worker.
+what a replacement worker is restored from, how many regenerated replies
+are discarded, what survives a block change).  The link is a namespace with
+the three names a core reads from its backend.
 
 The last class runs one scripted block through the blocking and the
 continuation driver against a real worker and demands identical counters:
@@ -15,17 +16,17 @@ the parity that inheritance used to give for free.
 from __future__ import annotations
 
 import base64
-import pickle
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import QsRuntime, SeparateObject, command, query
 from repro.backends import ProcessBackend
 from repro.backends.process import AsyncProcessPrivateQueue, ProcessPrivateQueue
 from repro.errors import ScoopError
 from repro.queues.private_queue import CallRequest
-from repro.queues.wire_queue import RemoteCallError, RemoteHandle, WireQueueCore
+from repro.queues.wire_queue import HandlerJournal, RemoteCallError, RemoteHandle, WireQueueCore
 from repro.util.counters import Counters
 
 TARGET = RemoteHandle("h", 1, object)
@@ -35,26 +36,39 @@ def _double(obj, n):  # a module-level callable, so pickle can carry it
     return n * 2
 
 
-class _RecordingWorker:
-    """Stands in for a replacement worker's control channel."""
+def _link(codec: str = "pickle") -> SimpleNamespace:
+    """What a core reads from its backend: ``token``, ``codec`` and the merge."""
+    seen = {}
 
-    def __init__(self) -> None:
-        self.ops = []
+    def merge_worker_counters(handler, values) -> None:  # the backend's high-water merge
+        for key, value in values.items():
+            if value > seen.get(key, 0):
+                handler.counters.add(key, value - seen.get(key, 0))
+                seen[key] = value
 
-    def request(self, op):
-        self.ops.append(op)
-        return {"ok": True}
+    return SimpleNamespace(token="t0k3n", codec=codec,
+                           merge_worker_counters=merge_worker_counters)
+
+
+def _new_core(link=None, journal=None) -> WireQueueCore:
+    handler = SimpleNamespace(name="h", counters=Counters())
+    return WireQueueCore(link if link is not None else _link(), handler, handler.counters,
+                         journal if journal is not None else HandlerJournal())
 
 
 @pytest.fixture
 def link():
-    return ProcessBackend()
+    return _link()
 
 
 @pytest.fixture
-def core(link):
-    handler = SimpleNamespace(name="h", counters=Counters())
-    return WireQueueCore(link, handler, handler.counters)
+def journal():
+    return HandlerJournal()
+
+
+@pytest.fixture
+def core(link, journal):
+    return _new_core(link, journal)
 
 
 def _call(n: int) -> CallRequest:
@@ -86,7 +100,7 @@ def _block(core, ticket: int, calls: int = 1) -> None:
 
 
 class TestOrdinaryBlock:
-    def test_frames_counters_and_replies(self, core, link):
+    def test_frames_counters_and_replies(self, core, link, journal):
         hello = core.hello("c-0")
         assert hello == {"kind": "hello", "handler": "h", "token": link.token, "client": "c-0"}
 
@@ -117,7 +131,7 @@ class TestOrdinaryBlock:
         assert snap["bytes_copied"] == 16
         assert snap["wire_frames_coalesced"] == 2
         # journal-before-feed: every data frame (never hello/open) is recorded
-        assert _kinds(link.journal_for("h", 0)) == ["call", "call", "sync", "query", "end"]
+        assert _kinds(journal.tail(0)) == ["call", "call", "sync", "query", "end"]
 
     def test_invoke_payloads(self, core):
         core.open_block(0, None)
@@ -141,18 +155,12 @@ class TestOrdinaryBlock:
         assert "boom" in str(error)
 
     def test_unfaithful_codec_refuses_callables_and_foreign_targets(self):
-        handler = SimpleNamespace(name="h", counters=Counters())
-        core = WireQueueCore(ProcessBackend(codec="json"), handler, handler.counters)
+        core = _new_core(_link("json"))
         core.open_block(0, None)
         with pytest.raises(ScoopError, match="'pickle' or 'bin'"):
             core.invoke(TARGET, _double)
         with pytest.raises(ScoopError, match="not adopted through it"):
             core.invoke(object(), _double, feature="read")
-
-
-def _new_core() -> WireQueueCore:
-    handler = SimpleNamespace(name="h", counters=Counters())
-    return WireQueueCore(ProcessBackend(), handler, handler.counters)
 
 
 def _read(core, **extra) -> list:
@@ -182,8 +190,8 @@ class TestAQueryRidingItsSync:
         assert fused.counters.snapshot() == two_trips.counters.snapshot()
         assert fused.counters.snapshot()["sync_roundtrips"] == 1
         assert (two_trips.replies_seen, fused.replies_seen) == (2, 1)
-        assert _kinds(fused.link.journal_for("h", 0)) == ["call"] * 3 + ["invoke", "end"]
-        assert _kinds(two_trips.link.journal_for("h", 0)) == ["call"] * 3 + ["sync", "invoke", "end"]
+        assert _kinds(fused.journal.tail(0)) == ["call"] * 3 + ["invoke", "end"]
+        assert _kinds(two_trips.journal.tail(0)) == ["call"] * 3 + ["sync", "invoke", "end"]
 
     def test_replay_before_and_after_the_reply(self, core):
         core.open_block(ticket=2, block_id=None)
@@ -211,10 +219,10 @@ class TestAQueryRidingItsSync:
         assert core.classify({"kind": "result", "value": "block 1"}) == ("block 1", None)
         assert (core.stale_replies, core.replies_seen, core.unread) == (0, 1, 0)
 
-    def test_a_failover_at_the_end_frame_owes_the_abandoned_reply_again(self, core, link):
+    def test_a_failover_at_the_end_frame_owes_the_abandoned_reply_again(self, core, journal):
         core.open_block(0, None)
         _read(core, carries_sync=True)
-        link._restore_handler(_RecordingWorker(), "h")  # someone else's failover: still open
+        assert journal.take_restore()[2] == []  # someone else's failover: still open
         core.end()        # journaled after it; the dead worker is noticed as it is sent
         core.replay("c")  # so this client replays the block, which regenerates the reply
         assert core.stale_replies == 1  # re-derived, not stacked on the debt end() booked
@@ -223,13 +231,12 @@ class TestAQueryRidingItsSync:
         assert core.classify({"kind": "result", "value": "block 0"}) is None
         assert core.classify({"kind": "result", "value": "block 1"}) == ("block 1", None)
 
-    def test_an_abandoned_reply_that_died_with_its_worker_is_not_owed(self, core, link):
+    def test_an_abandoned_reply_that_died_with_its_worker_is_not_owed(self, core, journal):
         core.open_block(0, None)
         _read(core, carries_sync=True)
         core.end()  # journaled: the failover this send runs into pre-files the block
-        worker = _RecordingWorker()
-        link._restore_handler(worker, "h")
-        assert [_kinds(frames) for _, frames in worker.ops[-1]["blocks"]] == [["invoke", "end"]]
+        _, _, blocks = journal.take_restore()
+        assert [_kinds(frames) for _, frames in blocks] == [["invoke", "end"]]
         assert _kinds(core.replay("c")) == ["hello"]
         # the restored block's replies go nowhere: nothing to discard
         assert (core.stale_replies, core.unread) == (0, 0)
@@ -239,7 +246,7 @@ class TestAQueryRidingItsSync:
 
 
 class TestFailover:
-    def test_replay_after_k_consumed_replies(self, core, link):
+    def test_replay_after_k_consumed_replies(self, core):
         core.open_block(ticket=4, block_id=9)
         core.call(_call(1))
         core.sync()
@@ -281,7 +288,7 @@ class TestFailover:
         core.replay("c")
         assert core.stale_replies == 1
 
-    def test_between_blocks_the_restore_has_the_block_and_nothing_is_replayed(self, core, link):
+    def test_between_blocks_the_restore_has_the_block_and_nothing_is_replayed(self, core, journal):
         core.open_block(ticket=0, block_id=None)
         core.call(_call(1))
         core.sync()
@@ -289,23 +296,18 @@ class TestFailover:
         core.end()
         # the worker dies while the queue idles in its client's cache; the
         # failover pre-files the ended block on the replacement ...
-        worker = _RecordingWorker()
-        link._restore_handler(worker, "h")
-        restore = worker.ops[-1]
-        assert restore["op"] == "restore"
-        assert [(ticket, _kinds(frames)) for ticket, frames in restore["blocks"]] == [
+        _, _, blocks = journal.take_restore()
+        assert [(ticket, _kinds(frames)) for ticket, frames in blocks] == [
             (0, ["call", "sync", "end"])]
         # ... so the queue only says hello again, and expects no stale reply
         # (the restored block's replies go nowhere)
         assert _kinds(core.replay("c")) == ["hello"]
         assert core.stale_replies == 0
 
-    def test_a_block_that_ended_after_the_restore_is_replayed_by_its_client(self, core, link):
+    def test_a_block_that_ended_after_the_restore_is_replayed_by_its_client(self, core, journal):
         core.open_block(ticket=0, block_id=None)
         core.call(_call(1))
-        worker = _RecordingWorker()
-        link._restore_handler(worker, "h")  # someone else's failover: still open
-        assert all(op["op"] != "restore" for op in worker.ops)
+        assert journal.take_restore()[2] == []  # someone else's failover: still open
         core.end()  # journaled after the restore's snapshot
         assert _kinds(core.replay("c")) == ["hello", "open", "call", "end"]
 
@@ -334,18 +336,18 @@ class TestFailover:
 class TestCheckpoints:
     """A reply may carry a handler snapshot: the journal below it goes."""
 
-    def test_a_checkpoint_truncates_the_journal_and_counts(self, core, link):
+    def test_a_checkpoint_truncates_the_journal_and_counts(self, core, journal):
         for ticket in range(3):
             _block(core, ticket, calls=2)
-        assert link.journal_size() == (3, 12)  # 2 calls + sync + end, each
+        assert journal.size() == (3, 12)  # 2 calls + sync + end, each
         core.open_block(3, None)
         core.sync()
         assert core.classify(_checkpointed(_release(6), ticket=1)) == (None, None)
-        assert link.journal_size() == (2, 5)   # block 2, and the sync of block 3
+        assert journal.size() == (2, 5)   # block 2, and the sync of block 3
         snap = core.handler.counters.snapshot()
         assert (snap["journal_checkpoints"], snap["journal_frames_dropped"]) == (1, 8)
 
-    def test_a_checkpoint_on_a_stale_reply_still_truncates(self, core, link):
+    def test_a_checkpoint_on_a_stale_reply_still_truncates(self, core, journal):
         _block(core, 0)
         core.open_block(1, None)
         core.sync()
@@ -353,34 +355,34 @@ class TestCheckpoints:
         core.replay("c")
         assert core.stale_replies == 1
         assert core.classify(_checkpointed(_release(1), ticket=0)) is None  # stale
-        assert link.journal_size() == (1, 1)
-        assert link.journal_for("h", 0) is None
+        assert journal.size() == (1, 1)
+        assert journal.tail(0) is None
 
-    def test_an_older_checkpoint_arriving_late_is_ignored(self, core, link):
+    def test_an_older_checkpoint_arriving_late_is_ignored(self, core, journal):
         for ticket in range(3):
             _block(core, ticket)
         core.open_block(3, None)
         core.classify(_checkpointed(_release(3), ticket=2, state=b"newer"))
         # the reply of another connection, processed later, carries an older one
         core.classify(_checkpointed(_release(3), ticket=0, state=b"older"))
-        assert link._checkpoints["h"]["state"] == b"newer"
+        assert journal.take_restore()[0]["state"] == b"newer"
         assert core.handler.counters.snapshot()["journal_checkpoints"] == 1
 
-    def test_a_block_at_or_below_the_watermark_is_not_replayed(self, core, link):
+    def test_a_block_at_or_below_the_watermark_is_not_replayed(self, core, link, journal):
         core.open_block(0, None)
         core.sync()
         core.classify(_release(0))
         core.end()
         # the queue idles in its client's cache; another connection's reply
         # brings the checkpoint that covers its last block
-        other = WireQueueCore(link, core.handler, core.counters)
+        other = WireQueueCore(link, core.handler, core.counters, journal)
         other.open_block(1, None)
         other.classify(_checkpointed(_release(0), ticket=0))
-        assert link.journal_for("h", 0) is None
+        assert journal.tail(0) is None
         assert _kinds(core.replay("c")) == ["hello"]
         assert core.stale_replies == 0
 
-    def test_a_block_above_the_watermark_replays_in_full(self, core, link):
+    def test_a_block_above_the_watermark_replays_in_full(self, core):
         _block(core, 0)
         core.open_block(1, None)
         core.call(_call(1))
@@ -390,31 +392,76 @@ class TestCheckpoints:
         assert _kinds(core.replay("c")) == ["hello", "open", "call", "sync", "call"]
         assert core.stale_replies == 1
 
-    def test_the_restore_is_the_last_checkpoint_plus_the_tail(self, core, link):
-        link._hosted["h"] = {1: b"adopt-1", 2: pickle.dumps("adopted since")}
+    def test_the_restore_is_the_last_checkpoint_plus_the_tail(self, core, journal):
+        journal.adopted(1, b"adopt-1")
+        journal.adopted(2, b"adopted since")
         for ticket in range(3):
             _block(core, ticket)
         core.open_block(3, None)
         core.call(_call(9))  # in flight: its client replays it
         core.classify(_checkpointed(_release(2), ticket=1, state=b"objects+counters"))
-        worker = _RecordingWorker()
-        link._restore_handler(worker, "h")
-        created, hosted, restored = worker.ops
-        # the state travels as the bytes the worker pickled, not re-pickled
-        assert created == {"op": "handler", "name": "h",
-                           "checkpoint": {"ticket": 1, "state": b"objects+counters"}}
+        # the worker hosts before the parent records: a checkpoint may
+        # already cover an object whose adopt pickle arrives now
+        journal.adopted(1, b"recorded late")
+        checkpoint, adopted, blocks = journal.take_restore()
+        # the state stays the bytes the worker pickled, to be sent as they are
+        assert (checkpoint["ticket"], checkpoint["state"]) == (1, b"objects+counters")
         # oid 1 is in the checkpoint; only the object adopted since is hosted
-        assert (hosted["op"], hosted["oid"], hosted["obj"]) == ("host", 2, "adopted since")
-        assert [ticket for ticket, _ in restored["blocks"]] == [2]
+        assert adopted == [(2, b"adopted since")]
+        assert [ticket for ticket, _ in blocks] == [2]
+        assert _kinds(core.replay("c")) == ["hello", "open", "call"]
 
-    def test_a_text_codec_carries_the_state_base64_encoded(self):
-        link = ProcessBackend(codec="json")
-        handler = SimpleNamespace(name="h", counters=Counters())
-        core = WireQueueCore(link, handler, handler.counters)
+    def test_a_text_codec_carries_the_state_base64_encoded(self, journal):
+        core = _new_core(_link("json"), journal)
         core.open_block(0, None)
         core.classify(_checkpointed(_release(0), ticket=0,
                                     state=base64.b64encode(b"\x80\x05raw").decode("ascii")))
-        assert link._checkpoints["h"]["state"] == b"\x80\x05raw"
+        assert journal.take_restore()[0]["state"] == b"\x80\x05raw"
+
+
+#: what a handler's journal sees: frames of a few blocks, checkpoints at any
+#: ticket (in any order, as replies on different connections deliver them)
+#: and failovers taking the restore
+_JOURNAL_OPS = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.integers(0, 5), st.sampled_from(["call", "sync", "end"])),
+    st.tuples(st.just("checkpoint"), st.integers(0, 5)),
+    st.just(("restore",)),
+), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_JOURNAL_OPS)
+def test_the_journal_keeps_exactly_the_frames_above_the_watermark(ops):
+    """``tail(t)`` is ``None`` exactly when ``t`` is at or below the newest
+    checkpoint's ticket or was pre-filed by a restore, and ``size()`` counts
+    exactly the frames above that ticket, whatever the interleaving."""
+    journal = HandlerJournal()
+    watermark, frames, prefiled = -1, {}, set()
+    for op in ops:
+        if op[0] == "append":
+            _, ticket, kind = op
+            journal.append(ticket, {"kind": kind})
+            if ticket > watermark:
+                frames.setdefault(ticket, []).append(kind)
+        elif op[0] == "checkpoint":
+            dropped = journal.checkpoint(op[1], (), b"")
+            if op[1] <= watermark:
+                assert dropped is None
+            else:
+                watermark = op[1]
+                covered = [t for t in frames if t <= watermark]
+                assert dropped == sum(len(frames.pop(t)) for t in covered)
+        else:
+            _, _, blocks = journal.take_restore()
+            restored = sorted(t for t, kinds in frames.items() if kinds[-1] == "end")
+            assert [(t, _kinds(fs)) for t, fs in blocks] == [(t, frames[t]) for t in restored]
+            prefiled.update(restored)
+        for ticket in range(6):
+            tail = journal.tail(ticket)
+            assert (tail is None) == (ticket <= watermark or ticket in prefiled)
+            if tail is not None:
+                assert _kinds(tail) == frames.get(ticket, [])
+        assert journal.size() == (len(frames), sum(len(fs) for fs in frames.values()))
 
 
 class Account(SeparateObject):
@@ -464,7 +511,7 @@ def _run_block(level: str, coroutine: bool) -> dict:
 
         def _observe_wire(queue) -> None:
             seen["replies"] = queue.core.replies_seen
-            seen["journal"] = _kinds(backend.journal_for("acct", queue.core.ticket))
+            seen["journal"] = _kinds(queue.core.journal.tail(queue.core.ticket))
 
         rt.client(coroutine_client if coroutine else thread_client)
         rt.join_clients()
