@@ -16,6 +16,12 @@ run the parent first, odd pairs the change.  The passes are collected into
 ``A.json`` (parent) and ``B.json`` (change) in ``run.py --out``'s shape, handed
 to ``ledger/compare.py``, and the pairs the change won are counted per metric:
 a gain is claimed on nine of ten, not on a median alone.
+
+After the pairs, one traced pass per side (``--seconds 10 --trace 1``, seed
+``--seed``) prints the CPU share of the parent process and of the workers
+and the per-layer spans of a separate block, as parent -> change.  Every claim
+must name the saturated process and the layer that moved: a gain the spans do
+not place, or one on a process that was not saturated, is not explained yet.
 """
 
 from __future__ import annotations
@@ -29,6 +35,10 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 20150207
+#: what the traced pass prints: who is saturated, and where a block's time goes
+ATTRIBUTION = ("backends.parent_cpu_share", "backends.worker_cpu_share",
+               "core.block_enter_us", "core.command_us", "core.query_us",
+               "core.block_exit_us")
 
 
 def export(rev: str, dest: str) -> str:
@@ -47,11 +57,12 @@ def export(rev: str, dest: str) -> str:
     return dest
 
 
-def one_pass(root: str, workload: str, seed: int, seconds: float, out: str) -> dict:
-    """One untraced pass in the driver's form; the ``--out`` file it wrote."""
+def one_pass(root: str, workload: str, seed: int, seconds: float, out: str,
+             trace: int = 0) -> dict:
+    """One single-workload pass of ``run.py`` (untraced by default); the ``--out`` file it wrote."""
     done = subprocess.run(
         [sys.executable, os.path.join(root, "ledger", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0", "--out", out],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace), "--out", out],
         cwd=root, stdout=subprocess.DEVNULL)
     if done.returncode:
         sys.exit(f"ledger_pairs: {workload} seed {seed} failed in {root} (exit {done.returncode})")
@@ -89,6 +100,12 @@ def main() -> int:
             print(f"pair {i}: " + "  ".join(
                 f"{name} {values['A'][name]['value']:.5g} -> {values['B'][name]['value']:.5g}"
                 for name in better), flush=True)
+        traced = {side: one_pass(roots[side], args.workload, args.seed, 10.0,
+                                 os.path.join(work, "pass.json"), trace=1)["runs"][0]["metrics"]
+                  for side in "AB"}
+    print(f"\ntraced pass, 10 s, seed {args.seed}: the saturated process and the layer that moved")
+    for name in ATTRIBUTION:
+        print(f"  {name:<28} {traced['A'][name]['value']:.4g} -> {traced['B'][name]['value']:.4g}")
     paths = []
     for side, content in sides.items():
         paths.append(os.path.join(out_dir, f"{side}.json"))

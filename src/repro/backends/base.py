@@ -202,7 +202,7 @@ class ExecutionBackend(ABC):
         """
         return queue.enqueue_sync(SyncRequest(release=self.create_event()))
 
-    def execute_synced_query(self, client: Any, ref: Any, fn: Callable[[Any], Any],
+    def execute_synced_query(self, client: Any, ref: Any, fn: Optional[Callable[[Any], Any]],
                              feature: Optional[str] = None, args: tuple = (),
                              kwargs: Optional[dict] = None,
                              raw_fn: Optional[Callable[..., Any]] = None) -> Any:
@@ -210,15 +210,17 @@ class ExecutionBackend(ABC):
 
         The client has already synchronised with the handler, so the handler
         is parked on this client's queue.  In shared memory the body simply
-        runs against the raw object (``fn`` is the one-argument closure over
-        the actual call).  The process backend ships a described invocation
-        instead: ``feature``/``args``/``kwargs`` when the query is a named
-        method, the picklable ``raw_fn`` (applied as ``raw_fn(obj, *args,
-        **kwargs)``) or ``fn`` itself otherwise.
+        runs against the raw object: the named method ``feature`` when ``fn``
+        is ``None``, else the one-argument closure ``fn``.  The process
+        backend ships a described invocation instead: ``feature``/``args``/
+        ``kwargs`` for a named method, the picklable ``raw_fn`` (applied as
+        ``raw_fn(obj, *args, **kwargs)``) or ``fn`` itself otherwise.
         """
+        if fn is None:
+            return getattr(ref._raw(), feature)(*args, **kwargs)
         return fn(ref._raw())
 
-    async def execute_synced_query_async(self, client: Any, ref: Any, fn: Callable[[Any], Any],
+    async def execute_synced_query_async(self, client: Any, ref: Any, fn: Optional[Callable],
                                          feature: Optional[str] = None, args: tuple = (),
                                          kwargs: Optional[dict] = None,
                                          raw_fn: Optional[Callable[..., Any]] = None) -> Any:

@@ -27,9 +27,8 @@ paper):
 
 from __future__ import annotations
 
-import operator
-import threading
 from dataclasses import dataclass
+from threading import current_thread
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.backends.base import ExecutionBackend
@@ -44,19 +43,25 @@ from repro.util.counters import Counters
 from repro.util.tracing import NullTracer, Tracer
 
 
+#: types charged one word without further inspection (the scalar fast path)
+_WORD_SIZED = frozenset({int, float, bool, complex, type(None)})
+
+
 def _payload_size(args: tuple, kwargs: dict) -> int:
     """Rough payload size estimate used for bytes-copied accounting.
 
-    Intentionally conservative and allocation free: it recognises numpy
-    arrays, byte strings and plain containers and charges a word for
-    anything else (references, separate refs, small scalars).
+    Intentionally conservative and cheap, one pass: it charges the common
+    scalars a word at once, recognises numpy arrays, byte strings and plain
+    containers, and charges a word for anything else (references, separate
+    refs).
     """
-    if not args and not kwargs:
-        return 0
     total = 0
-    for value in list(args) + list(kwargs.values()):
-        nbytes = type(value).__dict__.get("nbytes")  # avoid arbitrary __getattr__
-        if nbytes is None and hasattr(type(value), "nbytes") and type(value).__module__.startswith("numpy"):
+    for value in (*args, *kwargs.values()) if kwargs else args:
+        cls = type(value)
+        if cls in _WORD_SIZED:
+            total += 8
+        elif (cls.__dict__.get("nbytes") is None  # avoid arbitrary __getattr__
+                and hasattr(cls, "nbytes") and cls.__module__.startswith("numpy")):
             total += int(value.nbytes)
         elif isinstance(value, (bytes, bytearray, str)):
             total += len(value)
@@ -108,7 +113,7 @@ class PendingQuery:
     __slots__ = ("_client", "_ref", "_fn", "_feature", "_described", "_box", "_sync",
                  "_consumed")
 
-    def __init__(self, client: "Client", ref: SeparateRef, fn: Callable[[Any], Any],
+    def __init__(self, client: "Client", ref: SeparateRef, fn: Optional[Callable[[Any], Any]],
                  feature: str, described: Optional[dict] = None,
                  box: Optional[ResultBox] = None,
                  sync_request: Optional[SyncRequest] = None) -> None:
@@ -198,7 +203,7 @@ class Client:
     ) -> None:
         self.config = config
         self.counters = counters or Counters()
-        self.name = name or threading.current_thread().name
+        self.name = name or current_thread().name
         # explicit None check: an empty Tracer has len() == 0 and must not be
         # mistaken for "no tracer"
         self.tracer = tracer if tracer is not None else NullTracer()
@@ -267,7 +272,8 @@ class Client:
             reservation = Reservation(handler, queue, holds_lock=not self.config.use_qoq)
             self._reservations.setdefault(handler, []).append(reservation)
             reservations.append(reservation)
-            self.tracer.record("reserve", handler.name, client=self.name, block=queue.block_id)
+            if self.tracer.enabled:
+                self.tracer.record("reserve", handler.name, client=self.name, block=queue.block_id)
         return reservations
 
     def release(self, reservations: Sequence[Reservation]) -> None:
@@ -284,9 +290,10 @@ class Client:
             self._pending_queries.pop(handler, None)
             reservation.private_queue.enqueue_end()
             self.backend.notify_handler(handler)
-            self.tracer.record("release", handler.name, client=self.name,
-                               block=reservation.private_queue.block_id)
-            handler.owner.revoke_sync_access(threading.current_thread())
+            if self.tracer.enabled:
+                self.tracer.record("release", handler.name, client=self.name,
+                                   block=reservation.private_queue.block_id)
+            handler.owner.revoke_sync_access(current_thread())
             stack.pop()
             if not stack:
                 del self._reservations[handler]
@@ -354,20 +361,16 @@ class Client:
         self._check_no_pending_query(handler)
         queue = self.queue_for(handler)
         args, kwargs = prepare_arguments(args, kwargs, self.counters)
-        request = CallRequest(
-            fn=operator.methodcaller(method, *args, **kwargs),
-            args=(ref._raw(),),
-            payload_bytes=_payload_size(args, kwargs),
-            feature=method,
-            block=queue.block_id,
-            call_args=args,
-            call_kwargs=dict(kwargs),
-        )
+        # a described call (fn None): the handler looks ``method`` up itself
+        request = CallRequest(None, (ref._raw(),), payload_bytes=_payload_size(args, kwargs),
+                              feature=method, block=queue.block_id,
+                              call_args=args, call_kwargs=kwargs)
         # logging an asynchronous call invalidates any synchronous control we
         # held over the handler (the handler will become busy again)
-        handler.owner.revoke_sync_access(threading.current_thread())
-        self.tracer.record("log-call", handler.name, client=self.name,
-                           feature=method, block=queue.block_id)
+        handler.owner.revoke_sync_access(current_thread())
+        if self.tracer.enabled:
+            self.tracer.record("log-call", handler.name, client=self.name,
+                               feature=method, block=queue.block_id)
         queue.enqueue_call(request)
         self.backend.notify_handler(handler)
 
@@ -378,19 +381,19 @@ class Client:
         queue = self.queue_for(handler)
         args, kwargs = prepare_arguments(args, kwargs, self.counters)
         feature = getattr(fn, "__name__", "<callable>")
-        request = CallRequest(fn=fn, args=(ref._raw(), *args), kwargs=dict(kwargs),
+        request = CallRequest(fn=fn, args=(ref._raw(), *args), kwargs=kwargs,
                               payload_bytes=_payload_size(args, kwargs), feature=feature,
                               block=queue.block_id)
-        handler.owner.revoke_sync_access(threading.current_thread())
-        self.tracer.record("log-call", handler.name, client=self.name,
-                           feature=feature, block=queue.block_id)
+        handler.owner.revoke_sync_access(current_thread())
+        if self.tracer.enabled:
+            self.tracer.record("log-call", handler.name, client=self.name,
+                               feature=feature, block=queue.block_id)
         queue.enqueue_call(request)
         self.backend.notify_handler(handler)
 
     def query(self, ref: SeparateRef, method: str, *args: Any, **kwargs: Any) -> Any:
         """Issue a synchronous query and return its result."""
-        return self._issue(ref, operator.methodcaller(method, *args, **kwargs),
-                           args, kwargs, method).wait()
+        return self._issue(ref, None, args, kwargs, method).wait()
 
     def issue_query(self, ref: SeparateRef, method: str, *args: Any, **kwargs: Any) -> PendingQuery:
         """Issue a synchronous query without waiting for its result.
@@ -400,8 +403,7 @@ class Client:
         *different* handlers before waiting is how scatter-gather overlaps
         per-shard work; at most one query may be pending per handler.
         """
-        return self._issue(ref, operator.methodcaller(method, *args, **kwargs),
-                           args, kwargs, feature=method)
+        return self._issue(ref, None, args, kwargs, feature=method)
 
     def query_function(self, ref: SeparateRef, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
         """Synchronous query applying ``fn(raw_object, *args, **kwargs)``."""
@@ -415,21 +417,23 @@ class Client:
         return self._issue(ref, wrapped, args, kwargs,
                            feature=getattr(fn, "__name__", "<callable>"), raw_fn=fn)
 
-    def _issue(self, ref: SeparateRef, fn: Callable[[Any], Any], args: tuple, kwargs: dict,
-               feature: str, raw_fn: Optional[Callable[..., Any]] = None) -> PendingQuery:
+    def _issue(self, ref: SeparateRef, fn: Optional[Callable[[Any], Any]], args: tuple,
+               kwargs: dict, feature: str,
+               raw_fn: Optional[Callable[..., Any]] = None) -> PendingQuery:
         """Put a query on the handler's queue; every wait is the caller's.
 
-        ``fn`` is the one-argument body.  What it literally is travels
-        along for transports that ship data, not closures: ``getattr(obj,
-        feature)(*args, **kwargs)``, or ``raw_fn(obj, *args, **kwargs)``
-        when ``raw_fn`` is given.
+        ``fn`` is the one-argument body, or ``None`` for the described call
+        ``getattr(obj, feature)(*args, **kwargs)``.  What a closure ``fn``
+        literally is travels along for transports that ship data, not
+        closures: ``raw_fn(obj, *args, **kwargs)``.
         """
         handler = ref.handler
         self._check_no_pending_query(handler)
         queue = self.queue_for(handler)
         self.counters.bump("queries")
-        self.tracer.record("log-query", handler.name, client=self.name,
-                           feature=feature, block=queue.block_id)
+        if self.tracer.enabled:
+            self.tracer.record("log-query", handler.name, client=self.name,
+                               feature=feature, block=queue.block_id)
         if not self.config.client_executed_queries:
             # packaged query: the request is on the queue, FIFO keeps it
             # ordered against anything logged later — nothing to guard
@@ -488,7 +492,9 @@ class Client:
         """Dynamic sync coalescing (Section 3.4.1): already parked on ``queue``?"""
         if self.config.dynamic_sync_coalescing and queue.synced:
             self.counters.bump("syncs_elided")
-            self.tracer.record("sync-elided", handler.name, client=self.name, block=queue.block_id)
+            if self.tracer.enabled:
+                self.tracer.record("sync-elided", handler.name, client=self.name,
+                                   block=queue.block_id)
             return True
         return False
 
@@ -497,8 +503,9 @@ class Client:
         handler = ref.handler
         queue = self.queue_for(handler)
         queue.synced = True
-        handler.owner.grant_sync_access(threading.current_thread())
-        self.tracer.record("sync", handler.name, client=self.name, block=queue.block_id)
+        handler.owner.grant_sync_access(current_thread())
+        if self.tracer.enabled:
+            self.tracer.record("sync", handler.name, client=self.name, block=queue.block_id)
 
     def presynced_query(self, ref: SeparateRef, fn: Callable[..., Any]) -> Any:
         """Run a query whose sync was removed by the *static* pass.

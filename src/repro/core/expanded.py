@@ -85,11 +85,12 @@ def unregister_expanded(cls: Type) -> None:
     _REGISTERED.discard(cls)
 
 
+_COPIED = (Expanded, ExpandedView)  # besides the registered types
+
+
 def is_expanded(value: Any) -> bool:
     """Is ``value`` copied (rather than aliased) when crossing regions?"""
-    if isinstance(value, (Expanded, ExpandedView)):
-        return True
-    return type(value) in _REGISTERED
+    return isinstance(value, _COPIED) or type(value) in _REGISTERED
 
 
 def _estimate_size(value: Any) -> int:
@@ -102,7 +103,7 @@ def _estimate_size(value: Any) -> int:
 
 def copy_expanded(value: Any, counters: Optional[Counters] = None) -> Any:
     """Copy one expanded value, charging the counters."""
-    if isinstance(value, (Expanded, ExpandedView)):
+    if isinstance(value, _COPIED):
         copied = value.scoop_copy()
     else:
         copied = copy.deepcopy(value)
@@ -117,15 +118,13 @@ def prepare_arguments(args: Tuple[Any, ...], kwargs: Dict[str, Any],
     """Copy every expanded argument of a call crossing a region boundary.
 
     Non-expanded arguments are passed through untouched (reference semantics,
-    protected by the ownership checks of :mod:`repro.core.region`).
+    protected by the ownership checks of :mod:`repro.core.region`).  One
+    pass; a call with no expanded argument gets its own objects back.
     """
-    if not args and not kwargs:
-        return args, kwargs
-    if not any(is_expanded(a) for a in args) and not any(is_expanded(v) for v in kwargs.values()):
-        return args, kwargs
-    new_args = tuple(copy_expanded(a, counters) if is_expanded(a) else a for a in args)
-    new_kwargs = {
-        key: copy_expanded(value, counters) if is_expanded(value) else value
-        for key, value in kwargs.items()
-    }
-    return new_args, new_kwargs
+    for i, value in enumerate(args):  # iterates the original, never a copy
+        if isinstance(value, _COPIED) or type(value) in _REGISTERED:
+            args = (*args[:i], copy_expanded(value, counters), *args[i + 1:])
+    for key, value in kwargs.items():
+        if isinstance(value, _COPIED) or type(value) in _REGISTERED:
+            kwargs = {**kwargs, key: copy_expanded(value, counters)}
+    return args, kwargs

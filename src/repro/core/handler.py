@@ -161,12 +161,14 @@ class Handler:
         """
         self.counters.bump("qoq_batch_drains")
         self.counters.add("qoq_batch_size_sum", len(batch))
+        traced = self.tracer.enabled
         for request in batch:
             if isinstance(request, EndMarker):
                 # rule *end*: switch to the next private queue (a batch
                 # never extends past an END marker)
-                self.tracer.record("end-block", self.name, client=private_queue.client_name,
-                                   block=private_queue.block_id)
+                if traced:
+                    self.tracer.record("end-block", self.name, client=private_queue.client_name,
+                                       block=private_queue.block_id)
                 return True
             if isinstance(request, SyncRequest):
                 # rule *sync*: release the waiting client; we then park on
@@ -175,13 +177,13 @@ class Handler:
                 continue
             if isinstance(request, CallRequest):
                 self.counters.bump("calls_executed")
-                # packaged queries (a result box is attached) are recorded
-                # separately so the guarantee checker can distinguish them
-                # from the block's logged commands
-                kind = "exec" if request.result is None else "exec-query"
-                block = request.block if request.block is not None else private_queue.block_id
-                self.tracer.record(kind, self.name, client=private_queue.client_name,
-                                   feature=request.feature or None, block=block)
+                if traced:
+                    # packaged queries (a result box is attached) are recorded
+                    # apart so the guarantee checker tells them from commands
+                    kind = "exec" if request.result is None else "exec-query"
+                    block = request.block if request.block is not None else private_queue.block_id
+                    self.tracer.record(kind, self.name, client=private_queue.client_name,
+                                       feature=request.feature or None, block=block)
                 try:
                     request.execute()
                 except BaseException as exc:  # asynchronous call failed

@@ -111,11 +111,12 @@ class ResultBox:
         return self._event.is_set()
 
 
-@dataclass
+@dataclass(slots=True)
 class CallRequest:
     """A packaged call: the Python analogue of the libffi closure of Fig. 9."""
 
-    fn: Callable[..., Any]
+    #: applied as ``fn(*args, **kwargs)``; ``None`` for a named method
+    fn: "Callable[..., Any] | None"
     args: tuple = ()
     kwargs: dict = field(default_factory=dict)
     result: Optional[ResultBox] = None
@@ -127,11 +128,10 @@ class CallRequest:
     #: across blocks, so the id must travel with the request for the
     #: handler-side trace events to attribute executions correctly
     block: "int | None" = None
-    #: the *described* call — the actual arguments of ``feature``, before
-    #: they were baked into ``fn``.  ``None`` when the request wraps an
-    #: arbitrary callable (``call_function``) rather than a named method.
-    #: In-memory backends never look at these; socket transports ship them
-    #: instead of ``fn`` so requests stay data, not code.
+    #: the *described* call: with ``fn`` None the handler applies
+    #: ``getattr(args[0], feature)(*call_args, **call_kwargs)``, looking the
+    #: method up when the call runs.  Socket transports ship these, never a
+    #: closure, so requests stay data, not code.
     call_args: "tuple | None" = None
     call_kwargs: "dict | None" = None
     #: the user's original callable when ``fn`` is a wrapper closure around
@@ -142,14 +142,16 @@ class CallRequest:
 
     def execute(self) -> Any:
         """Apply the packaged call (what the handler does in ``execute_call``)."""
-        if self.result is None:
-            return self.fn(*self.args, **self.kwargs)
         try:
-            value = self.fn(*self.args, **self.kwargs)
-        except BaseException as exc:  # propagate to the waiting client
-            self.result.set_error(exc)
+            value = (self.fn(*self.args, **self.kwargs) if self.fn is not None else
+                     getattr(self.args[0], self.feature)(*self.call_args, **self.call_kwargs))
+        except BaseException as exc:
+            if self.result is None:
+                raise
+            self.result.set_error(exc)  # propagate to the waiting client
             return None
-        self.result.set(value)
+        if self.result is not None:
+            self.result.set(value)
         return value
 
 

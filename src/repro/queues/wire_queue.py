@@ -391,7 +391,7 @@ class WireQueueCore:
             self._require_pickle(f"ship the callable {request.raw_fn!r}")
             return {"kind": kind, "oid": oid, "fn": request.raw_fn,
                     "args": list(request.call_args or ()), "kwargs": request.call_kwargs or {}}
-        if request.call_args is not None:
+        if request.fn is None:  # a described call: the named method travels as data
             return {"kind": kind, "oid": oid, "feature": request.feature,
                     "args": list(request.call_args), "kwargs": request.call_kwargs or {}}
         # an arbitrary callable (apply/compute): only pickle can carry it

@@ -11,7 +11,8 @@ reproduction's threaded runtime:
 * :class:`Tracer` — a thread-safe, bounded recorder the runtime writes into
   when tracing is enabled (``QsRuntime(..., trace=True)``);
 * :class:`NullTracer` — the no-op used when tracing is off, so the hot paths
-  pay a single attribute check.
+  pay a single attribute check: every request-path ``record``, client's and
+  handler's, sits behind ``tracer.enabled``.
 
 Traces serve two purposes.  They feed the guarantee checker in
 :mod:`repro.core.guarantees`, which verifies the paper's pre/postcondition

@@ -1,5 +1,7 @@
 """Tests for expanded objects (value semantics across region boundaries)."""
 
+import sys
+
 import numpy as np
 
 from repro import QsRuntime, SeparateObject, command, query
@@ -113,6 +115,41 @@ class TestCopying:
         assert kwargs["tag"] == "x"
         assert kwargs["p"] is not None and kwargs["p"].x == 9
         assert counters.snapshot()["expanded_copies"] == 2
+
+    def test_prepare_arguments_copies_values_found_only_in_kwargs(self):
+        counters = Counters()
+        register_expanded(Legacy)
+        try:
+            point, legacy, data = Point(1, 2), Legacy([1]), [4, 5]
+            args, kwargs = prepare_arguments(
+                (1, "a"), {"p": point, "l": legacy, "v": expanded_view(data), "n": 3}, counters)
+        finally:
+            unregister_expanded(Legacy)
+        assert args == (1, "a")
+        assert kwargs["p"] is not point and kwargs["p"].y == 2
+        assert kwargs["l"] is not legacy and kwargs["l"].payload == [1]
+        assert kwargs["v"] == data and kwargs["v"] is not data
+        assert kwargs["n"] == 3
+        assert counters.snapshot()["expanded_copies"] == 3
+
+    def test_prepare_arguments_copies_values_in_the_middle_of_args(self):
+        counters = Counters()
+        register_expanded(Legacy)
+        try:
+            shared, point, legacy, data = [0], Point(7, 8), Legacy("x"), {"k": 1}
+            args, kwargs = prepare_arguments(
+                (shared, point, 2, legacy, expanded_view(data), "tail"), {"n": 1}, counters)
+        finally:
+            unregister_expanded(Legacy)
+        assert type(args) is tuple and len(args) == 6
+        assert args[0] is shared and args[2] == 2 and args[5] == "tail"
+        assert args[1] is not point and (args[1].x, args[1].y) == (7, 8)
+        assert args[3] is not legacy and args[3].payload == "x"
+        assert args[4] == data and args[4] is not data
+        assert kwargs == {"n": 1}
+        snap = counters.snapshot()
+        assert snap["expanded_copies"] == 3
+        assert snap["bytes_copied"] == sum(sys.getsizeof(args[i]) for i in (1, 3, 4))
 
     def test_prepare_arguments_fast_path_returns_same_objects(self):
         args, kwargs = ((1, 2), {"a": 3})

@@ -1,7 +1,9 @@
 """Tests for separate objects, handler ownership and race detection."""
 
 import pickle
+import sys
 import threading
+import time
 
 import pytest
 
@@ -69,6 +71,133 @@ class TestSeparateObject:
         owner.grant_sync_access(me)
         owner.revoke_sync_access(threading.Thread())  # someone else revoking
         assert owner.thread_allowed(me)
+
+
+def _in_thread(fn):
+    """Run ``fn`` on a new thread; what it returned or raised, and the thread."""
+    outcome = {}
+
+    def body():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:  # noqa: BLE001 - handed back to the test
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=body)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    return outcome, thread
+
+
+def _owned_cell(owner_thread):
+    owner = HandlerOwner("h")
+    owner.bind_thread(owner_thread)
+    cell = Cell(1)
+    cell._scoop_bind(owner)
+    return owner, cell
+
+
+class TestOwnershipCheck:
+    """The check admits the owner thread and the synced client by identity."""
+
+    def test_foreign_thread_is_refused_on_read_and_write(self):
+        _owner, cell = _owned_cell(threading.current_thread())
+        read, _ = _in_thread(lambda: cell.value)
+        write, _ = _in_thread(lambda: setattr(cell, "value", 3))
+        for outcome in (read, write):
+            assert isinstance(outcome.get("error"), SeparateAccessError)
+        assert cell.value == 1  # the owner still reads, and nothing was written
+
+    def test_refusal_message_names_object_handler_and_thread(self):
+        _owner, cell = _owned_cell(threading.current_thread())
+        read, thread = _in_thread(lambda: cell.value)
+        assert str(read["error"]) == (
+            f"object Cell is handled by 'h'; thread {thread.name!r} may not access it "
+            "directly. Use a separate block and log a call or query instead.")
+
+    def test_refused_again_after_the_grant_is_revoked(self):
+        owner, cell = _owned_cell(threading.Thread())
+
+        def granted_then_revoked():
+            me = threading.current_thread()
+            owner.grant_sync_access(me)
+            first = cell.value
+            cell.value = 2
+            owner.revoke_sync_access(me)
+            with pytest.raises(SeparateAccessError):
+                _ = cell.value
+            with pytest.raises(SeparateAccessError):
+                cell.value = 3
+            return first
+
+        outcome, _ = _in_thread(granted_then_revoked)
+        assert outcome == {"value": 1}
+        cell._scoop_owner().grant_sync_access(threading.current_thread())
+        assert cell.value == 2  # the write made under the grant stuck
+
+    def test_one_threads_grant_does_not_admit_another(self):
+        owner, cell = _owned_cell(threading.Thread())
+        owner.grant_sync_access(threading.current_thread())  # thread A: us
+        assert cell.value == 1
+        other, _ = _in_thread(lambda: cell.value)            # thread B
+        assert isinstance(other.get("error"), SeparateAccessError)
+        revoked, _ = _in_thread(lambda: owner.revoke_sync_access(threading.current_thread()))
+        assert "error" not in revoked
+        assert owner.thread_allowed(threading.current_thread())  # B cannot revoke A's grant
+
+    def test_revokers_never_clear_another_threads_grant_under_contention(self):
+        """The lock-free read and revoke paths, with more threads than cores."""
+        owner, cell = _owned_cell(threading.Thread())
+        stop = threading.Event()
+
+        def revoker():
+            me = threading.current_thread()
+            while not stop.is_set():
+                owner.revoke_sync_access(me)
+
+        def holder():
+            owner.grant_sync_access(threading.current_thread())
+            deadline = time.monotonic() + 0.3
+            reads = 0
+            while time.monotonic() < deadline:
+                _ = cell.value  # refused if a revoker cleared our grant
+                reads += 1
+            return reads
+
+        interval = sys.getswitchinterval()
+        revokers = [threading.Thread(target=revoker) for _ in range(4)]
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in revokers:
+                thread.start()
+            outcome, _ = _in_thread(holder)
+        finally:
+            stop.set()
+            for thread in revokers:
+                thread.join(timeout=5)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in revokers)
+        assert "error" not in outcome and outcome["value"] > 0
+
+    def test_internal_names_stay_readable_from_a_foreign_thread(self):
+        owner, cell = _owned_cell(threading.current_thread())
+        outcome, _ = _in_thread(lambda: (cell._scoop_owner(), cell.__dict__, cell.__class__))
+        found_owner, fields, cls = outcome["value"]
+        assert found_owner is owner and cls is Cell
+        assert fields["value"] == 1
+
+    def test_a_thread_started_after_the_handler_finished_is_refused(self):
+        """Identity, not ident: a later thread may reuse the finished one's ident."""
+        _done, handler_thread = _in_thread(lambda: None)
+        _owner, cell = _owned_cell(handler_thread)
+        for _ in range(20):
+            outcome, later = _in_thread(lambda: cell.value)
+            assert isinstance(outcome.get("error"), SeparateAccessError)
+            if later.ident == handler_thread.ident:
+                break
+        else:  # every later thread was refused, but none reused the ident
+            pytest.skip("the platform did not reuse a finished thread's ident")
 
 
 class TestPickling:
