@@ -43,8 +43,9 @@ A backend is the product of two small axes:
    over its sockets, and there the body *is* the sync: one frame, one reply.
 
 Backends whose handlers run :meth:`Handler._loop <repro.core.handler.Handler>`
-on a thread of their own (``threads``, ``sim``) also implement its two
-blocking hooks, `handler_next_queue` and `handler_next_batch`.
+on a thread of their own (``threads``, ``sim``, and the process worker's
+``HandlerServer``) also implement its two blocking hooks,
+`handler_next_queue` and `handler_next_batch`.
 
 Everything else — the request protocol itself — never changes between
 backends, which is what makes backend-parity testing meaningful.

@@ -32,12 +32,14 @@ Division of labour:
 * **each handler becomes a socket server in a worker process**
   (:mod:`repro.backends.process_worker`): one
   :class:`~repro.queues.socket_queue.FrameStream` connection per (client,
-  handler) pair is that client's private queue, and a process-local
-  queue-of-queues drain serves blocks strictly in *ticket* order.
+  handler) pair is that client's private queue, and a real
+  :class:`~repro.core.handler.Handler` there drains them with the same loop
+  as the in-memory backends, its queue-of-queues serving blocks strictly in
+  *ticket* order.
 * **tickets preserve the reasoning guarantees**: the parent assigns each
   reservation a per-handler sequence number at ``qoq.enqueue`` time — i.e.
   under the very spinlocks that make multi-handler reservations atomic
-  (Section 3.3) — and the worker's drain admits blocks in ticket order, so
+  (Section 3.3) — and the worker's handler admits blocks in ticket order, so
   the FIFO-of-private-queues service order is bit-identical to the
   shared-memory backends no matter how frames race on the wire.
 * **counters aggregate across the process boundary**: every sync release /
@@ -801,7 +803,7 @@ class ProcessBackend(ExecutionBackend):
         pickled to; only the worker unpickles them.
         """
         checkpoint, adopted, blocks = self.journal(name).take_restore()
-        op: Dict[str, Any] = {"op": "handler", "name": name}
+        op = self._handler_op(name)
         if checkpoint:
             op["checkpoint"] = {"ticket": checkpoint["ticket"], "state": checkpoint["state"]}
         target.request(op)
@@ -858,8 +860,12 @@ class ProcessBackend(ExecutionBackend):
             self.worker_failed(worker)
             return self._worker_for(handler_name).request(op)
 
+    def _handler_op(self, name: str) -> Dict[str, Any]:
+        """The ``handler`` control op: the worker drains in the runtime's batches."""
+        return {"op": "handler", "name": name, "qoq_batch": self.runtime.config.qoq_batch}
+
     def start_handler(self, handler: Any) -> None:
-        self._control_request(handler.name, {"op": "handler", "name": handler.name})
+        self._control_request(handler.name, self._handler_op(handler.name))
         # from now on reservations of this handler go over the wire
         handler.qoq = _RemoteQoQ(self, handler)
 

@@ -1,33 +1,34 @@
 """Child-process side of the :class:`~repro.backends.process.ProcessBackend`.
 
-A worker process hosts one or more *handler servers*.  Each handler server
-is the Fig. 7 handler loop transplanted across a process boundary:
+A worker process hosts one or more *handler servers*.  Each is the backend
+of a real :class:`~repro.core.handler.Handler` whose Fig. 7 loop runs on a
+thread of this process, so ``Handler.drain_batch`` applies *call*, *sync*
+and *end* here exactly as it does on every other backend:
 
-* every client connection is one socket-backed private queue: the client
-  sends ``open`` (with a parent-assigned *ticket*), then ``call`` / ``sync``
-  / ``invoke`` / ``query`` frames, then ``end``;
-* a per-connection reader thread parses frames off the wire and files them
-  into in-memory per-block queues, so a client bursting requests never
-  blocks on a busy handler (the unbounded-queue semantics of the in-memory
-  runtime are preserved, and reads never stall the drain);
-* a single drain thread serves blocks strictly in **ticket order** — the
-  ticket is assigned by the parent at reservation time (under the same
-  spinlocks that make multi-handler reservations atomic), so the FIFO-of-
-  private-queues order, and with it both reasoning guarantees, survive the
-  process hop even though frames from different clients race on the wire.
+* every client connection is one socket-backed private queue: ``open``
+  (with a parent-assigned *ticket*), then ``call`` / ``sync`` / ``invoke`` /
+  ``query`` frames, then ``end``.  The thread that accepted the connection
+  turns each frame into the request an in-memory client would have logged,
+  on one ``PrivateQueue`` per connection, so a client bursting requests
+  never blocks on a busy handler;
+* the handler's ``handler_next_queue`` hook is its queue-of-queues: it hands
+  those private queues out strictly in **ticket order**.  The ticket is
+  assigned by the parent at reservation time (under the same spinlocks that
+  make multi-handler reservations atomic), so the FIFO-of-private-queues
+  order, and with it both reasoning guarantees, survive the process hop
+  even though frames from different clients race on the wire.
 
-Results, sync releases and error reports travel back on the same framed
-connection; every reply piggybacks the non-zero worker-local counters so
-the parent can fold handler-side work (``calls_executed``) into the
-runtime's totals without an extra channel.
+Replies (results, sync releases, errors) go back on the same connection,
+sent by the requests' own completions, and piggyback the non-zero counters
+(``calls_executed``, ``qoq_batch_*``) the parent folds into its totals.
 
-The same replies carry **checkpoints**: every so many served frames the
-drain thread pickles everything the handler would lose with this process
-(hosted objects, counters, recorded failures) *between two blocks*, tagged
-with the ticket of the last block served.  The parent's journal for the
-handler keeps the newest one and drops its frames up to that ticket; a
-replacement worker is created from it (``handler`` op) and re-executes only
-the blocks above it.
+The same replies carry **checkpoints**: every so many drained requests the
+hook pickles everything the handler would lose with this process (hosted
+objects, counters, recorded failures) *between two blocks*, tagged with the
+ticket of the last block served.  The parent's journal for the handler
+keeps the newest one and drops its frames up to that ticket; a replacement
+worker is created from it (``handler`` op) and re-executes only the blocks
+above it.
 
 The worker is started as ``python -c "from repro.backends.process_worker
 import main; main()"`` with a JSON spec in the ``REPRO_PROCESS_WORKER``
@@ -50,214 +51,270 @@ import sys
 import threading
 import time
 import traceback
-from collections import deque
-from typing import Any, Deque, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.region import HandlerOwner, SeparateObject
+from repro.backends.threaded import ThreadedBackend
+from repro.config import QsConfig
+from repro.core.handler import Handler
+from repro.core.region import SeparateObject
+from repro.errors import ScoopError
 from repro.queues.codec import CODECS
+from repro.queues.private_queue import END, CallRequest, PrivateQueue, SyncRequest
 from repro.queues.socket_queue import FrameStream, SocketQueueClosed
-from repro.util.counters import Counters
 
-#: how long the drain tolerates a missing ticket after close before skipping
+#: how long the hook tolerates a missing ticket after close before skipping
 #: it (a client that crashed between reserving and opening its block)
 _ABANDONED_TICKET_GRACE = 5.0
 
-#: A handler checkpoints after a block once it has served this many frames
-#: since the last checkpoint, or one frame per this many bytes of the last
+#: A handler checkpoints after a block once it has drained this many
+#: requests since the last checkpoint, or one per this many bytes of the last
 #: snapshot if that is more.  By work done, not by time: the parent's journal
 #: (and so its memory) is then bounded whatever the throughput, and the
-#: second term keeps the cost per frame constant however large the state.
+#: second term keeps the cost per request constant however large the state.
 CHECKPOINT_MIN_FRAMES = 1024
 CHECKPOINT_BYTES_PER_FRAME = 64
 
 
-class _Block:
-    """One separate block in flight: its frames and its reply connection."""
+class _Replies:
+    """Where one connection's replies go, shaped as a query's result box.
 
-    __slots__ = ("ticket", "stream", "items", "ended")
-
-    def __init__(self, ticket: int, stream: FrameStream) -> None:
-        self.ticket = ticket
-        self.stream = stream
-        self.items: Deque[Dict[str, Any]] = deque()
-        self.ended = False
-
-
-class _NullStream:
-    """Reply sink for blocks restored after a failover.
-
-    A restored block's original client already consumed its replies from the
-    dead worker, so the re-execution (which only rebuilds handler state and
-    counters) drops them: ``send`` raises ``BrokenPipeError``, which the
-    reply paths already treat as "client gone".
+    A ``query`` frame's request (or an ``invoke``'s body) hands its outcome
+    to ``set``, and a ``sync``'s release calls :meth:`release`.  Every
+    reply carries the non-zero counters (the parent reads an absent name as
+    unchanged) and the unsent checkpoint, if there is one.  ``stream`` is
+    ``None`` for blocks restored after a failover: their clients had every reply.
     """
 
+    __slots__ = ("server", "stream")
+
+    def __init__(self, server: "HandlerServer", stream: Optional[FrameStream]) -> None:
+        self.server = server
+        self.stream = stream
+
+    def release(self) -> None:
+        self.send({"kind": "release"})
+
+    def set(self, value: Any) -> None:
+        try:
+            self.send({"kind": "result", "value": value})
+        except Exception as exc:  # noqa: BLE001 - a value the codec refuses
+            self.set_error(exc)
+
+    def set_error(self, error: BaseException) -> None:
+        try:
+            self.send({"kind": "error", "error": error, "message": repr(error)})
+        except Exception:  # noqa: BLE001 - the exception itself does not encode
+            self.send({"kind": "error", "message": repr(error)})
+
     def send(self, payload: Dict[str, Any]) -> None:
-        raise BrokenPipeError("restored block: replies already delivered")
+        """A reply that cannot leave is dropped; it leaves the checkpoint for the next."""
+        if self.stream is None:
+            return
+        server = self.server
+        payload["counters"] = server.handler.counters.nonzero()
+        if server._unsent is not None:
+            payload["checkpoint"] = server._unsent
+        try:
+            self.stream.send(payload)
+        except OSError:
+            return  # client gone; nothing to tell it
+        server._unsent = None
 
-    def close(self) -> None:  # pragma: no cover - interface parity
-        pass
+
+class _Release:
+    """A marker's release that runs ``action`` when the handler reaches it."""
+
+    __slots__ = ("set",)
+
+    def __init__(self, action: Callable[[], Any]) -> None:
+        self.set = action
 
 
-class HandlerServer:
-    """One handler transplanted into this process: objects + ticketed drain.
+class HandlerServer(ThreadedBackend):
+    """One handler transplanted into this process: the backend of its loop.
 
-    ``text_state`` ships its periodic snapshots base64-encoded, for a reply
-    codec that cannot carry ``bytes``.  ``restored_from`` is the checkpoint
-    of a dead worker's handler to continue from: its objects, counters and
-    failures, with the ticket-ordered drain starting right above its ticket.
+    ``qoq_batch`` is the parent's ``QsConfig.qoq_batch``.  ``text_state``
+    ships the periodic snapshots base64-encoded, for a reply codec that
+    cannot carry ``bytes``.  ``restored_from`` is the checkpoint of a dead
+    worker's handler to continue from: its objects, counters and failures,
+    with the ticket-ordered hook starting right above its ticket.
     """
 
     def __init__(self, name: str, text_state: bool = False,
-                 restored_from: Optional[Dict[str, Any]] = None) -> None:
-        self.name = name
+                 restored_from: Optional[Dict[str, Any]] = None,
+                 qoq_batch: int = QsConfig.qoq_batch) -> None:
+        super().__init__()
+        self.handler = Handler(name, QsConfig(qoq_batch=qoq_batch), backend=self)
         self.targets: Dict[int, Any] = {}
-        self.owner = HandlerOwner(name)
-        self.counters = Counters()
-        #: (repr, traceback-text) pairs of asynchronous calls that raised
-        self.failures: list = []
         self._cond = threading.Condition()
-        self._blocks: Dict[int, _Block] = {}
+        #: opened private queues by ticket, until the hook hands them out
+        self._blocks: Dict[int, PrivateQueue] = {}
         self._expected = 0
-        self._tickets_total: Optional[int] = None
+        self._tickets: Optional[int] = None
         self._text_state = text_state
-        #: frames served since the last checkpoint, and how many trigger one
-        self._served = 0
+        #: (repr, traceback) pairs a dead worker recorded before this one
+        self._inherited: List[tuple] = []
+        #: ``qoq_batch_size_sum`` at the last checkpoint, and the gap to the next
+        self._checkpointed = 0
         self._threshold = CHECKPOINT_MIN_FRAMES
-        #: the newest checkpoint no reply has carried yet (drain thread only)
+        #: the newest checkpoint no reply has carried yet (handler thread only)
         self._unsent: Optional[Dict[str, Any]] = None
         if restored_from is not None:
-            targets, counters, failures = pickle.loads(restored_from["state"])
+            targets, counters, self._inherited = pickle.loads(restored_from["state"])
             for oid, obj in targets.items():
                 self.host(oid, obj)
-            # the replacement re-executes only the blocks above the
-            # watermark, so it starts from the counts below it
+            # it re-executes only the blocks above the ticket: start from their counts
             for key, value in counters.items():
-                self.counters.add(key, value)
-            self.failures = failures
+                self.handler.counters.add(key, value)
+            self._checkpointed = counters.get("qoq_batch_size_sum", 0)
             self._expected = int(restored_from["ticket"]) + 1
-        self.drained = threading.Event()
-        self._thread = threading.Thread(target=self._drain, name=f"drain:{name}", daemon=True)
-        self._thread.start()
+        self.handler.start()
 
     # -- control ops --------------------------------------------------------
     def host(self, oid: int, obj: Any) -> None:
         if isinstance(obj, SeparateObject):
-            obj._scoop_bind(self.owner)
+            obj._scoop_bind(self.handler.owner)
         self.targets[oid] = obj
 
-    def close(self, tickets: int) -> None:
-        """No more blocks will ever be opened; ``tickets`` were issued."""
+    def close(self, tickets: int, timeout: float) -> bool:
+        """No more blocks will open (``tickets`` were issued); True once all are served."""
         with self._cond:
-            self._tickets_total = tickets
-            self._cond.notify_all()
+            self._tickets = tickets
+            self._cond.notify()
+        self.handler.thread.join(timeout)
+        return not self.handler.thread.is_alive()
 
     def restore(self, blocks: "list[tuple[int, list]]") -> None:
         """Pre-file journaled blocks from before a failover (ticket order).
 
         The parent replays every *ended* block above the last checkpoint
-        here; the drain then re-executes them against the restored objects,
-        reconstructing the handler state the dead process took with it.
-        Replies go to a :class:`_NullStream` (their clients already got
-        them); in-flight blocks are not restored — their owning clients
-        re-send them on their own reconnected private queues.
+        here; the handler then re-executes them against the restored
+        objects, reconstructing the state the dead process took with it.
+        Their replies are dropped (their clients already got them); in-flight
+        blocks are not restored — their owning clients re-send them on their
+        own reconnected private queues.
         """
-        with self._cond:
-            for ticket, frames in blocks:
-                block = _Block(int(ticket), _NullStream())  # type: ignore[arg-type]
-                block.items.extend(frames)
-                block.ended = True
-                self._blocks[int(ticket)] = block
-            self._cond.notify_all()
+        replies = _Replies(self, None)
+        for ticket, frames in blocks:
+            queue = PrivateQueue(self.handler)
+            for frame in frames:
+                queue._queue.put(self._request(frame, replies))
+            self._file(int(ticket), queue)
 
-    # -- the wire side ------------------------------------------------------
+    # -- the wire side: frames become requests --------------------------------
     def add_connection(self, stream: FrameStream, client: str) -> None:
-        thread = threading.Thread(target=self._reader, args=(stream,),
-                                  name=f"reader:{self.name}:{client}", daemon=True)
-        thread.start()
+        """Read one client connection until it closes (on the accepting thread).
 
-    def _reader(self, stream: FrameStream) -> None:
-        """Parse frames off one client connection into its current block."""
-        current: Optional[_Block] = None
+        Every frame goes, as a request, onto one private queue reused across
+        the connection's blocks; ``open`` files the queue under the block's
+        ticket.  Nothing is counted here: the parent counted each request
+        when its client logged it.
+        """
+        queue = PrivateQueue(self.handler)
+        queue.client_name = client
+        put = queue._queue.put
+        replies = _Replies(self, stream)
+        in_block = False
         while True:
             try:
                 frame = stream.recv(None)
             except (SocketQueueClosed, OSError):
                 # the client vanished; a block left open must not wedge the
-                # drain forever (mirrors the threaded backend's defensive
-                # handling of a client crash without END)
-                if current is not None and not current.ended:
-                    with self._cond:
-                        current.items.append({"kind": "end"})
-                        self._cond.notify_all()
+                # handler forever (as a client crash without END in memory)
+                if in_block:
+                    put(END)
                 return
-            if frame is None:  # pragma: no cover - recv(None) never times out
-                continue
             kind = frame.get("kind")
             if kind == "open":
-                block = _Block(int(frame["ticket"]), stream)
-                with self._cond:
-                    current = block
-                    self._blocks[block.ticket] = block
-                    self._cond.notify_all()
-                continue
-            with self._cond:
-                if current is None:
-                    continue  # protocol violation; drop rather than crash
-                if kind == "end":
-                    current.ended = True
-                current.items.append(frame)
-                self._cond.notify_all()
+                in_block = True
+                self._file(int(frame["ticket"]), queue)
+            elif in_block:  # a frame outside a block is a protocol violation: dropped
+                in_block = kind != "end"
+                put(self._request(frame, replies))
 
-    # -- the drain (Fig. 7 across the process boundary) ---------------------
-    def _drain(self) -> None:
-        self.owner.bind_thread(threading.current_thread())
-        stall_started: Optional[float] = None
-        while True:
-            with self._cond:
-                while True:
-                    block = self._blocks.pop(self._expected, None)
-                    if block is not None:
-                        stall_started = None
-                        break
-                    if self._tickets_total is not None and self._expected >= self._tickets_total:
-                        self.drained.set()
-                        return
-                    self._cond.wait(timeout=0.25)
-                    if self._tickets_total is not None and self._expected not in self._blocks:
-                        # closing, but a reserved block never arrived: its
-                        # client died before sending ``open``.  Skip it after
-                        # a grace period of *elapsed time* (waits can return
-                        # early under notify traffic) instead of hanging
-                        # shutdown.
-                        now = time.monotonic()
-                        if stall_started is None:
-                            stall_started = now
-                        elif now - stall_started >= _ABANDONED_TICKET_GRACE:
-                            self._expected += 1
-                            stall_started = None
-            self._served += self._serve(block)
-            self._expected += 1
-            if self._served >= self._threshold:
-                self._take_checkpoint()
+    def _request(self, frame: Dict[str, Any], replies: _Replies) -> Any:
+        """The request an in-memory client logs for ``frame``."""
+        kind = frame.get("kind")
+        if kind == "call" or kind == "query" or kind == "invoke":
+            target = self.targets.get(frame.get("oid", 0))
+            args, kwargs = frame.get("args") or (), frame.get("kwargs") or {}
+            fn = frame.get("fn")
+            result = None if kind == "call" else replies
+            if fn is None:  # a described call, built positionally: the hot path
+                request = CallRequest(None, (target,), {}, result, 0, frame.get("feature"),
+                                      None, args, kwargs)
+            else:
+                request = CallRequest(fn, (target, *args), kwargs, result)
+            if kind == "invoke":
+                # a client-executed body runs as its marker's release, so
+                # (as in memory) it is not an executed call
+                return SyncRequest(_Release(request.execute))
+            return request
+        if kind == "end":
+            return END
+        if kind == "sync":
+            return SyncRequest(_Release(replies.release))
+        error = ScoopError(f"unknown request kind {kind!r}")
+        return SyncRequest(_Release(lambda: self.handler.failures.append(error)))
+
+    def handler_next_batch(self, handler: Handler, private_queue: PrivateQueue,
+                           max_items: int) -> list:
+        # a block always ends (a vanished client's reader appends END), so the
+        # wait needs none of the threaded backend's shutdown polling
+        return private_queue.dequeue_batch(max_items)
+
+    def _file(self, ticket: int, queue: PrivateQueue) -> None:
+        with self._cond:
+            self._blocks[ticket] = queue
+            self._cond.notify()
+
+    # -- the handler loop's queue-of-queues (Fig. 7 across the process boundary)
+    def handler_next_queue(self, handler: Handler) -> Optional[PrivateQueue]:
+        """The private queue of the next ticket; ``None`` once closed and served.
+
+        Between two blocks, where a snapshot holds the effects of exactly
+        the blocks handed out so far, this is also where the checkpoint is
+        taken.  A ticket still missing after close belongs to a client that
+        died between reserving and opening its block: it is skipped after a
+        grace period of *elapsed time* (waits return early under notify
+        traffic) instead of hanging shutdown.
+        """
+        if handler.counters.get("qoq_batch_size_sum") - self._checkpointed >= self._threshold:
+            self._take_checkpoint()
+        stalled: Optional[float] = None
+        with self._cond:
+            while True:
+                queue = self._blocks.pop(self._expected, None)
+                if queue is not None:
+                    self._expected += 1
+                    return queue
+                if self._tickets is not None:
+                    if self._expected >= self._tickets:
+                        return None
+                    now = time.monotonic()
+                    stalled = now if stalled is None else stalled
+                    if now - stalled >= _ABANDONED_TICKET_GRACE:
+                        self._expected, stalled = self._expected + 1, None
+                        continue
+                self._cond.wait(timeout=0.25)
 
     def _take_checkpoint(self) -> None:
-        """Snapshot the handler between two blocks (drain thread only).
+        """Snapshot the handler between two blocks (handler thread only).
 
-        The drain thread is the only one that mutates hosted state, so the
-        snapshot is consistent without a lock: it holds the effects of
-        exactly the blocks up to ``_expected - 1``.  ONE pickle of all the
+        The handler thread is the only one that mutates hosted state, so the
+        snapshot is consistent without a lock.  ONE pickle of all the
         objects keeps what they share shared.
         """
-        self._served = 0
+        counters = self.handler.counters.nonzero()
+        self._checkpointed = counters.get("qoq_batch_size_sum", 0)
         targets = dict(self.targets)  # ``host`` runs on the control thread
         try:
-            state = pickle.dumps((targets, self._counter_values(), self.failures),
+            state = pickle.dumps((targets, counters, self._failure_pairs()),
                                  protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:  # noqa: BLE001 - an object stopped being picklable
             # the previous checkpoint stays in force and the parent's journal
             # keeps growing: say so, and try less and less often
-            self.counters.bump("journal_checkpoint_errors")
+            self.handler.counters.bump("journal_checkpoint_errors")
             self._threshold *= 2
             return
         self._threshold = max(CHECKPOINT_MIN_FRAMES, len(state) // CHECKPOINT_BYTES_PER_FRAME)
@@ -265,97 +322,14 @@ class HandlerServer:
             "ticket": self._expected - 1, "oids": sorted(targets),
             "state": base64.b64encode(state).decode("ascii") if self._text_state else state}
 
-    def _serve(self, block: _Block) -> int:
-        """Serve one block to its ``end``; returns the frames it took."""
-        served = 0
-        while True:
-            with self._cond:
-                while not block.items:
-                    self._cond.wait()
-                frame = block.items.popleft()
-            served += 1
-            kind = frame.get("kind")
-            if kind == "end":
-                return served
-            if kind == "sync":
-                self._reply(block, {"kind": "release", "counters": self._counter_values()})
-                continue
-            if kind == "call":
-                self.counters.bump("calls_executed")
-                try:
-                    self._apply(frame)
-                except BaseException as exc:  # recorded like Handler.failures
-                    self.failures.append((repr(exc), traceback.format_exc()))
-                continue
-            if kind in ("invoke", "query"):
-                # "query" is the unoptimized packaged-query protocol (counted
-                # as an executed call, like the in-memory handler loop);
-                # "invoke" is a client-executed query body shipped to the
-                # parked handler, which the in-memory runtime does not count.
-                if kind == "query":
-                    self.counters.bump("calls_executed")
-                try:
-                    value = self._apply(frame)
-                except BaseException as exc:
-                    self._reply_error(block, exc)
-                    continue
-                self._reply(block, {"kind": "result", "value": value,
-                                    "counters": self._counter_values()},
-                            on_encode_error=True)
-                continue
-            self.failures.append((f"unknown request kind {kind!r}", ""))
-
-    def _apply(self, frame: Dict[str, Any]) -> Any:
-        target = self.targets[frame.get("oid", 0)]
-        args = tuple(frame.get("args") or ())
-        kwargs = dict(frame.get("kwargs") or {})
-        fn = frame.get("fn")
-        if fn is not None:
-            return fn(target, *args, **kwargs)
-        return getattr(target, frame["feature"])(*args, **kwargs)
-
-    # -- replies -------------------------------------------------------------
-    def _counter_values(self) -> Dict[str, int]:
-        """The non-zero counters: the parent reads an absent name as unchanged."""
-        return {name: value for name, value in self.counters.snapshot().as_dict().items()
-                if value}
-
-    def _send(self, block: _Block, payload: Dict[str, Any]) -> None:
-        """One reply, carrying the unsent checkpoint if there is one.
-
-        A reply that does not leave (client gone, restored block, a value
-        the codec refuses) leaves the checkpoint for the next one.
-        """
-        checkpoint = self._unsent
-        if checkpoint is not None:
-            payload["checkpoint"] = checkpoint
-        block.stream.send(payload)
-        self._unsent = None
-
-    def _reply(self, block: _Block, payload: Dict[str, Any],
-               on_encode_error: bool = False) -> None:
-        try:
-            self._send(block, payload)
-        except (BrokenPipeError, OSError):
-            pass  # client gone; nothing to tell it
-        except Exception as exc:  # noqa: BLE001 - unencodable result value
-            if not on_encode_error:
-                raise
-            self._reply_error(block, exc)
-
-    def _reply_error(self, block: _Block, exc: BaseException) -> None:
-        payload = {"kind": "error", "error": exc, "message": repr(exc),
-                   "counters": self._counter_values()}
-        try:
-            self._send(block, payload)
-        except (BrokenPipeError, OSError):
-            pass
-        except Exception:  # noqa: BLE001 - exception itself unencodable
-            self._reply(block, {"kind": "error", "message": repr(exc),
-                                "counters": self._counter_values()})
+    # -- replies and reports ---------------------------------------------------
+    def _failure_pairs(self) -> List[tuple]:
+        """The recorded failures as ``(repr, traceback)`` pairs, which pickle."""
+        return self._inherited + [(repr(exc), "".join(traceback.format_exception(exc)))
+                                  for exc in list(self.handler.failures)]
 
     def report(self) -> Dict[str, Any]:
-        return {"counters": self._counter_values(), "failures": list(self.failures)}
+        return {"counters": self.handler.counters.nonzero(), "failures": self._failure_pairs()}
 
 
 class Worker:
@@ -422,7 +396,7 @@ class Worker:
             if op["name"] not in self.servers:
                 self.servers[op["name"]] = HandlerServer(
                     op["name"], text_state=not CODECS[self.codec].faithful,
-                    restored_from=op.get("checkpoint"))
+                    restored_from=op.get("checkpoint"), qoq_batch=op["qoq_batch"])
             return {"ok": True}
         if name == "host":
             self.servers[op["handler"]].host(int(op["oid"]), pickle.loads(op["obj"]))
@@ -432,8 +406,7 @@ class Worker:
             return {"ok": True}
         if name == "close":
             server = self.servers[op["handler"]]
-            server.close(int(op["tickets"]))
-            drained = server.drained.wait(timeout=float(op.get("timeout", 30.0)))
+            drained = server.close(int(op["tickets"]), float(op.get("timeout", 30.0)))
             return {"ok": True, "drained": drained, **server.report()}
         if name == "exit":
             return {"ok": True}

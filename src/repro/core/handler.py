@@ -132,50 +132,35 @@ class Handler:
     # the handler loop (Fig. 7)
     # ------------------------------------------------------------------
     def _loop(self) -> None:
+        backend, max_items = self.backend, max(1, self.config.qoq_batch)
         while True:
-            private_queue = self.backend.handler_next_queue(self)
+            private_queue = backend.handler_next_queue(self)
             if private_queue is None:
                 # queue-of-queues closed and drained: no more work, shut down
                 break
-            self._drain_private_queue(private_queue)
-
-    def _drain_private_queue(self, private_queue: PrivateQueue) -> None:
-        max_items = max(1, self.config.qoq_batch)
-        while True:
-            batch = self.backend.handler_next_batch(self, private_queue, max_items)
-            if batch is None:
-                # runtime shutting down with the block abandoned (client
+            while True:
+                batch = backend.handler_next_batch(self, private_queue, max_items)
+                # None: runtime shutting down with the block abandoned (client
                 # crashed without END, or the reservation was never used)
-                return
-            if self.drain_batch(private_queue, batch):
-                return
+                if batch is None or self.drain_batch(private_queue, batch):
+                    break
 
     def drain_batch(self, private_queue: PrivateQueue, batch: "list") -> bool:
         """Apply one drained batch of requests; return True at END.
 
         This is the backend-independent half of rule *end*/*sync*/*call*
-        dispatch: the threaded/sim/process loops call it after their
-        blocking ``handler_next_batch``, the asyncio backend's coroutine
-        loop after awaiting the queue's drain waiter — so every backend
-        executes requests (and accounts for them) identically.
+        dispatch: :meth:`_loop` calls it after the blocking
+        ``handler_next_batch`` (threads, sim, and the process backend's
+        worker, whose ``HandlerServer`` turns frames into these requests),
+        the asyncio backend's coroutine loop after awaiting the queue's
+        drain waiter — so every backend executes requests (and accounts for
+        them) identically.
         """
-        self.counters.bump("qoq_batch_drains")
-        self.counters.add("qoq_batch_size_sum", len(batch))
+        self.counters.count_drain(len(batch))
         traced = self.tracer.enabled
         for request in batch:
-            if isinstance(request, EndMarker):
-                # rule *end*: switch to the next private queue (a batch
-                # never extends past an END marker)
-                if traced:
-                    self.tracer.record("end-block", self.name, client=private_queue.client_name,
-                                       block=private_queue.block_id)
-                return True
-            if isinstance(request, SyncRequest):
-                # rule *sync*: release the waiting client; we then park on
-                # this queue until the client logs more requests (or END)
-                request.fire()
-                continue
-            if isinstance(request, CallRequest):
+            # calls first: they are what a busy queue is made of
+            if type(request) is CallRequest:
                 self.counters.bump("calls_executed")
                 if traced:
                     # packaged queries (a result box is attached) are recorded
@@ -188,6 +173,18 @@ class Handler:
                     request.execute()
                 except BaseException as exc:  # asynchronous call failed
                     self.failures.append(exc)
+                continue
+            if isinstance(request, EndMarker):
+                # rule *end*: switch to the next private queue (a batch
+                # never extends past an END marker)
+                if traced:
+                    self.tracer.record("end-block", self.name, client=private_queue.client_name,
+                                       block=private_queue.block_id)
+                return True
+            if isinstance(request, SyncRequest):
+                # rule *sync*: release the waiting client; we then park on
+                # this queue until the client logs more requests (or END)
+                request.fire()
                 continue
             raise HandlerShutdownError(
                 f"handler {self.name!r} received unknown request {request!r}")

@@ -8,6 +8,14 @@ exploit the fact that ``collections.deque.append`` and ``popleft`` are
 atomic with respect to the GIL, so the fast path of this queue performs no
 locking at all; a condition variable is only touched when the consumer has
 to block waiting for data.
+
+The producer learns that from ``_waiting``, which the consumer sets under
+the condition *before* its last look at the deque.  Under the GIL that is
+enough: a producer that reads ``False`` appended before that look, so the
+consumer finds the item; one that reads ``True`` takes the condition, which
+the consumer only gives up inside ``wait``, so the notify cannot be lost.
+That producer also clears the flag: the consumer it wakes finds the item
+and returns without sleeping again.
 """
 
 from __future__ import annotations
@@ -22,21 +30,27 @@ T = TypeVar("T")
 class SPSCQueue(Generic[T]):
     """Unbounded SPSC FIFO with a blocking consumer and non-blocking producer."""
 
-    __slots__ = ("_items", "_cond", "_closed")
+    __slots__ = ("_items", "_cond", "_closed", "_waiting")
 
     def __init__(self) -> None:
         self._items: Deque[T] = deque()
         self._cond = threading.Condition()
         self._closed = False
+        #: True while the consumer may be asleep in ``get`` (set under ``_cond``)
+        self._waiting = False
 
     # -- producer side -------------------------------------------------
     def put(self, item: T) -> None:
         """Enqueue ``item``; never blocks (the queue is unbounded)."""
         self._items.append(item)
         # Only wake the consumer if it might be sleeping; uncontended appends
-        # stay lock free thanks to the GIL-atomic deque.
-        with self._cond:
-            self._cond.notify()
+        # stay lock free thanks to the GIL-atomic deque.  One wake-up per
+        # sleep: the appends behind it, made before the woken consumer runs,
+        # skip the lock too.
+        if self._waiting:
+            with self._cond:
+                self._waiting = False
+                self._cond.notify()
 
     def close(self) -> None:
         """Signal that no more items will ever be produced."""
@@ -52,20 +66,20 @@ class SPSCQueue(Generic[T]):
         the boolean-returning ``dequeue`` of the paper's C implementation
         (``False`` meaning "no more work", Fig. 7).
         """
-        # Fast path: data already available.
-        try:
-            return self._items.popleft()
-        except IndexError:
-            pass
+        # Fast path: data already available.  The consumer alone pops, so a
+        # non-empty deque stays non-empty until it does.
+        items = self._items
+        if items:
+            return items.popleft()
         with self._cond:
-            while True:
-                try:
-                    return self._items.popleft()
-                except IndexError:
-                    if self._closed:
+            self._waiting = True
+            try:
+                while not items:
+                    if self._closed or not self._cond.wait(timeout=timeout):
                         return None
-                    if not self._cond.wait(timeout=timeout):
-                        return None
+                return items.popleft()
+            finally:
+                self._waiting = False
 
     def try_get(self) -> tuple[bool, Optional[T]]:
         """Non-blocking dequeue; returns ``(found, item)``."""
@@ -86,16 +100,14 @@ class SPSCQueue(Generic[T]):
         popleft = self._items.popleft
         batch: list = []
         append = batch.append
-        try:
+        # only the consumer pops: the items present now stay until it does
+        for _ in range(min(max_items, len(self._items))):
+            item = popleft()
+            append(item)
             # ``type(item) is None`` is never true, so no stop_type means no
             # extra branch beyond this single identity check
-            for _ in range(max_items):
-                item = popleft()
-                append(item)
-                if type(item) is stop_type:
-                    break
-        except IndexError:
-            pass
+            if type(item) is stop_type:
+                break
         return batch
 
     # -- introspection ---------------------------------------------------

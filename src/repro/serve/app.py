@@ -124,8 +124,7 @@ async def healthz(ctx: Any, request: Any) -> Any:
 
 
 async def metrics(ctx: Any, request: Any) -> Any:
-    snap = ctx.gateway.runtime.counters.snapshot()
-    return 200, {name: count for name, count in snap.as_dict().items() if count}
+    return 200, ctx.gateway.runtime.counters.nonzero()
 
 
 async def routes(ctx: Any, request: Any) -> Any:

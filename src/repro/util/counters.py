@@ -156,9 +156,22 @@ class Counters:
         with self._lock:
             return self._values.get(name, 0)
 
+    def count_drain(self, size: int) -> None:
+        """One batched drain pass of ``size`` requests: both ``qoq_batch_*``
+        counters under one lock (the handler loop's per-batch accounting)."""
+        with self._lock:
+            values = self._values
+            values["qoq_batch_drains"] += 1
+            values["qoq_batch_size_sum"] += size
+
     def snapshot(self) -> CounterSnapshot:
         with self._lock:
             return CounterSnapshot(dict(self._values))
+
+    def nonzero(self) -> Dict[str, int]:
+        """The counts that are not zero (what a worker reply and ``/metrics`` carry)."""
+        with self._lock:
+            return {name: value for name, value in self._values.items() if value}
 
     def reset(self) -> None:
         with self._lock:
@@ -173,6 +186,4 @@ class Counters:
                 self._values[key] = self._values.get(key, 0) + value
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        snap = self.snapshot()
-        interesting = {k: v for k, v in snap.values.items() if v}
-        return f"Counters({interesting})"
+        return f"Counters({self.nonzero()})"

@@ -10,19 +10,22 @@ exceptions, worker-process pooling, and the selection plumbing
 
 from __future__ import annotations
 
+import functools
 import inspect
 import os
+import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
 from repro import QsRuntime, SeparateObject, command, query
-from repro.backends import ProcessBackend
+from repro.backends import ProcessBackend, process_worker
 from repro.backends.process import RemoteHandle, RemoteHandlerError, _WorkerProcess
-from repro.backends.process_worker import HandlerServer
+from repro.backends.process_worker import CHECKPOINT_MIN_FRAMES, HandlerServer
 from repro.errors import QueryFailedError, ScoopError
 from repro.queues.codec import get_codec
 from repro.queues.socket_queue import FrameBuffers, FrameStream
@@ -260,16 +263,24 @@ class TestCountersAggregation:
         # no query ever forced a reply; the close report must carry the count
         assert rt.stats()["calls_executed"] == 2
 
+    @pytest.mark.parametrize("spec", ["threads", "process", "process+async:2:2"])
+    @pytest.mark.parametrize("level", ["all", "none"])
+    def test_worker_batch_counters_reach_the_parent(self, level, spec):
+        # the worker drains through the same Handler as threads, in the
+        # parent's batches: `none` means one request per drain there too
+        stats = _four_blocks_of_forty(level, spec)
+        assert stats["qoq_batch_size_sum"] == _four_blocks_of_forty(level, "threads")[
+            "qoq_batch_size_sum"]
+        assert stats["qoq_batch_drains"] > 0
+        if level == "none":
+            assert stats["qoq_batch_drains"] == stats["qoq_batch_size_sum"]
 
-    @pytest.mark.parametrize("codec, limit", [("pickle", 100), ("bin", 64), ("json", 96)])
+    @pytest.mark.parametrize("codec, limit", [("pickle", 128), ("bin", 96), ("json", 120)])
     def test_a_reply_carries_only_the_nonzero_counters(self, codec, limit):
         # every reply used to pickle all 32 counter names, 29 of them zero:
-        # ~700 B where the ones that say something take under 100
-        ours, theirs = socket.socketpair()
-        server = HandlerServer("box")
+        # ~700 B where the ones that say something take 120 / 91 / 113 B
+        server, stream = _serve_over_a_socketpair(codec)
         server.host(1, Box())
-        server.add_connection(FrameStream(theirs, codec), "c")
-        stream = FrameStream(ours, codec)
         try:
             stream.send({"kind": "open", "ticket": 0, "block": None})
             for i in range(3):
@@ -278,13 +289,47 @@ class TestCountersAggregation:
                          "args": [], "kwargs": {}})
             stream.send({"kind": "end"})
             reply = stream.recv(timeout=10.0)
-            assert reply == {"kind": "result", "value": 3, "counters": {"calls_executed": 3}}
+            # how the five frames fell into batches is up to the scheduler
+            counters = reply["counters"]
+            assert reply == {"kind": "result", "value": 3, "counters": counters}
+            assert set(counters) == {"calls_executed", "qoq_batch_drains", "qoq_batch_size_sum"}
+            assert counters["calls_executed"] == 3
             assert len(get_codec(codec).encode(reply)) < limit
-            assert server.report()["counters"] == {"calls_executed": 3}
         finally:
-            server.close(1)
+            drained = server.close(1, timeout=5.0)
             stream.close()
-        assert server.drained.wait(timeout=5.0)
+        assert drained
+        final = server.report()["counters"]
+        assert set(final) == set(counters)
+        assert (final["calls_executed"], final["qoq_batch_size_sum"]) == (3, 5)
+
+
+@functools.lru_cache(maxsize=None)
+def _four_blocks_of_forty(level: str, spec: str) -> dict:
+    """One handler's counters after 4 blocks of 40 commands and a query."""
+    with QsRuntime(level, backend=spec) as rt:
+        ref = rt.new_handler("box").create(Box)
+
+        def client() -> None:
+            for block in range(4):
+                with rt.separate(ref) as b:
+                    for i in range(40):
+                        b.put(i)
+                    assert b.calls_seen() == 40 * (block + 1)
+
+        rt.client(client)
+        rt.join_clients()
+    return dict(rt.stats())
+
+
+def _serve_over_a_socketpair(codec: str = "pickle"):
+    """A ``HandlerServer`` in this process, reading one end of a socketpair
+    on its own thread; returns the server and the client's end."""
+    ours, theirs = socket.socketpair()
+    server = HandlerServer("box")
+    threading.Thread(target=server.add_connection, args=(FrameStream(theirs, codec), "c"),
+                     daemon=True).start()
+    return server, FrameStream(ours, codec)
 
 
 def _wire_recorder(monkeypatch):
@@ -435,6 +480,28 @@ class TestOneRoundTripPerQuery:
         assert (stats["sync_roundtrips"], stats["syncs_elided"]) == (1, 1)
 
 
+class TestTicketOrder:
+    def test_a_ticket_never_opened_is_skipped_after_the_grace(self, monkeypatch):
+        # ticket 0's client died between reserving and opening its block
+        monkeypatch.setattr(process_worker, "_ABANDONED_TICKET_GRACE", 0.2)
+        server, stream = _serve_over_a_socketpair()
+        server.host(1, Box())
+        try:
+            stream.send({"kind": "open", "ticket": 1, "block": None})
+            stream.send({"kind": "invoke", "oid": 1, "feature": "echo",
+                         "args": ["served"], "kwargs": {}})
+            stream.send({"kind": "end"})
+            started = time.monotonic()
+            drained = server.close(2, timeout=5.0)
+            waited = time.monotonic() - started
+            reply = stream.recv(timeout=5.0)
+        finally:
+            stream.close()
+        assert drained
+        assert 0.2 <= waited < 5.0
+        assert (reply["kind"], reply["value"]) == ("result", "served")
+
+
 class TestRemoteFailures:
     def test_query_exception_keeps_its_type(self):
         with QsRuntime("all", backend="process") as rt:
@@ -464,6 +531,33 @@ class TestRemoteFailures:
         assert isinstance(failures[0], RemoteHandlerError)
         assert "deliberate async failure" in str(failures[0])
         assert "misfire" in failures[0].remote_traceback
+
+    def test_a_failure_survives_a_checkpoint_and_a_failover(self):
+        backend = ProcessBackend(processes=1)
+        rt = QsRuntime("all", backend=backend)
+        handler = rt.new_handler("mixed")
+        exploder, box = handler.create(Exploder), handler.create(Box)
+        with rt.separate(exploder) as e:
+            e.misfire()
+        with rt.separate(box) as b:  # enough for a checkpoint after this block
+            for i in range(CHECKPOINT_MIN_FRAMES):
+                b.put(i)
+        with rt.separate(box) as b:
+            assert b.calls_seen() == CHECKPOINT_MIN_FRAMES  # its reply carries the checkpoint
+        assert rt.stats()["journal_checkpoints"] == 1
+        worker = backend._assignment["mixed"]
+        os.kill(worker.proc.pid, signal.SIGKILL)
+        worker.proc.wait(timeout=10.0)
+        with rt.separate(box) as b:
+            b.put("after")
+        with pytest.raises(ScoopError, match="asynchronous call"):
+            rt.shutdown()
+        # restored with the checkpoint, never re-executed: exactly one
+        (failure,) = rt.handler_failures()
+        assert isinstance(failure, RemoteHandlerError)
+        assert "deliberate async failure" in str(failure)
+        assert "misfire" in failure.remote_traceback
+        assert rt.stats()["shard_failovers"] == 1
 
 
 class TestWorkerPooling:

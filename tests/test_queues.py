@@ -1,5 +1,6 @@
 """Tests for the queue substrate (SPSC, MPSC, private queues, queue-of-queues)."""
 
+import sys
 import threading
 
 import pytest
@@ -55,6 +56,29 @@ class TestSPSC:
 
     def test_timeout_returns_none(self):
         assert SPSCQueue().get(timeout=0.01) is None
+
+    def test_no_lost_wakeup_when_put_skips_the_lock(self):
+        # put notifies only while the consumer says it is waiting; switching
+        # threads every microsecond interleaves that flag with every step of
+        # get, and a lost wakeup would leave the consumer asleep for good
+        count, queue, received = 50_000, SPSCQueue(), []
+
+        def consume() -> None:
+            for _ in range(count):
+                received.append(queue.get(timeout=None))
+
+        consumer = threading.Thread(target=consume, daemon=True)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            consumer.start()
+            for i in range(count):
+                queue.put(i)
+            consumer.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not consumer.is_alive(), f"consumer stuck after {len(received)} items"
+        assert received == list(range(count))
 
     @given(st.lists(st.integers(), max_size=200))
     def test_property_preserves_order(self, items):
