@@ -10,16 +10,16 @@ from __future__ import annotations
 from repro.compiler.builder import fig14_loop, straightline_queries
 from repro.compiler.lowering import lower_queries
 from repro.compiler.sync_elision import SyncElisionPass
+from repro.queues.fifo import FifoQueue
 from repro.queues.private_queue import CallRequest, PrivateQueue
 from repro.queues.qoq import QueueOfQueues
-from repro.queues.spsc import SPSCQueue
 from repro.semantics.explorer import Explorer
 from repro.semantics.programs import fig1_two_clients
 
 
-def test_spsc_throughput(benchmark):
+def test_fifo_throughput(benchmark):
     def run():
-        queue = SPSCQueue()
+        queue = FifoQueue()
         for i in range(5_000):
             queue.put(i)
         total = 0

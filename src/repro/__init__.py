@@ -10,8 +10,8 @@ This package reproduces the PPoPP 2015 paper by West, Nanz and Meyer:
 * :mod:`repro.shard`      — sharded handler groups: one logical object
   partitioned over N handlers with consistent key routing and
   scatter-gather queries (see ``docs/sharding.md``);
-* :mod:`repro.queues`     — the SPSC/MPSC queue substrate with the batched
-  drain fast path;
+* :mod:`repro.queues`     — the queue substrate (one FIFO class under the
+  private queues and the queue-of-queues) with the batched drain fast path;
 * :mod:`repro.sched`      — the lightweight-task / virtual-time scheduler
   with pluggable scheduling policies and schedule record/replay;
 * :mod:`repro.explore`    — concurrency fuzzing over the simulator: seeded

@@ -13,11 +13,10 @@ How the pieces execute:
 * **Handlers are asyncio tasks.**  Each handler's queue-of-queues drain
   loop runs as a coroutine on one of the backend's event loops (each a
   dedicated daemon thread).  Instead of blocking in the queues' condition
-  variables it parks on a per-handler :class:`asyncio.Event` that the
-  queues' *drain-waiter* seam resolves on every enqueue
-  (:meth:`~repro.queues.private_queue.PrivateQueue.register_drain_waiter`)
-  — futures resolved on enqueue, with the batched drain fast path and the
-  request dispatch (:meth:`~repro.core.handler.Handler.drain_batch`)
+  variables it parks on a per-handler :class:`asyncio.Event` that
+  :meth:`AsyncBackend.notify_handler` sets — the wake-up every client
+  already sends after each enqueue — with the batched drain fast path and
+  the request dispatch (:meth:`~repro.core.handler.Handler.drain_batch`)
   unchanged.
 * **Awaitable clients are asyncio tasks too.**  ``runtime.aclient(coro_fn)``
   runs a coroutine client on one of the loops; it talks to handlers through
@@ -387,28 +386,16 @@ class AsyncBackend(ExecutionBackend):
             self._loop_of[name] = index
         return self._pool.loops[index]
 
-    def _waker(self, handler: Any) -> Callable[[], None]:
-        """The drain-waiter callback installed on the handler's queues.
-
-        One closure per handler, cached: a fan-in creates one private queue
-        per (client, handler) pair, and they all share the same waker.
-        """
-        waker = getattr(handler, "_async_waker", None)
-        if waker is not None:
-            return waker
-
-        def _wake() -> None:
-            lp: _LoopThread = handler._async_loop
-            if threading.current_thread() is lp.thread:
-                # clients coroutines on the handler's own loop enqueue from
-                # that loop: setting the (idempotent) event in place skips a
-                # scheduled callback per request — the fan-in hot path
-                handler._async_wake.set()
-            else:
-                lp.post(self._set_wake, handler)
-
-        handler._async_waker = _wake
-        return _wake
+    def notify_handler(self, handler: Any) -> None:
+        """Set the handler's wake-up event on its loop (called after every enqueue)."""
+        lp: _LoopThread = handler._async_loop
+        if threading.current_thread() is lp.thread:
+            # client coroutines on the handler's own loop enqueue from that
+            # loop: setting the (idempotent) event in place skips a scheduled
+            # callback per request — the fan-in hot path
+            handler._async_wake.set()
+        else:
+            lp.post(self._set_wake, handler)
 
     @staticmethod
     def _set_wake(handler: Any) -> None:
@@ -423,7 +410,6 @@ class AsyncBackend(ExecutionBackend):
         # there — the SeparateObject access checks keep working unchanged
         handler._thread = lp.thread
         handler.owner.bind_thread(lp.thread)
-        handler.qoq.register_drain_waiter(self._waker(handler))
 
         def _start() -> None:
             task = lp.loop.create_task(self._handler_loop(handler),
@@ -433,16 +419,11 @@ class AsyncBackend(ExecutionBackend):
         lp.post(_start)
 
     def stop_handler(self, handler: Any, timeout: float = 5.0) -> None:
-        # the stop flag is set and the queue-of-queues closed by the caller
-        # (close itself fires the drain waiter); nudge once more in case the
-        # task was parked on an abandoned private queue, then wait it out
+        # the stop flag is set and the queue-of-queues closed by the caller;
+        # wake the task so it can observe both (it may be parked on the
+        # queue-of-queues or on an abandoned private queue), then wait it out
         handler._async_loop.post(self._set_wake, handler)
         handler._async_done.wait(timeout=timeout)
-
-    def create_private_queue(self, handler: Any, counters: Any) -> Any:
-        queue = super().create_private_queue(handler, counters)
-        queue.register_drain_waiter(self._waker(handler))
-        return queue
 
     def create_shard_handlers(self, runtime: Any, names: List[str]) -> List[Any]:
         """Pin consecutive shard replicas to distinct loops (round-robin).
@@ -487,11 +468,7 @@ class AsyncBackend(ExecutionBackend):
         while True:
             batch = private_queue.dequeue_batch(max_items, timeout=0.0)
             if not batch:
-                # mirror ThreadedBackend.handler_next_batch: abandon the
-                # queue only once the runtime is shutting down and the block
-                # can never produce more requests
-                if handler._stop.is_set() and len(private_queue) == 0 and (
-                        private_queue.closed_by_client or handler.qoq.closed):
+                if handler.abandons(private_queue):
                     return
                 if wake.is_set():
                     wake.clear()

@@ -33,19 +33,22 @@ A backend is the product of two small axes:
    :class:`~repro.backends.async_.LoopPool` (a client may also be a coroutine
    task on an event loop).  The simulator defines its own (virtual time).
 2. *where a handler drains* — `start_handler` / `stop_handler` /
-   `notify_handler`, plus the placement hooks: where a handler's objects
-   live (`adopt_object`), what a client's private queue to a handler is
-   (`create_private_queue`), what an unsynced client-executed query puts
-   on that queue (`enqueue_query_sync`) and where the body of an already
-   synced one runs (`execute_synced_query`).  The in-memory backends keep
-   the defaults (objects and queues are local, a query is the SYNC marker
-   and its body runs on the client); the process backend reroutes all four
-   over its sockets, and there the body *is* the sync: one frame, one reply.
+   `notify_handler` (the one wake-up: clients call it after every enqueue),
+   plus the placement hooks: where a handler's objects live
+   (`adopt_object`) and what a client's private queue to a handler is
+   (`create_private_queue`).  The in-memory backends keep the defaults
+   (objects and queues are local); the process backend reroutes both over
+   its sockets.  What an unsynced client-executed query puts on the queue,
+   and where a synced body runs, is the queue's own decision
+   (`enqueue_query_sync` / `invoke`): the SYNC marker and a local call in
+   memory, the body as its own sync on a wire queue.
 
 Backends whose handlers run :meth:`Handler._loop <repro.core.handler.Handler>`
 on a thread of their own (``threads``, ``sim``, and the process worker's
 ``HandlerServer``) also implement its two blocking hooks,
-`handler_next_queue` and `handler_next_batch`.
+`handler_next_queue` and `handler_next_batch`.  A backend decides only how
+those wait; whether a shutdown abandons the block a handler is parked on is
+:meth:`Handler.abandons <repro.core.handler.Handler.abandons>`.
 
 Everything else — the request protocol itself — never changes between
 backends, which is what makes backend-parity testing meaningful.
@@ -58,7 +61,7 @@ import time
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.queues.private_queue import PrivateQueue, SyncRequest
+from repro.queues.private_queue import PrivateQueue
 
 
 class ClientHandle(ABC):
@@ -190,52 +193,6 @@ class ExecutionBackend(ABC):
         """
         return PrivateQueue(handler=handler, counters=counters)
 
-    def enqueue_query_sync(self, queue: Any, ref: Any, fn: Callable[[Any], Any],
-                           described: Dict[str, Any]) -> SyncRequest:
-        """Put an unsynced client-executed query on ``queue`` (Fig. 10b).
-
-        Returns the in-flight round trip the client waits on, in its own
-        wait style.  In shared memory that is the SYNC marker alone: the
-        release leaves ``outcome`` unset and the body then runs on the
-        waiting client (:meth:`execute_synced_query`).  The process backend
-        ships the body (``described``: the keywords of
-        :meth:`execute_synced_query`) in the marker's place, so its one reply is release and result both.
-        """
-        return queue.enqueue_sync(SyncRequest(release=self.create_event()))
-
-    def execute_synced_query(self, client: Any, ref: Any, fn: Optional[Callable[[Any], Any]],
-                             feature: Optional[str] = None, args: tuple = (),
-                             kwargs: Optional[dict] = None,
-                             raw_fn: Optional[Callable[..., Any]] = None) -> Any:
-        """Run a client-executed query body after the sync (Section 3.2).
-
-        The client has already synchronised with the handler, so the handler
-        is parked on this client's queue.  In shared memory the body simply
-        runs against the raw object: the named method ``feature`` when ``fn``
-        is ``None``, else the one-argument closure ``fn``.  The process
-        backend ships a described invocation instead: ``feature``/``args``/
-        ``kwargs`` for a named method, the picklable ``raw_fn`` (applied as
-        ``raw_fn(obj, *args, **kwargs)``) or ``fn`` itself otherwise.
-        """
-        if fn is None:
-            return getattr(ref._raw(), feature)(*args, **kwargs)
-        return fn(ref._raw())
-
-    async def execute_synced_query_async(self, client: Any, ref: Any, fn: Optional[Callable],
-                                         feature: Optional[str] = None, args: tuple = (),
-                                         kwargs: Optional[dict] = None,
-                                         raw_fn: Optional[Callable[..., Any]] = None) -> Any:
-        """Awaitable twin of :meth:`execute_synced_query` for coroutine clients.
-
-        The in-memory backends run the body inline (nothing there can
-        block, so the default simply delegates); a backend whose query
-        bodies travel over a socket — the hybrid ``process+async`` backend
-        — overrides this to await the round trip instead of blocking the
-        event loop in the blocking hook.
-        """
-        return self.execute_synced_query(client, ref, fn, feature=feature,
-                                         args=args, kwargs=kwargs, raw_fn=raw_fn)
-
     # ------------------------------------------------------------------
     # the client axis (bound from ThreadClients / LoopPool, or defined)
     # ------------------------------------------------------------------
@@ -278,11 +235,13 @@ class ExecutionBackend(ABC):
         """
 
     def notify_handler(self, handler: Any) -> None:
-        """Hint that new work was enqueued for ``handler``.
+        """New work was enqueued for ``handler``: wake it if it may be idle.
 
-        The threaded backend relies on the queues' internal condition
-        variables, so this is a no-op there; the sim backend uses it to wake
-        the handler's task (and to charge virtual time for the operation).
+        Clients call this after every enqueue (each reservation and each
+        logged request).  The threaded backend relies on the queues' internal
+        condition variables, so this is a no-op there; the sim backend wakes
+        the handler's task (and charges virtual time for the operation), the
+        asyncio backend sets the handler's loop-side event.
         """
 
     def join_client(self, handle: Any, timeout: Optional[float] = None) -> None:

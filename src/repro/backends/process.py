@@ -226,8 +226,9 @@ class _WireQueue:
 
     Mirrors the client-side surface of
     :class:`~repro.queues.private_queue.PrivateQueue` (``enqueue_call`` /
-    ``enqueue_sync`` / ``enqueue_query`` / ``enqueue_end``, the ``synced``
-    flag, reuse across blocks) with identical counter accounting, but every
+    ``enqueue_sync`` / ``enqueue_query`` / ``enqueue_end``, the query path
+    ``enqueue_query_sync`` / ``invoke``, the ``synced`` flag, reuse across
+    blocks) with identical counter accounting, but every
     request becomes frames of a :class:`~repro.queues.wire_queue.WireQueueCore`.
     A driver adds the I/O: ``_feed`` (buffer frames on its stream, flushing
     the burst on request) and how a reply is waited for.
@@ -923,18 +924,6 @@ class ProcessBackend(ExecutionBackend):
         # thread belongs to a coroutine client and must never block it
         driver = AsyncProcessPrivateQueue if self.on_loop_thread() else ProcessPrivateQueue
         return driver(self, handler, self._worker_for(handler.name), counters)
-
-    def enqueue_query_sync(self, queue: _WireQueue, ref: Any, fn: Callable[[Any], Any],
-                           described: Dict[str, Any]) -> Any:
-        return queue.enqueue_query_sync(ref._raw(), fn, **described)
-
-    def execute_synced_query(self, client: Any, ref: Any, fn: Callable[[Any], Any],
-                             **described: Any) -> Any:
-        return client.queue_for(ref.handler).invoke(ref._raw(), fn, **described)
-
-    async def execute_synced_query_async(self, client: Any, ref: Any,
-                                         fn: Callable[[Any], Any], **described: Any) -> Any:
-        return await client.queue_for(ref.handler).invoke_async(ref._raw(), fn, **described)
 
     # ------------------------------------------------------------------
     # counters aggregation

@@ -393,8 +393,7 @@ class SimBackend(ExecutionBackend):
                 # draining is where a handler spends its virtual time
                 self._perform(Compute(self.exec_cost * len(batch)))
                 return batch
-            if handler._stop.is_set() and len(private_queue) == 0 and (
-                    private_queue.closed_by_client or handler.qoq.closed):
+            if handler.abandons(private_queue):
                 return None
             if wake.is_set:
                 wake.reset()

@@ -67,13 +67,6 @@ class ThreadedBackend(ExecutionBackend):
             batch = private_queue.dequeue_batch(max_items, timeout=_PQ_POLL_SECONDS)
             if batch:
                 return batch
-            # nothing arrived yet; keep waiting unless we are shutting down
-            # and the client already closed the block (defensive: a client
-            # crash without END must not wedge the handler forever).
-            if not handler._stop.is_set() or len(private_queue) != 0:
-                continue
-            if private_queue.closed_by_client:
-                return None
-            if handler.qoq.closed:
-                # runtime shutting down with an abandoned reservation
+            # nothing arrived yet; keep waiting unless shutdown abandons it
+            if handler.abandons(private_queue):
                 return None

@@ -109,7 +109,7 @@ class AsyncClient:
         if request is None:
             return False
         await request.release.wait_async()
-        self._client._finish_sync(ref)
+        self._client._finish_sync(ref.handler, self._client.queue_for(ref.handler))
         return True
 
     async def query(self, ref: SeparateRef, method: str, *args: Any, **kwargs: Any) -> Any:

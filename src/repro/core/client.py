@@ -11,18 +11,23 @@ paper):
   spinlocks so the insertions are atomic (Section 3.3).  When the
   queue-of-queues optimization is disabled the client instead holds each
   handler's reservation lock for the whole block (the original protocol).
+  A handler that was shut down is refused before anything is enqueued.
 * ``call``   — package an asynchronous call and append it to the private
   queue (rule *call*, Fig. 9).
 * ``query``  — *issue*, then *wait* (:class:`PendingQuery`; the blocking
   ``query`` and the awaitable one differ only in the wait).  Issue either
   ships a packaged query (the original rule) or, with the client-executed
-  optimization (Fig. 10b), asks the backend what an unsynced query puts on
-  the queue: in memory the SYNC marker, the body then running locally after
-  the release; on a wire queue the body itself, which the handler reaches
-  in FIFO order exactly where the marker would have stood, so its one reply
-  is release and result both.  Dynamic sync coalescing (Section 3.4.1)
-  skips the marker when the handler is already parked on this client's
-  queue; the body alone then runs where the backend places it.
+  optimization (Fig. 10b), asks the private queue what an unsynced query
+  puts on it (``enqueue_query_sync``): in memory the SYNC marker, the body
+  then running locally after the release; on a wire queue the body itself,
+  which the handler reaches in FIFO order exactly where the marker would
+  have stood, so its one reply is release and result both.  Dynamic sync
+  coalescing (Section 3.4.1) skips the marker when the handler is already
+  parked on this client's queue; the body alone then runs where the queue
+  places it (``invoke``).
+
+After every enqueue — each reservation and each logged request — the client
+calls its backend's ``notify_handler``: the one way an idle handler is woken.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from repro.config import QsConfig
 from repro.core.expanded import prepare_arguments
 from repro.core.handler import Handler
 from repro.core.region import SeparateRef
-from repro.errors import NotReservedError, ReservationError, ScoopError
+from repro.errors import HandlerShutdownError, NotReservedError, ReservationError, ScoopError
 from repro.queues.private_queue import CallRequest, PrivateQueue, ResultBox, SyncRequest
 from repro.util.counters import Counters
 from repro.util.tracing import NullTracer, Tracer
@@ -94,12 +99,14 @@ class PendingQuery:
 
     * the packaged query's result box (the unoptimized protocol);
     * the in-flight sync round trip of a client-executed query.  What rides
-      it is the backend's choice (``enqueue_query_sync``): in memory the
+      it is the queue's choice (``enqueue_query_sync``): in memory the
       SYNC marker alone, so scattered *syncs* overlap and each body runs on
       the waiting side after its release; on a wire queue the body itself,
       so the shard-side *bodies* overlap and the release carries the result;
     * nothing, when dynamic coalescing elided the sync: the body runs at
-      wait time through the backend's ``execute_synced_query``.
+      wait time through the queue's ``invoke``.
+
+    It keeps the private queue it was issued on, so the wait looks nothing up.
 
     At most one query may be pending per handler, and each result may be
     waited for once — waiting is what restores the client's synchronous
@@ -110,18 +117,19 @@ class PendingQuery:
     :class:`~repro.errors.ScoopError` instead of corrupting the protocol.
     """
 
-    __slots__ = ("_client", "_ref", "_fn", "_feature", "_described", "_box", "_sync",
-                 "_consumed")
+    __slots__ = ("_client", "_ref", "_queue", "_fn", "_feature", "_described", "_box",
+                 "_sync", "_consumed")
 
-    def __init__(self, client: "Client", ref: SeparateRef, fn: Optional[Callable[[Any], Any]],
-                 feature: str, described: Optional[dict] = None,
-                 box: Optional[ResultBox] = None,
+    def __init__(self, client: "Client", ref: SeparateRef, queue: PrivateQueue,
+                 fn: Optional[Callable[[Any], Any]], feature: str,
+                 described: Optional[dict] = None, box: Optional[ResultBox] = None,
                  sync_request: Optional[SyncRequest] = None) -> None:
         self._client = client
         self._ref = ref
+        self._queue = queue
         self._fn = fn
         self._feature = feature
-        #: what ``fn`` literally is, as the backend's query hooks take it
+        #: what ``fn`` literally is, as the queue's ``invoke`` takes it
         #: (client-executed queries only: a packaged one is already shipped)
         self._described = described
         self._box = box
@@ -155,7 +163,7 @@ class PendingQuery:
         client, handler = self._client, self._ref.handler
         if client.tracer.enabled:
             client.tracer.record("exec-client", handler.name, client=client.name,
-                                 feature=self._feature, block=client.queue_for(handler).block_id)
+                                 feature=self._feature, block=self._queue.block_id)
         return value
 
     def wait(self) -> Any:
@@ -163,31 +171,30 @@ class PendingQuery:
         self._consume()
         if self._box is not None:
             return self._box.wait()
-        client, sync = self._client, self._sync
+        queue, sync = self._queue, self._sync
         if sync is not None:
             sync.release.wait()
-            client._finish_sync(self._ref)
+            self._client._finish_sync(self._ref.handler, queue)
             if sync.outcome is not None:
                 return self._outcome()
-        # synced, body still to run: where the backend places it (Section
+        # synced, body still to run: where the queue places it (Section
         # 3.2: in memory, right here on the client)
-        return self._traced(client.backend.execute_synced_query(
-            client, self._ref, self._fn, **self._described))
+        return self._traced(queue.invoke(self._ref._raw(), self._fn, **self._described))
 
     async def wait_async(self) -> Any:
         """Awaitable twin of :meth:`wait` (asyncio-capable backends only)."""
         self._consume()
         if self._box is not None:
             return await self._box.wait_async()
-        client, sync = self._client, self._sync
+        queue, sync = self._queue, self._sync
         if sync is not None:
             await sync.release.wait_async()
-            client._finish_sync(self._ref)
+            self._client._finish_sync(self._ref.handler, queue)
             if sync.outcome is not None:
                 return self._outcome()
-        # a backend whose query bodies cross a socket awaits the round trip
-        return self._traced(await client.backend.execute_synced_query_async(
-            client, self._ref, self._fn, **self._described))
+        # a queue whose query bodies cross a socket awaits the round trip
+        return self._traced(await queue.invoke_async(self._ref._raw(), self._fn,
+                                                     **self._described))
 
 
 class Client:
@@ -231,6 +238,11 @@ class Client:
         for handler in handlers:
             if handler in unique:
                 raise ReservationError(f"handler {handler.name!r} reserved twice in one block")
+            # refused before anything is enqueued or locked: a multi-handler
+            # block must not leave its live handlers holding a reservation
+            if handler.qoq.closed:
+                raise HandlerShutdownError(
+                    f"handler {handler.name!r} has been shut down and cannot be reserved")
             unique.append(handler)
 
         reservations: List[Reservation] = []
@@ -443,13 +455,13 @@ class Client:
                                   call_args=args, call_kwargs=kwargs, raw_fn=raw_fn)
             box = queue.enqueue_query(request)
             self.backend.notify_handler(handler)
-            return PendingQuery(self, ref, fn, feature, box=box)
+            return PendingQuery(self, ref, queue, fn, feature, box=box)
         described = {"feature": feature if raw_fn is None else None,
                      "args": args, "kwargs": kwargs, "raw_fn": raw_fn}
-        pending = PendingQuery(self, ref, fn, feature, described)
+        pending = PendingQuery(self, ref, queue, fn, feature, described)
         if not self._sync_elided(handler, queue):
             # allocated first: as little as possible between hand-off and wait
-            pending._sync = self.backend.enqueue_query_sync(queue, ref, fn, described)
+            pending._sync = queue.enqueue_query_sync(ref._raw(), fn, **described)
             self.backend.notify_handler(handler)
         # client-executed query: until the wait the handler must stay parked
         # on this queue, so further requests are rejected until the result
@@ -468,7 +480,7 @@ class Client:
         if request is None:
             return False
         request.release.wait()
-        self._finish_sync(ref)
+        self._finish_sync(ref.handler, self.queue_for(ref.handler))
         return True
 
     def _begin_sync(self, ref: SeparateRef) -> Optional[SyncRequest]:
@@ -498,10 +510,8 @@ class Client:
             return True
         return False
 
-    def _finish_sync(self, ref: SeparateRef) -> None:
-        """Bookkeeping once the sync release has been observed."""
-        handler = ref.handler
-        queue = self.queue_for(handler)
+    def _finish_sync(self, handler: Handler, queue: PrivateQueue) -> None:
+        """Bookkeeping once the sync release on ``queue`` has been observed."""
         queue.synced = True
         handler.owner.grant_sync_access(current_thread())
         if self.tracer.enabled:
@@ -515,9 +525,9 @@ class Client:
         sync message nor a dynamic check is issued.
         """
         self.counters.bump("queries")
-        result = self.backend.execute_synced_query(self, ref, fn)
+        queue = self.queue_for(ref.handler)
+        result = queue.invoke(ref._raw(), fn)
         if self.tracer.enabled:
-            queue = self.queue_for(ref.handler)
             self.tracer.record("exec-client", ref.handler.name, client=self.name,
                                feature=getattr(fn, "__name__", "<callable>"), block=queue.block_id)
         return result

@@ -145,6 +145,18 @@ class Handler:
                 if batch is None or self.drain_batch(private_queue, batch):
                     break
 
+    def abandons(self, private_queue: PrivateQueue) -> bool:
+        """Whether a handler waiting on an empty ``private_queue`` gives up the block.
+
+        Only during shutdown: the stop flag is set, the queue is empty, and
+        either the client already ended the block or no client can reserve
+        this handler again (a client that crashed without END, or a
+        reservation never used, must not wedge the handler forever).  The
+        backends' ``handler_next_batch`` waits ask this between two waits.
+        """
+        return (self._stop.is_set() and len(private_queue) == 0
+                and (private_queue.closed_by_client or self.qoq.closed))
+
     def drain_batch(self, private_queue: PrivateQueue, batch: "list") -> bool:
         """Apply one drained batch of requests; return True at END.
 
@@ -152,9 +164,9 @@ class Handler:
         dispatch: :meth:`_loop` calls it after the blocking
         ``handler_next_batch`` (threads, sim, and the process backend's
         worker, whose ``HandlerServer`` turns frames into these requests),
-        the asyncio backend's coroutine loop after awaiting the queue's
-        drain waiter — so every backend executes requests (and accounts for
-        them) identically.
+        the asyncio backend's coroutine loop after awaiting the handler's
+        wake-up event (set by ``notify_handler``) — so every backend
+        executes requests (and accounts for them) identically.
         """
         self.counters.count_drain(len(batch))
         traced = self.tracer.enabled

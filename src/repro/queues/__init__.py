@@ -1,25 +1,25 @@
 """Queue substrate of the SCOOP/Qs runtime.
 
-The paper's runtime is built on two specialised queues (Section 3.1):
+The paper's runtime is built on two queue shapes (Section 3.1):
 
 * a multiple-producer single-consumer queue (the *queue-of-queues*) that
   clients enqueue their private queues into, and
 * a single-producer single-consumer queue (the *private queue*) a client
   shares with a handler to log calls.
 
-This package provides both, plus the higher-level :class:`PrivateQueue`
-(call queue with END/SYNC markers and the dynamic ``synced`` flag) and
+Both are the one :class:`FifoQueue` (a deque whose consumer sleeps on a
+condition only when it finds nothing).  On top of it sit the higher-level
+:class:`PrivateQueue` (call queue with END/SYNC markers, the dynamic
+``synced`` flag and the client side of the query path) and
 :class:`QueueOfQueues` used by :mod:`repro.core`.
 """
 
-from repro.queues.mpsc import MPSCQueue
+from repro.queues.fifo import FifoQueue
 from repro.queues.private_queue import CallRequest, END, EndMarker, PrivateQueue, SyncRequest
 from repro.queues.qoq import QueueOfQueues, SHUTDOWN
-from repro.queues.spsc import SPSCQueue
 
 __all__ = [
-    "SPSCQueue",
-    "MPSCQueue",
+    "FifoQueue",
     "PrivateQueue",
     "QueueOfQueues",
     "CallRequest",

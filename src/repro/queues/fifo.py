@@ -1,21 +1,22 @@
-"""Single-producer single-consumer bounded-wait queue.
+"""The one FIFO of the queue substrate: a deque plus a condition.
 
-The paper observes (Section 3.1) that once a private queue has been dequeued
-by a handler, the communication becomes single-producer (the client)
-single-consumer (the handler), so a queue specialised for that case can be
-used.  CPython cannot express a true lock-free ring buffer, but it *can*
-exploit the fact that ``collections.deque.append`` and ``popleft`` are
-atomic with respect to the GIL, so the fast path of this queue performs no
-locking at all; a condition variable is only touched when the consumer has
-to block waiting for data.
+Both of the paper's queue shapes (Section 3.1) are this class.  A private
+queue is single-producer single-consumer (one client, one handler); the
+queue-of-queues is multiple-producer single-consumer (every client that
+reserves the handler).  CPython cannot express a true lock-free ring
+buffer, but it *can* exploit the fact that ``collections.deque.append`` and
+``popleft`` are atomic with respect to the GIL, so the fast path performs
+no locking at all; the condition is only touched when the single consumer
+has to block waiting for data.
 
 The producer learns that from ``_waiting``, which the consumer sets under
 the condition *before* its last look at the deque.  Under the GIL that is
-enough: a producer that reads ``False`` appended before that look, so the
-consumer finds the item; one that reads ``True`` takes the condition, which
-the consumer only gives up inside ``wait``, so the notify cannot be lost.
-That producer also clears the flag: the consumer it wakes finds the item
-and returns without sleeping again.
+enough, with any number of producers: a producer that reads ``False``
+appended before that look, so the consumer finds the item; one that reads
+``True`` takes the condition, which the consumer only gives up inside
+``wait``, so the notify cannot be lost.  That producer also clears the
+flag: the consumer it wakes finds the item and returns without sleeping
+again, and the producers behind it skip the lock.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import Any, Deque, Generic, Optional, TypeVar
 T = TypeVar("T")
 
 
-class SPSCQueue(Generic[T]):
-    """Unbounded SPSC FIFO with a blocking consumer and non-blocking producer."""
+class FifoQueue(Generic[T]):
+    """Unbounded FIFO: producers never block, one consumer may."""
 
     __slots__ = ("_items", "_cond", "_closed", "_waiting")
 
@@ -41,7 +42,7 @@ class SPSCQueue(Generic[T]):
 
     # -- producer side -------------------------------------------------
     def put(self, item: T) -> None:
-        """Enqueue ``item``; never blocks (the queue is unbounded)."""
+        """Enqueue ``item`` from any thread; never blocks (the queue is unbounded)."""
         self._items.append(item)
         # Only wake the consumer if it might be sleeping; uncontended appends
         # stay lock free thanks to the GIL-atomic deque.  One wake-up per

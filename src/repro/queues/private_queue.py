@@ -18,17 +18,16 @@ The queue also carries the dynamic sync-coalescing state of Section 3.4.1:
 ``synced`` records whether the handler is currently parked at the head of
 this (empty) private queue, in which case a further sync is unnecessary.
 
-Awaitable seam
+The query path
 --------------
-Consumers are not always threads: under the :mod:`asyncio` execution
-backend the handler draining this queue is a coroutine on an event loop and
-must not block in a condition variable.  The queue therefore exposes a tiny
-*drain-waiter* seam: the consumer registers a wake callback with
-:meth:`PrivateQueue.register_drain_waiter` and every enqueue invokes it
-(after the item is visible), letting the consumer park on a future/event
-that the callback resolves.  Blocking consumers simply never register one —
-the two styles coexist on the same queue, and the batched drain fast path
-is unchanged either way.
+What an unsynced client-executed query puts on the queue, and where the
+body of a synced one runs, is the queue's decision too: here the SYNC
+marker (:meth:`PrivateQueue.enqueue_query_sync`) and the body run on the
+calling client (:meth:`PrivateQueue.invoke`).  A wire queue answers both
+with the same methods, shipping the body as its own sync.
+
+Waking a consumer that may be asleep is not the queue's business: after
+every enqueue the client calls its backend's ``notify_handler``.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.errors import QueryFailedError
-from repro.queues.spsc import SPSCQueue
+from repro.queues.fifo import FifoQueue
 from repro.util.counters import Counters
 
 
@@ -188,12 +187,12 @@ class PrivateQueue:
     """
 
     __slots__ = ("handler", "counters", "_queue", "synced", "client_name",
-                 "closed_by_client", "block_id", "_drain_waiter")
+                 "closed_by_client", "block_id")
 
     def __init__(self, handler: Any = None, counters: Optional[Counters] = None) -> None:
         self.handler = handler
         self.counters = counters or Counters()
-        self._queue: SPSCQueue = SPSCQueue()
+        self._queue: FifoQueue = FifoQueue()
         #: dynamic sync-coalescing flag (Section 3.4.1): True while the
         #: handler is known to be parked at the head of this empty queue.
         self.synced = False
@@ -202,24 +201,6 @@ class PrivateQueue:
         #: reservation id of the separate block currently using this queue
         #: (set by the client at reservation time; used by tracing)
         self.block_id: int | None = None
-        #: wake callback of an awaitable consumer (None for blocking ones)
-        self._drain_waiter: "Callable[[], None] | None" = None
-
-    # -- awaitable seam ----------------------------------------------------
-    def register_drain_waiter(self, wake: "Callable[[], None] | None") -> None:
-        """Install (or clear) the consumer-side wake callback.
-
-        ``wake`` is invoked after every enqueue, once the item is already
-        visible to :meth:`dequeue`/:meth:`dequeue_batch`; it must be safe to
-        call from any producer thread (the asyncio backend hands in a
-        loop-threadsafe event setter).
-        """
-        self._drain_waiter = wake
-
-    def _wake_drain(self) -> None:
-        wake = self._drain_waiter
-        if wake is not None:
-            wake()
 
     # -- client side ------------------------------------------------------
     def enqueue_call(self, request: CallRequest) -> None:
@@ -230,7 +211,6 @@ class PrivateQueue:
             self.counters.add("bytes_copied", request.payload_bytes)
         self.synced = False
         self._queue.put(request)
-        self._wake_drain()
 
     def enqueue_query(self, request: CallRequest) -> ResultBox:
         """Ship a packaged query to the handler (the *unoptimized* protocol).
@@ -244,7 +224,6 @@ class PrivateQueue:
         self.counters.bump("sync_roundtrips")
         self.synced = False
         self._queue.put(request)
-        self._wake_drain()
         return request.result
 
     def enqueue_sync(self, request: Optional[SyncRequest] = None) -> SyncRequest:
@@ -260,8 +239,37 @@ class PrivateQueue:
         self.counters.bump("pq_enqueues")
         self.counters.bump("sync_roundtrips")
         self._queue.put(request)
-        self._wake_drain()
         return request
+
+    def enqueue_query_sync(self, handle: Any, fn: "Callable[[Any], Any] | None",
+                           **described: Any) -> SyncRequest:
+        """Put an unsynced client-executed query on the queue (Fig. 10b).
+
+        In shared memory that is the SYNC marker alone, released by an event
+        of the handler's backend (so the wait happens in the backend's
+        notion of time); the body runs on the waiting client afterwards
+        (:meth:`invoke`).  A wire queue ships the body in the marker's place.
+        """
+        return self.enqueue_sync(SyncRequest(release=self.handler.backend.create_event()))
+
+    def invoke(self, handle: Any, fn: "Callable[[Any], Any] | None",
+               feature: "str | None" = None, args: tuple = (),
+               kwargs: "dict | None" = None, raw_fn: Any = None) -> Any:
+        """Run a client-executed query body once the handler is synced.
+
+        The handler is parked on this queue, so the body runs right here on
+        the client against the raw object ``handle``: the named method
+        ``feature`` when ``fn`` is ``None``, else the one-argument closure
+        ``fn`` (``raw_fn`` is what a wire queue ships instead of it).
+        """
+        if fn is None:
+            return getattr(handle, feature)(*args, **kwargs)
+        return fn(handle)
+
+    async def invoke_async(self, handle: Any, fn: "Callable[[Any], Any] | None",
+                           **described: Any) -> Any:
+        """Awaitable :meth:`invoke`: nothing here can block, so the same call."""
+        return self.invoke(handle, fn, **described)
 
     def enqueue_end(self) -> None:
         """Close this block's requests (rule *separate*'s trailing END)."""
@@ -269,7 +277,6 @@ class PrivateQueue:
         self.closed_by_client = True
         self.synced = False
         self._queue.put(END)
-        self._wake_drain()
 
     # -- handler side ------------------------------------------------------
     def dequeue(self, timeout: Optional[float] = None):

@@ -8,9 +8,9 @@ which is exactly what preserves the paper's second reasoning guarantee
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.queues.mpsc import MPSCQueue
+from repro.queues.fifo import FifoQueue
 from repro.queues.private_queue import PrivateQueue
 from repro.util.counters import Counters
 
@@ -35,31 +35,13 @@ SHUTDOWN = _ShutdownSentinel()
 
 
 class QueueOfQueues:
-    """MPSC queue of :class:`PrivateQueue` objects owned by one handler."""
+    """FIFO of :class:`PrivateQueue` objects owned by one handler (many producers)."""
 
-    __slots__ = ("counters", "_queue", "_drain_waiter")
+    __slots__ = ("counters", "_queue")
 
     def __init__(self, counters: Optional[Counters] = None) -> None:
         self.counters = counters or Counters()
-        self._queue: MPSCQueue = MPSCQueue()
-        #: wake callback of an awaitable consumer (see
-        #: :meth:`~repro.queues.private_queue.PrivateQueue.register_drain_waiter`)
-        self._drain_waiter: "Callable[[], None] | None" = None
-
-    # -- awaitable seam ----------------------------------------------------
-    def register_drain_waiter(self, wake: "Callable[[], None] | None") -> None:
-        """Install (or clear) the handler-side wake callback.
-
-        Invoked after every reservation insert and on :meth:`close`, so a
-        coroutine handler parked on a future is resolved instead of blocking
-        in the MPSC condition variable.  Blocking handlers leave it unset.
-        """
-        self._drain_waiter = wake
-
-    def _wake_drain(self) -> None:
-        wake = self._drain_waiter
-        if wake is not None:
-            wake()
+        self._queue: FifoQueue = FifoQueue()
 
     # -- client side (many producers) --------------------------------------
     def enqueue(self, private_queue: PrivateQueue) -> None:
@@ -71,7 +53,6 @@ class QueueOfQueues:
         self.counters.bump("qoq_enqueues")
         self.counters.bump("reservations")
         self._queue.put(private_queue)
-        self._wake_drain()
 
     # -- handler side (single consumer) -------------------------------------
     def dequeue(self, timeout: Optional[float] = None) -> "PrivateQueue | _ShutdownSentinel | None":
@@ -100,9 +81,12 @@ class QueueOfQueues:
         return None
 
     def close(self) -> None:
-        """No client will ever reserve this handler again (shutdown)."""
+        """No client will ever reserve this handler again (shutdown).
+
+        ``Client.reserve`` refuses a closed queue-of-queues before it
+        enqueues anything (:class:`~repro.errors.HandlerShutdownError`).
+        """
         self._queue.close()
-        self._wake_drain()
 
     def __len__(self) -> int:
         return len(self._queue)

@@ -276,7 +276,7 @@ class WireQueueCore:
                carries_sync: bool = False) -> List[Frame]:
         """A client-executed query body for the remote handler.
 
-        The arguments are those of ``execute_synced_query``: a named
+        The arguments are those of ``PrivateQueue.invoke``: a named
         ``feature`` travels as data; otherwise the picklable ``raw_fn``
         (applied as ``raw_fn(obj, *args, **kwargs)``) or the one-argument
         closure ``fn`` itself is shipped.

@@ -1,28 +1,31 @@
-"""Tests for the queue substrate (SPSC, MPSC, private queues, queue-of-queues)."""
+"""Tests for the queue substrate (the FIFO, private queues, queue-of-queues)."""
 
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import QueryFailedError
-from repro.queues.mpsc import MPSCQueue
+from repro.config import QsConfig
+from repro.core.client import Client
+from repro.core.handler import Handler
+from repro.errors import HandlerShutdownError, QueryFailedError
+from repro.queues.fifo import FifoQueue
 from repro.queues.private_queue import CallRequest, END, EndMarker, PrivateQueue, SyncRequest
 from repro.queues.qoq import QueueOfQueues, SHUTDOWN
-from repro.queues.spsc import SPSCQueue
 from repro.util.counters import Counters
 
 
-class TestSPSC:
+class TestFifo:
     def test_fifo_order(self):
-        queue = SPSCQueue()
+        queue = FifoQueue()
         for i in range(100):
             queue.put(i)
         assert [queue.get() for _ in range(100)] == list(range(100))
 
     def test_get_blocks_until_put(self):
-        queue = SPSCQueue()
+        queue = FifoQueue()
         result = []
 
         def consumer():
@@ -35,33 +38,33 @@ class TestSPSC:
         assert result == ["hello"]
 
     def test_close_returns_none_when_drained(self):
-        queue = SPSCQueue()
+        queue = FifoQueue()
         queue.put(1)
         queue.close()
         assert queue.get() == 1
         assert queue.get() is None
 
     def test_try_get(self):
-        queue = SPSCQueue()
+        queue = FifoQueue()
         assert queue.try_get() == (False, None)
         queue.put(3)
         assert queue.try_get() == (True, 3)
 
     def test_peek_and_len(self):
-        queue = SPSCQueue()
+        queue = FifoQueue()
         assert queue.peek() is None
         queue.put("x")
         assert queue.peek() == "x"
         assert len(queue) == 1
 
     def test_timeout_returns_none(self):
-        assert SPSCQueue().get(timeout=0.01) is None
+        assert FifoQueue().get(timeout=0.01) is None
 
     def test_no_lost_wakeup_when_put_skips_the_lock(self):
         # put notifies only while the consumer says it is waiting; switching
         # threads every microsecond interleaves that flag with every step of
         # get, and a lost wakeup would leave the consumer asleep for good
-        count, queue, received = 50_000, SPSCQueue(), []
+        count, queue, received = 50_000, FifoQueue(), []
 
         def consume() -> None:
             for _ in range(count):
@@ -82,43 +85,52 @@ class TestSPSC:
 
     @given(st.lists(st.integers(), max_size=200))
     def test_property_preserves_order(self, items):
-        queue = SPSCQueue()
+        queue = FifoQueue()
         for item in items:
             queue.put(item)
         out = [queue.get() for _ in items]
         assert out == items
 
 
-class TestMPSC:
-    def test_many_producers_one_consumer(self):
-        queue = MPSCQueue()
-        per_producer = 200
-        producers = 8
+class TestFifoManyProducers:
+    def test_many_producers_one_sleeping_consumer(self):
+        # the queue-of-queues shape: put skips the lock unless the consumer
+        # says it is waiting, and with many producers one of them clears the
+        # flag for the others.  The consumer is parked before the first put
+        # and switching threads every microsecond interleaves the flag with
+        # every step of get, so a lost wakeup (or a put that never
+        # notifies) leaves the consumer asleep past the deadline.
+        producers, per_producer, queue, received = 8, 5_000, FifoQueue(), []
 
-        def produce(tag):
+        def consume() -> None:
+            for _ in range(producers * per_producer):
+                received.append(queue.get(timeout=None))
+
+        def produce(tag: int) -> None:
             for i in range(per_producer):
                 queue.put((tag, i))
 
-        threads = [threading.Thread(target=produce, args=(t,)) for t in range(producers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        queue.close()
-        items = []
-        while (item := queue.get()) is not None:
-            items.append(item)
-        assert len(items) == per_producer * producers
+        consumer = threading.Thread(target=consume, daemon=True)
+        threads = [threading.Thread(target=produce, args=(t,), daemon=True)
+                   for t in range(producers)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            consumer.start()
+            deadline = time.monotonic() + 5.0
+            while not queue._waiting and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert queue._waiting, "the consumer never went to sleep"
+            for t in threads:
+                t.start()
+            consumer.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not consumer.is_alive(), f"consumer stuck after {len(received)} items"
+        assert len(received) == producers * per_producer
         # per-producer FIFO is preserved even though producers interleave
         for tag in range(producers):
-            mine = [i for (t, i) in items if t == tag]
-            assert mine == list(range(per_producer))
-
-    def test_put_after_close_rejected(self):
-        queue = MPSCQueue()
-        queue.close()
-        with pytest.raises(RuntimeError):
-            queue.put(1)
+            assert [i for (t, i) in received if t == tag] == list(range(per_producer))
 
 
 class TestPrivateQueue:
@@ -159,6 +171,19 @@ class TestPrivateQueue:
         assert isinstance(pq.dequeue(), SyncRequest)
         request.fire()
         assert request.release.is_set()
+
+    def test_unsynced_query_is_the_sync_marker_and_its_body_runs_here(self):
+        counters, handler = Counters(), Handler("h")
+        pq = PrivateQueue(handler, counters)
+        request = pq.enqueue_query_sync(object(), len, feature=None, args=(), kwargs={})
+        assert isinstance(request, SyncRequest) and request.outcome is None
+        assert isinstance(request.release, threading.Event)
+        assert pq.dequeue_batch(8, timeout=0) == [request]
+        assert counters.get("sync_roundtrips") == 1 and counters.get("pq_enqueues") == 1
+        # the synced body: a named method, else the one-argument closure
+        assert pq.invoke("abc", None, feature="upper", args=(), kwargs={}) == "ABC"
+        assert pq.invoke([1, 2], len, args=(9,), raw_fn=max) == 2
+        assert len(pq) == 0
 
     def test_end_closes_block(self):
         pq = PrivateQueue()
@@ -225,6 +250,15 @@ class TestQueueOfQueues:
         qoq.close()
         assert qoq.dequeue() is SHUTDOWN
         assert qoq.closed
+
+    def test_reserve_after_close_rejected(self):
+        # the closed check lives where a reservation starts: Client.reserve
+        # refuses a closed queue-of-queues before anything is enqueued
+        handler = Handler("closed")
+        handler.qoq.close()
+        with pytest.raises(HandlerShutdownError, match="closed"):
+            Client(QsConfig.all()).reserve([handler])
+        assert len(handler.qoq) == 0 and handler.counters.get("qoq_enqueues") == 0
 
     def test_timeout_is_distinguishable_from_shutdown(self):
         # regression: both used to surface as None, so a handler could
