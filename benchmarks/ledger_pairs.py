@@ -36,10 +36,12 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 20150207
 #: what the traced pass prints: who is saturated, where a block's time goes,
-#: and how many requests a handler drains per batch
+#: what a reservation's ticket costs in memory, and how many requests a
+#: handler drains per batch
 ATTRIBUTION = ("backends.parent_cpu_share", "backends.worker_cpu_share",
                "core.block_enter_us", "core.command_us", "core.query_us",
-               "core.block_exit_us", "queues.qoq.mean_batch")
+               "core.block_exit_us", "queues.qoq.enqueue_dequeue_us",
+               "queues.qoq.mean_batch")
 
 
 def export(rev: str, dest: str) -> str:

@@ -47,7 +47,9 @@ Backends whose handlers run :meth:`Handler._loop <repro.core.handler.Handler>`
 on a thread of their own (``threads``, ``sim``, and the process worker's
 ``HandlerServer``) also implement its two blocking hooks,
 `handler_next_queue` and `handler_next_batch`.  A backend decides only how
-those wait; whether a shutdown abandons the block a handler is parked on is
+those wait: which private queue comes next is the ticket order of the
+handler's :class:`~repro.queues.qoq.QueueOfQueues` on every backend, and
+whether a shutdown abandons the block a handler is parked on is
 :meth:`Handler.abandons <repro.core.handler.Handler.abandons>`.
 
 Everything else — the request protocol itself — never changes between

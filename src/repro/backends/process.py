@@ -36,11 +36,11 @@ Division of labour:
   :class:`~repro.core.handler.Handler` there drains them with the same loop
   as the in-memory backends, its queue-of-queues serving blocks strictly in
   *ticket* order.
-* **tickets preserve the reasoning guarantees**: the parent assigns each
-  reservation a per-handler sequence number at ``qoq.enqueue`` time — i.e.
-  under the very spinlocks that make multi-handler reservations atomic
-  (Section 3.3) — and the worker's handler admits blocks in ticket order, so
-  the FIFO-of-private-queues service order is bit-identical to the
+* **tickets preserve the reasoning guarantees**: the parent's
+  ``QueueOfQueues`` issues each reservation its ticket at ``qoq.enqueue``
+  time — i.e. under the very spinlocks that make multi-handler reservations
+  atomic (Section 3.3) — and the worker's hands blocks out in ticket order,
+  so the FIFO-of-private-queues service order is bit-identical to the
   shared-memory backends no matter how frames race on the wire.
 * **counters aggregate across the process boundary**: every sync release /
   query result piggybacks the worker's non-zero counters, and the close
@@ -93,6 +93,7 @@ from repro.backends.base import ExecutionBackend, ThreadClients
 from repro.errors import ScoopError
 from repro.queues.codec import get_codec
 from repro.queues.private_queue import ResultBox, SyncRequest
+from repro.queues.qoq import QueueOfQueues
 from repro.queues.socket_queue import AsyncFrameStream, FrameStream, SocketQueueClosed
 from repro.queues.wire_queue import HandlerJournal, RemoteHandle, WireQueueCore
 
@@ -159,51 +160,36 @@ class _WorkerProcess:
         self.control.close()
 
 
-class _RemoteQoQ:
-    """Parent-side façade standing in for a remote handler's queue-of-queues.
+class _RemoteQoQ(QueueOfQueues):
+    """Parent-side stand-in for a remote handler's queue-of-queues.
 
-    ``Client.reserve`` enqueues private queues into it exactly as it does
-    with the in-memory :class:`~repro.queues.qoq.QueueOfQueues`; here the
-    enqueue assigns the block's ticket (the FIFO position the worker's drain
-    will honour) and triggers the ``open`` frame on the queue's connection.
+    ``Client.reserve`` enqueues into it as into the in-memory one, which
+    issues and counts the tickets; filing a queue only records its ticket
+    for the block's ``open`` frame.
     """
 
     def __init__(self, backend: "ProcessBackend", handler: Any) -> None:
+        super().__init__(handler.counters)
         self.backend = backend
         self.handler = handler
-        self.counters = handler.counters
-        self._lock = threading.Lock()
-        self._tickets = 0
-        self.closed = False
         #: the worker's drain report, filled in by :meth:`close`
         self.report: Optional[Dict[str, Any]] = None
 
-    def enqueue(self, private_queue: "ProcessPrivateQueue") -> None:
+    def file(self, ticket: int, private_queue: "ProcessPrivateQueue") -> None:
         # Multi-handler reservations call this while holding every reserved
-        # handler's spinlock (Section 3.3), so only the ticket assignment —
-        # which fixes the block's FIFO position — happens here.  The open
-        # frame (and a first-use connect) is deferred to the block's first
-        # request, keeping socket I/O out of the critical section.
-        with self._lock:
-            ticket = self._tickets
-            self._tickets += 1
-        # same accounting as QueueOfQueues.enqueue
-        self.counters.bump("qoq_enqueues")
-        self.counters.bump("reservations")
+        # handler's spinlock (Section 3.3), so the open frame (and a
+        # first-use connect) is deferred to the block's first request,
+        # keeping socket I/O out of the critical section.
         private_queue.open_block(ticket)
 
     def close(self) -> None:
         if self.closed:
             return
-        self.closed = True
         # a worker that died before (or while) draining is failed over — the
         # replacement replays the journal above its checkpoint — and re-asked there
         self.report = self.backend._control_request(
             self.handler.name,
-            {"op": "close", "handler": self.handler.name, "tickets": self._tickets})
-
-    def __len__(self) -> int:
-        return 0
+            {"op": "close", "handler": self.handler.name, "tickets": super().close()})
 
 
 def _unwrap(value: Any, error: Optional[BaseException]) -> Any:

@@ -11,24 +11,26 @@ and *end* here exactly as it does on every other backend:
   turns each frame into the request an in-memory client would have logged,
   on one ``PrivateQueue`` per connection, so a client bursting requests
   never blocks on a busy handler;
-* the handler's ``handler_next_queue`` hook is its queue-of-queues: it hands
-  those private queues out strictly in **ticket order**.  The ticket is
-  assigned by the parent at reservation time (under the same spinlocks that
-  make multi-handler reservations atomic), so the FIFO-of-private-queues
-  order, and with it both reasoning guarantees, survive the process hop
-  even though frames from different clients race on the wire.
+* each ``open`` files the connection's private queue in the handler's
+  :class:`~repro.queues.qoq.QueueOfQueues` under the block's *ticket*, which
+  the parent issued at reservation time (under the same spinlocks that make
+  multi-handler reservations atomic).  The handler drains it through the
+  stock ``ThreadedBackend.handler_next_queue``, which hands the queues out
+  strictly in ticket order, so the FIFO-of-private-queues order, and with it
+  both reasoning guarantees, survive the process hop even though frames
+  from different clients race on the wire.
 
 Replies (results, sync releases, errors) go back on the same connection,
 sent by the requests' own completions, and piggyback the non-zero counters
 (``calls_executed``, ``qoq_batch_*``) the parent folds into its totals.
 
 The same replies carry **checkpoints**: every so many drained requests the
-hook pickles everything the handler would lose with this process (hosted
-objects, counters, recorded failures) *between two blocks*, tagged with the
-ticket of the last block served.  The parent's journal for the handler
-keeps the newest one and drops its frames up to that ticket; a replacement
-worker is created from it (``handler`` op) and re-executes only the blocks
-above it.
+``handler_next_queue`` hook pickles everything the handler would lose with
+this process (hosted objects, counters, recorded failures) *between two
+blocks*, tagged with the ticket of the last block handed out.  The parent's
+journal for the handler keeps the newest one and drops its frames up to
+that ticket; a replacement worker is created from it (``handler`` op) and
+re-executes only the blocks above it.
 
 The worker is started as ``python -c "from repro.backends.process_worker
 import main; main()"`` with a JSON spec in the ``REPRO_PROCESS_WORKER``
@@ -60,10 +62,11 @@ from repro.core.region import SeparateObject
 from repro.errors import ScoopError
 from repro.queues.codec import CODECS
 from repro.queues.private_queue import END, CallRequest, PrivateQueue, SyncRequest
+from repro.queues.qoq import QueueOfQueues
 from repro.queues.socket_queue import FrameStream, SocketQueueClosed
 
-#: how long the hook tolerates a missing ticket after close before skipping
-#: it (a client that crashed between reserving and opening its block)
+#: how long ``close`` waits for a missing ticket before skipping it (a client
+#: that crashed between reserving and opening its block)
 _ABANDONED_TICKET_GRACE = 5.0
 
 #: A handler checkpoints after a block once it has drained this many
@@ -137,7 +140,7 @@ class HandlerServer(ThreadedBackend):
     ships the periodic snapshots base64-encoded, for a reply codec that
     cannot carry ``bytes``.  ``restored_from`` is the checkpoint of a dead
     worker's handler to continue from: its objects, counters and failures,
-    with the ticket-ordered hook starting right above its ticket.
+    with the queue-of-queues starting right above its ticket.
     """
 
     def __init__(self, name: str, text_state: bool = False,
@@ -146,11 +149,6 @@ class HandlerServer(ThreadedBackend):
         super().__init__()
         self.handler = Handler(name, QsConfig(qoq_batch=qoq_batch), backend=self)
         self.targets: Dict[int, Any] = {}
-        self._cond = threading.Condition()
-        #: opened private queues by ticket, until the hook hands them out
-        self._blocks: Dict[int, PrivateQueue] = {}
-        self._expected = 0
-        self._tickets: Optional[int] = None
         self._text_state = text_state
         #: (repr, traceback) pairs a dead worker recorded before this one
         self._inherited: List[tuple] = []
@@ -167,7 +165,8 @@ class HandlerServer(ThreadedBackend):
             for key, value in counters.items():
                 self.handler.counters.add(key, value)
             self._checkpointed = counters.get("qoq_batch_size_sum", 0)
-            self._expected = int(restored_from["ticket"]) + 1
+            self.handler.qoq = QueueOfQueues(self.handler.counters,
+                                             first_ticket=int(restored_from["ticket"]) + 1)
         self.handler.start()
 
     # -- control ops --------------------------------------------------------
@@ -177,12 +176,20 @@ class HandlerServer(ThreadedBackend):
         self.targets[oid] = obj
 
     def close(self, tickets: int, timeout: float) -> bool:
-        """No more blocks will open (``tickets`` were issued); True once all are served."""
-        with self._cond:
-            self._tickets = tickets
-            self._cond.notify()
-        self.handler.thread.join(timeout)
-        return not self.handler.thread.is_alive()
+        """No more blocks will open (``tickets`` were issued); True once all are served.
+
+        A ticket the handler still waits for after the grace belongs to a
+        client that died between reserving and opening its block: skipped.
+        """
+        qoq, thread = self.handler.qoq, self.handler.thread
+        qoq.close(tickets)
+        deadline = time.monotonic() + timeout
+        while thread.is_alive() and time.monotonic() < deadline:
+            waiting_for = qoq.next_ticket
+            thread.join(min(_ABANDONED_TICKET_GRACE, deadline - time.monotonic()))
+            if thread.is_alive() and qoq.next_ticket == waiting_for:
+                qoq.skip(waiting_for)
+        return not thread.is_alive()
 
     def restore(self, blocks: "list[tuple[int, list]]") -> None:
         """Pre-file journaled blocks from before a failover (ticket order).
@@ -199,7 +206,7 @@ class HandlerServer(ThreadedBackend):
             queue = PrivateQueue(self.handler)
             for frame in frames:
                 queue._queue.put(self._request(frame, replies))
-            self._file(int(ticket), queue)
+            self.handler.qoq.file(int(ticket), queue)
 
     # -- the wire side: frames become requests --------------------------------
     def add_connection(self, stream: FrameStream, client: str) -> None:
@@ -227,7 +234,7 @@ class HandlerServer(ThreadedBackend):
             kind = frame.get("kind")
             if kind == "open":
                 in_block = True
-                self._file(int(frame["ticket"]), queue)
+                self.handler.qoq.file(int(frame["ticket"]), queue)
             elif in_block:  # a frame outside a block is a protocol violation: dropped
                 in_block = kind != "end"
                 put(self._request(frame, replies))
@@ -263,40 +270,12 @@ class HandlerServer(ThreadedBackend):
         # wait needs none of the threaded backend's shutdown polling
         return private_queue.dequeue_batch(max_items)
 
-    def _file(self, ticket: int, queue: PrivateQueue) -> None:
-        with self._cond:
-            self._blocks[ticket] = queue
-            self._cond.notify()
-
-    # -- the handler loop's queue-of-queues (Fig. 7 across the process boundary)
     def handler_next_queue(self, handler: Handler) -> Optional[PrivateQueue]:
-        """The private queue of the next ticket; ``None`` once closed and served.
-
-        Between two blocks, where a snapshot holds the effects of exactly
-        the blocks handed out so far, this is also where the checkpoint is
-        taken.  A ticket still missing after close belongs to a client that
-        died between reserving and opening its block: it is skipped after a
-        grace period of *elapsed time* (waits return early under notify
-        traffic) instead of hanging shutdown.
-        """
+        """The next ticket's private queue, after a checkpoint if one is due
+        (between two blocks, a snapshot holds exactly the tickets handed out)."""
         if handler.counters.get("qoq_batch_size_sum") - self._checkpointed >= self._threshold:
             self._take_checkpoint()
-        stalled: Optional[float] = None
-        with self._cond:
-            while True:
-                queue = self._blocks.pop(self._expected, None)
-                if queue is not None:
-                    self._expected += 1
-                    return queue
-                if self._tickets is not None:
-                    if self._expected >= self._tickets:
-                        return None
-                    now = time.monotonic()
-                    stalled = now if stalled is None else stalled
-                    if now - stalled >= _ABANDONED_TICKET_GRACE:
-                        self._expected, stalled = self._expected + 1, None
-                        continue
-                self._cond.wait(timeout=0.25)
+        return super().handler_next_queue(handler)
 
     def _take_checkpoint(self) -> None:
         """Snapshot the handler between two blocks (handler thread only).
@@ -319,7 +298,7 @@ class HandlerServer(ThreadedBackend):
             return
         self._threshold = max(CHECKPOINT_MIN_FRAMES, len(state) // CHECKPOINT_BYTES_PER_FRAME)
         self._unsent = {
-            "ticket": self._expected - 1, "oids": sorted(targets),
+            "ticket": self.handler.qoq.next_ticket - 1, "oids": sorted(targets),
             "state": base64.b64encode(state).decode("ascii") if self._text_state else state}
 
     # -- replies and reports ---------------------------------------------------

@@ -163,7 +163,8 @@ class Handler:
         This is the backend-independent half of rule *end*/*sync*/*call*
         dispatch: :meth:`_loop` calls it after the blocking
         ``handler_next_batch`` (threads, sim, and the process backend's
-        worker, whose ``HandlerServer`` turns frames into these requests),
+        worker, whose ``HandlerServer`` turns frames into these requests
+        and files each block in this handler's ``qoq`` under its ticket),
         the asyncio backend's coroutine loop after awaiting the handler's
         wake-up event (set by ``notify_handler``) — so every backend
         executes requests (and accounts for them) identically.

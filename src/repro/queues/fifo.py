@@ -3,11 +3,12 @@
 Both of the paper's queue shapes (Section 3.1) are this class.  A private
 queue is single-producer single-consumer (one client, one handler); the
 queue-of-queues is multiple-producer single-consumer (every client that
-reserves the handler).  CPython cannot express a true lock-free ring
-buffer, but it *can* exploit the fact that ``collections.deque.append`` and
-``popleft`` are atomic with respect to the GIL, so the fast path performs
-no locking at all; the condition is only touched when the single consumer
-has to block waiting for data.
+reserves the handler), whose ``(ticket, queue)`` entries
+:class:`~repro.queues.qoq.QueueOfQueues` hands out in ticket order.  CPython
+cannot express a true lock-free ring buffer, but it *can* exploit the fact
+that ``collections.deque.append`` and ``popleft`` are atomic with respect to
+the GIL, so the fast path performs no locking at all; the condition is only
+touched when the single consumer has to block waiting for data.
 
 The producer learns that from ``_waiting``, which the consumer sets under
 the condition *before* its last look at the deque.  Under the GIL that is
@@ -81,13 +82,6 @@ class FifoQueue(Generic[T]):
                 return items.popleft()
             finally:
                 self._waiting = False
-
-    def try_get(self) -> tuple[bool, Optional[T]]:
-        """Non-blocking dequeue; returns ``(found, item)``."""
-        try:
-            return True, self._items.popleft()
-        except IndexError:
-            return False, None
 
     def get_batch(self, max_items: int, stop_type: "type | None" = None) -> list:
         """Non-blocking bulk dequeue of up to ``max_items`` items.

@@ -7,9 +7,10 @@ routes to?*  Two signals exist and neither is sufficient alone:
 * ``len(handler.qoq)`` — the number of private queues pending in the shard's
   queue-of-queues.  Authoritative where the handler runs in-process
   (threads/sim/async backends), but the process and hybrid backends run the
-  handler in a worker process and the parent-side ``_RemoteQoQ.__len__``
-  reports 0 — the parent cannot see a remote queue's depth without a round
-  trip that would itself queue behind the load being measured.
+  handler in a worker process, and the parent-side ``_RemoteQoQ`` files no
+  queue locally, so its ``len`` is 0 — the parent cannot see a remote
+  queue's depth without a round trip that would itself queue behind the
+  load being measured.
 * gateway-side *in-flight* accounting — how many admitted requests are
   currently between admission and response for this shard.  Visible on every
   backend because the gateway itself maintains it, but blind to work enqueued

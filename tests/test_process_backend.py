@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import inspect
 import os
+import pickle
 import signal
 import socket
 import subprocess
@@ -322,14 +323,31 @@ def _four_blocks_of_forty(level: str, spec: str) -> dict:
     return dict(rt.stats())
 
 
-def _serve_over_a_socketpair(codec: str = "pickle"):
-    """A ``HandlerServer`` in this process, reading one end of a socketpair
-    on its own thread; returns the server and the client's end."""
+def _serve_over_a_socketpair(codec: str = "pickle", server=None):
+    """A ``HandlerServer`` in this process (``server``, or a new one),
+    reading one end of a socketpair on its own thread; returns the server
+    and the client's end.  Call again with the server for a second client."""
     ours, theirs = socket.socketpair()
-    server = HandlerServer("box")
+    server = server or HandlerServer("box")
     threading.Thread(target=server.add_connection, args=(FrameStream(theirs, codec), "c"),
                      daemon=True).start()
     return server, FrameStream(ours, codec)
+
+
+def _block(stream, ticket: int, *frames) -> None:
+    """Send one whole block: ``open`` under ``ticket``, ``frames``, ``end``."""
+    stream.send({"kind": "open", "ticket": ticket, "block": None})
+    for frame in frames:
+        stream.send(frame)
+    stream.send({"kind": "end"})
+
+
+def _put(value) -> dict:
+    return {"kind": "call", "oid": 1, "feature": "put", "args": [value], "kwargs": {}}
+
+
+def _invoke(feature: str, *args) -> dict:
+    return {"kind": "invoke", "oid": 1, "feature": feature, "args": list(args), "kwargs": {}}
 
 
 def _wire_recorder(monkeypatch):
@@ -481,6 +499,24 @@ class TestOneRoundTripPerQuery:
 
 
 class TestTicketOrder:
+    def test_blocks_are_served_by_ticket_not_by_arrival(self):
+        server, first = _serve_over_a_socketpair()
+        server, second = _serve_over_a_socketpair(server=server)
+        server.host(1, Box())
+        try:
+            _block(first, 1, _put("ticket 1"))
+            time.sleep(0.1)  # ticket 1 is filed, and waits, before ticket 0 opens
+            _block(second, 0, _put("ticket 0"))
+            _block(first, 2, _invoke("get"))
+            reply = first.recv(timeout=5.0)
+            drained = server.close(3, timeout=5.0)
+        finally:
+            first.close()
+            second.close()
+        assert drained
+        # ticket 0 ran first, so ticket 1's put is the one left standing
+        assert (reply["kind"], reply["value"]) == ("result", "ticket 1")
+
     def test_a_ticket_never_opened_is_skipped_after_the_grace(self, monkeypatch):
         # ticket 0's client died between reserving and opening its block
         monkeypatch.setattr(process_worker, "_ABANDONED_TICKET_GRACE", 0.2)
@@ -500,6 +536,41 @@ class TestTicketOrder:
         assert drained
         assert 0.2 <= waited < 5.0
         assert (reply["kind"], reply["value"]) == ("result", "served")
+
+    def test_a_checkpoint_after_a_skip_carries_the_last_ticket_handed_out(self, monkeypatch):
+        monkeypatch.setattr(process_worker, "_ABANDONED_TICKET_GRACE", 0.2)
+        monkeypatch.setattr(process_worker, "CHECKPOINT_MIN_FRAMES", 1)
+        server, stream = _serve_over_a_socketpair()
+        server.host(1, Box())
+        try:
+            # ticket 0 never opens; ticket 1's two frames make a checkpoint
+            # due before ticket 2, whose reply carries it
+            _block(stream, 1, _put("one"))
+            _block(stream, 2, _invoke("calls_seen"))
+            drained = server.close(3, timeout=5.0)
+            reply = stream.recv(timeout=5.0)
+        finally:
+            stream.close()
+        assert drained
+        assert (reply["kind"], reply["value"]) == ("result", 1)
+        assert reply["checkpoint"]["ticket"] == 1
+
+    def test_a_restored_handler_serves_the_ticket_above_its_checkpoint_first(self):
+        box = Box()
+        box.put("restored")
+        state = pickle.dumps(({1: box}, {}, []))
+        server, stream = _serve_over_a_socketpair(
+            server=HandlerServer("box", restored_from={"ticket": 4, "state": state}))
+        try:
+            # nothing below ticket 5 will ever be filed: serving it proves
+            # the drain starts right above the checkpoint
+            _block(stream, 5, _invoke("get"))
+            reply = stream.recv(timeout=5.0)
+            drained = server.close(6, timeout=5.0)
+        finally:
+            stream.close()
+        assert drained
+        assert (reply["kind"], reply["value"]) == ("result", "restored")
 
 
 class TestRemoteFailures:

@@ -8,7 +8,10 @@ Three contracts the runtime's correctness leans on:
   ``dequeue`` — batching is a mechanical fast path, not a semantic change —
   and never lets a batch cross an END marker;
 * ``QueueOfQueues.dequeue`` keeps "timed out, try again" (``None``) distinct
-  from "closed and drained" (``SHUTDOWN``) for every operation sequence.
+  from "closed and drained" (``SHUTDOWN``) for every operation sequence;
+* the queue-of-queues hands queues out strictly by ticket, whatever order
+  they are filed, skipped and closed in (the process worker's case, where
+  the parent issues the tickets and frames race on the wire).
 """
 
 from __future__ import annotations
@@ -17,6 +20,23 @@ from hypothesis import given, settings, strategies as st
 
 from repro.queues.private_queue import CallRequest, END, EndMarker, PrivateQueue
 from repro.queues.qoq import SHUTDOWN, QueueOfQueues
+
+
+@st.composite
+def ticket_scripts(draw):
+    """Tickets ``0..n-1``, each filed, skipped or both (in either order),
+    plus ``close(n)`` and non-blocking dequeues, all in any order."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    events = [("close", n)]
+    for ticket in range(n):
+        fate = draw(st.sampled_from(["file", "skip", "both"]))
+        if fate != "skip":
+            events.append(("file", ticket))
+        if fate != "file":
+            events.append(("skip", ticket))
+    events += [("dequeue", None)] * draw(st.integers(min_value=0, max_value=12))
+    events += [("try", None)] * draw(st.integers(min_value=0, max_value=12))
+    return n, draw(st.permutations(events))
 
 #: a client's reservation stream: client id -> number of private queues
 clients_strategy = st.dictionaries(
@@ -138,3 +158,57 @@ class TestTimeoutVersusShutdown:
         assert qoq.dequeue(timeout=0) is SHUTDOWN
         assert qoq.try_dequeue() is SHUTDOWN
         assert qoq.dequeue(timeout=0.001) is SHUTDOWN
+
+
+class TestTicketOrder:
+    @given(script=ticket_scripts())
+    @settings(max_examples=300)
+    def test_queues_are_handed_out_by_ticket_whatever_the_filing_order(self, script):
+        n, events = script
+        qoq = QueueOfQueues()
+        queues = [PrivateQueue() for _ in range(n)]
+        ticket_of = {id(queue): ticket for ticket, queue in enumerate(queues)}
+        first = {}  # ticket -> the first entry filed under it ("file" or "skip")
+        due = 0     # the reference: the ticket handed out next
+        closed = False
+        handed_out = []
+
+        def expected():
+            """What the next dequeue must return, by the ticket rule alone."""
+            nonlocal due
+            while first.get(due) == "skip":
+                due += 1
+            if first.get(due) == "file":
+                return queues[due]
+            return SHUTDOWN if closed and due == n else None
+
+        def take(item):
+            nonlocal due
+            assert item is expected()
+            if item is not None and item is not SHUTDOWN:
+                handed_out.append(ticket_of[id(item)])
+                due += 1
+
+        for kind, ticket in events:
+            if kind == "file":
+                qoq.file(ticket, queues[ticket])
+                first.setdefault(ticket, "file")
+            elif kind == "skip":
+                qoq.skip(ticket)
+                first.setdefault(ticket, "skip")
+            elif kind == "close":
+                qoq.close(ticket)
+                closed = True
+            else:
+                take(qoq.dequeue(timeout=0) if kind == "dequeue" else qoq.try_dequeue())
+
+        # everything is filed now: the rest drains, then SHUTDOWN for good
+        while True:
+            item = qoq.try_dequeue()
+            take(item)
+            if item is SHUTDOWN:
+                break
+        assert qoq.dequeue(timeout=0) is SHUTDOWN
+        # each ticket filed before any skip of it is handed out exactly once,
+        # in ticket order; a skip filed first drops a later filing
+        assert handed_out == [t for t in range(n) if first[t] == "file"]

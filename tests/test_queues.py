@@ -44,12 +44,6 @@ class TestFifo:
         assert queue.get() == 1
         assert queue.get() is None
 
-    def test_try_get(self):
-        queue = FifoQueue()
-        assert queue.try_get() == (False, None)
-        queue.put(3)
-        assert queue.try_get() == (True, 3)
-
     def test_peek_and_len(self):
         queue = FifoQueue()
         assert queue.peek() is None
@@ -287,3 +281,59 @@ class TestQueueOfQueues:
         for t in threads:
             t.join()
         assert len(qoq) == 200
+
+
+class TestTickets:
+    def test_a_skip_wakes_a_consumer_parked_on_the_missing_ticket(self):
+        qoq, got = QueueOfQueues(), []
+        later = PrivateQueue()
+        qoq.file(1, later)
+        consumer = threading.Thread(target=lambda: got.append(qoq.dequeue()), daemon=True)
+        consumer.start()
+        deadline = time.monotonic() + 5.0
+        while not qoq._queue._waiting and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert qoq._queue._waiting and not got, "the consumer must park on ticket 0"
+        qoq.skip(0)
+        consumer.join(timeout=5.0)
+        assert not consumer.is_alive(), "the skip did not wake the parked consumer"
+        assert got == [later] and qoq.next_ticket == 2
+
+    def test_many_reservers_one_sleeping_handler_get_increasing_tickets(self):
+        # TestFifoManyProducers on the queue-of-queues: issuing a ticket and
+        # filing under it are two steps, so reservers overtake each other
+        # between them; the consumer must still see every queue once, in
+        # strictly increasing ticket order
+        producers, per_producer, qoq = 8, 5_000, QueueOfQueues()
+        tickets = [[] for _ in range(producers)]
+        received = []
+
+        def consume() -> None:
+            for _ in range(producers * per_producer):
+                received.append(qoq.dequeue())
+
+        def produce(tag: int) -> None:
+            for i in range(per_producer):
+                tickets[tag].append(qoq.enqueue((tag, i)))
+
+        consumer = threading.Thread(target=consume, daemon=True)
+        threads = [threading.Thread(target=produce, args=(t,), daemon=True)
+                   for t in range(producers)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            consumer.start()
+            deadline = time.monotonic() + 5.0
+            while not qoq._queue._waiting and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert qoq._queue._waiting, "the consumer never went to sleep"
+            for t in threads:
+                t.start()
+            consumer.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not consumer.is_alive(), f"consumer stuck after {len(received)} queues"
+        assert [tickets[tag][i] for tag, i in received] == list(range(producers * per_producer))
+        for tag in range(producers):
+            assert [i for (t, i) in received if t == tag] == list(range(per_producer))
+        assert qoq.counters.get("reservations") == producers * per_producer
