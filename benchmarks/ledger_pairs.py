@@ -36,11 +36,13 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 20150207
 #: what the traced pass prints: who is saturated, where a block's time goes,
-#: what a reservation's ticket costs in memory, and how many requests a
-#: handler drains per batch
+#: how many sync round trips a block makes and how many it elides, what a
+#: reservation's ticket costs in memory, and how many requests a handler
+#: drains per batch
 ATTRIBUTION = ("backends.parent_cpu_share", "backends.worker_cpu_share",
                "core.block_enter_us", "core.command_us", "core.query_us",
-               "core.block_exit_us", "queues.qoq.enqueue_dequeue_us",
+               "core.block_exit_us", "core.sync_roundtrips_per_block",
+               "core.syncs_elided_share", "queues.qoq.enqueue_dequeue_us",
                "queues.qoq.mean_batch")
 
 
@@ -108,7 +110,7 @@ def main() -> int:
                   for side in "AB"}
     print(f"\ntraced pass, 10 s, seed {args.seed}: the saturated process and the layer that moved")
     for name in ATTRIBUTION:
-        print(f"  {name:<28} {traced['A'][name]['value']:.4g} -> {traced['B'][name]['value']:.4g}")
+        print(f"  {name:<32} {traced['A'][name]['value']:.4g} -> {traced['B'][name]['value']:.4g}")
     paths = []
     for side, content in sides.items():
         paths.append(os.path.join(out_dir, f"{side}.json"))

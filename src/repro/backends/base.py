@@ -239,11 +239,24 @@ class ExecutionBackend(ABC):
     def notify_handler(self, handler: Any) -> None:
         """New work was enqueued for ``handler``: wake it if it may be idle.
 
-        Clients call this after every enqueue (each reservation and each
-        logged request).  The threaded backend relies on the queues' internal
-        condition variables, so this is a no-op there; the sim backend wakes
-        the handler's task (and charges virtual time for the operation), the
-        asyncio backend sets the handler's loop-side event.
+        Clients call this after every enqueue (each filed reservation and
+        each logged request), and when a block that never filed passes its
+        ticket to a handler already holding the next block
+        (``QueueOfQueues.pass_unfiled``).  The threaded backend relies on
+        the queues' internal condition variables, so this is a no-op there;
+        the sim backend wakes the handler's task (and charges virtual time
+        for the operation), the asyncio backend sets the handler's
+        loop-side event.
+        """
+
+    def block_ended_inline(self) -> None:
+        """A client ended a block that handed its handler nothing.
+
+        Such a block never waits, so a client polling in such blocks never
+        gives way on its own: OS threads are preempted anyway, the
+        simulator charges the block one operation (a scheduling point),
+        and a coroutine client yields to its loop
+        (:class:`~repro.core.async_api.AsyncSeparateBlock`).
         """
 
     def join_client(self, handle: Any, timeout: Optional[float] = None) -> None:

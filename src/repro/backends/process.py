@@ -220,6 +220,10 @@ class _WireQueue:
     the burst on request) and how a reply is waited for.
     """
 
+    #: always filed at reservation: the worker's ``served`` watermark is not
+    #: visible here, so a query never skips its round trip on an idle handler
+    pending_qoq = None
+
     def __init__(self, backend: "ProcessBackend", handler: Any,
                  worker: _WorkerProcess, counters: Any) -> None:
         self.backend = backend

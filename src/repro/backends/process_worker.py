@@ -222,22 +222,25 @@ class HandlerServer(ThreadedBackend):
         put = queue._queue.put
         replies = _Replies(self, stream)
         in_block = False
-        while True:
-            try:
-                frame = stream.recv(None)
-            except (SocketQueueClosed, OSError):
-                # the client vanished; a block left open must not wedge the
-                # handler forever (as a client crash without END in memory)
-                if in_block:
-                    put(END)
-                return
-            kind = frame.get("kind")
-            if kind == "open":
-                in_block = True
-                self.handler.qoq.file(int(frame["ticket"]), queue)
-            elif in_block:  # a frame outside a block is a protocol violation: dropped
-                in_block = kind != "end"
-                put(self._request(frame, replies))
+        try:
+            while True:
+                try:
+                    frame = stream.recv(None)
+                except (SocketQueueClosed, OSError):
+                    # the client vanished; a block left open must not wedge the
+                    # handler forever (as a client crash without END in memory)
+                    if in_block:
+                        put(END)
+                    return
+                kind = frame.get("kind")
+                if kind == "open":
+                    in_block = True
+                    self.handler.qoq.file(int(frame["ticket"]), queue)
+                elif in_block:  # a frame outside a block is a protocol violation: dropped
+                    in_block = kind != "end"
+                    put(self._request(frame, replies))
+        finally:
+            stream.close()
 
     def _request(self, frame: Dict[str, Any], replies: _Replies) -> Any:
         """The request an in-memory client logs for ``frame``."""

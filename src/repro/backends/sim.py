@@ -411,6 +411,11 @@ class SimBackend(ExecutionBackend):
         # virtual time, like the asynchronous protocol intends
         self._perform(Compute(self.op_cost))
 
+    def block_ended_inline(self) -> None:
+        # no notify to charge, but still a preemption point: a client
+        # polling in inline blocks would otherwise never let another run
+        self._perform(Compute(self.op_cost))
+
     # ------------------------------------------------------------------
     # client plumbing
     # ------------------------------------------------------------------

@@ -84,7 +84,6 @@ def cmd_levels(_args: argparse.Namespace) -> int:
                 "static-sync": config.static_sync_coalescing,
                 "client-query": config.client_executed_queries,
                 "pq-cache": config.private_queue_cache,
-                "handoff": config.direct_handoff,
             }
         )
     print(format_table(rows, title="Optimization levels (Section 4)"))

@@ -83,9 +83,6 @@ class QsConfig:
     private_queue_cache:
         Reuse private queues across separate blocks instead of allocating a
         fresh one each time (Section 3.2).
-    direct_handoff:
-        After a sync, pass control directly from the handler to the waiting
-        client instead of going through the global scheduler (Section 3.2).
     qoq_batch:
         Maximum number of requests a handler drains from a private queue per
         blocking acquisition (the batched fast path).  ``1`` restores the
@@ -122,7 +119,6 @@ class QsConfig:
     static_sync_coalescing: bool = True
     client_executed_queries: bool = True
     private_queue_cache: bool = True
-    direct_handoff: bool = True
     qoq_batch: int = 16
     backend: "str | BackendSpec" = "threads"
     sched_policy: str = "fifo"
@@ -144,7 +140,6 @@ class QsConfig:
                 static_sync_coalescing=False,
                 client_executed_queries=False,
                 private_queue_cache=False,
-                direct_handoff=False,
                 qoq_batch=1,
                 name=level.value,
             )
@@ -155,7 +150,6 @@ class QsConfig:
                 static_sync_coalescing=False,
                 client_executed_queries=True,
                 private_queue_cache=False,
-                direct_handoff=False,
                 name=level.value,
             )
         if level is OptimizationLevel.STATIC:
@@ -165,7 +159,6 @@ class QsConfig:
                 static_sync_coalescing=True,
                 client_executed_queries=True,
                 private_queue_cache=False,
-                direct_handoff=False,
                 name=level.value,
             )
         if level is OptimizationLevel.QOQ:
@@ -175,7 +168,6 @@ class QsConfig:
                 static_sync_coalescing=False,
                 client_executed_queries=False,
                 private_queue_cache=True,
-                direct_handoff=True,
                 name=level.value,
             )
         # ALL
@@ -208,7 +200,6 @@ class QsConfig:
             self.static_sync_coalescing,
             self.client_executed_queries,
             self.private_queue_cache,
-            self.direct_handoff,
         )
 
     def describe(self) -> str:
@@ -223,8 +214,6 @@ class QsConfig:
             flags.append("client-query")
         if self.private_queue_cache:
             flags.append("pq-cache")
-        if self.direct_handoff:
-            flags.append("handoff")
         if self.qoq_batch > 1:
             flags.append(f"batch={self.qoq_batch}")
         summary = "+".join(flags) if flags else "no optimizations"

@@ -32,6 +32,7 @@ now.
 
 from __future__ import annotations
 
+import asyncio
 import contextvars
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -244,7 +245,8 @@ class AsyncSeparateBlock:
         return proxies[0] if len(proxies) == 1 else proxies
 
     async def __aexit__(self, exc_type, exc, tb) -> None:
-        self._client._client.release(self._reservations)
+        if self._client._client.release(self._reservations):
+            await asyncio.sleep(0)  # the block never awaited: let the loop run
         self._reservations = []
 
 

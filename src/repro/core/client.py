@@ -12,6 +12,10 @@ paper):
   queue-of-queues optimization is disabled the client instead holds each
   handler's reservation lock for the whole block (the original protocol).
   A handler that was shut down is refused before anything is enqueued.
+  With queue-of-queues, dynamic coalescing and client-executed queries all
+  on, a single-handler block's in-memory queue only takes its ticket at
+  reservation and is filed with the block's first request; a block that
+  never files one ends by passing its ticket on (``QueueOfQueues.pass_unfiled``).
 * ``call``   — package an asynchronous call and append it to the private
   queue (rule *call*, Fig. 9).
 * ``query``  — *issue*, then *wait* (:class:`PendingQuery`; the blocking
@@ -23,11 +27,15 @@ paper):
   which the handler reaches in FIFO order exactly where the marker would
   have stood, so its one reply is release and result both.  Dynamic sync
   coalescing (Section 3.4.1) skips the marker when the handler is already
-  parked on this client's queue; the body alone then runs where the queue
-  places it (``invoke``).
+  parked on this client's queue, or waits idle for this very block: the
+  queue is not filed yet, its ticket is the handler's ``served`` watermark,
+  and no other thread client runs.  The body alone then runs where the
+  queue places it (``invoke``).
 
-After every enqueue — each reservation and each logged request — the client
-calls its backend's ``notify_handler``: the one way an idle handler is woken.
+After every enqueue — each filed reservation and each logged request — the
+client calls its backend's ``notify_handler``: the one way an idle handler is
+woken.  A block that files nothing wakes nobody, unless the handler already
+holds the next block when it passes its ticket on.
 """
 
 from __future__ import annotations
@@ -226,6 +234,9 @@ class Client:
         #: logging anything else to such a handler would corrupt the
         #: client-executed-query protocol, so the request ops reject it
         self._pending_queries: Dict[Handler, "PendingQuery"] = {}
+        #: whether a single-handler block files its queue with its first request
+        self._defers_filing = (config.use_qoq and config.dynamic_sync_coalescing
+                               and config.client_executed_queries)
 
     # ------------------------------------------------------------------
     # reservations
@@ -275,10 +286,13 @@ class Client:
             finally:
                 for i in reversed(ordered):
                     unique[i].spinlock.release()
+            for handler in unique:
+                self.backend.notify_handler(handler)
+        elif self._defers_filing and isinstance(queues[0], PrivateQueue):
+            queues[0].defer_filing(unique[0].qoq, unique[0].qoq.issue())
         else:
             unique[0].qoq.enqueue(queues[0])
-        for handler in unique:
-            self.backend.notify_handler(handler)
+            self.backend.notify_handler(unique[0])
 
         for handler, queue in zip(unique, queues):
             reservation = Reservation(handler, queue, holds_lock=not self.config.use_qoq)
@@ -288,8 +302,13 @@ class Client:
                 self.tracer.record("reserve", handler.name, client=self.name, block=queue.block_id)
         return reservations
 
-    def release(self, reservations: Sequence[Reservation]) -> None:
-        """Close a separate block: append END markers and undo bookkeeping."""
+    def release(self, reservations: Sequence[Reservation]) -> bool:
+        """Close a separate block: append END markers and undo bookkeeping.
+
+        Returns True when the block ended inline, having handed its handler
+        nothing (see ``ExecutionBackend.block_ended_inline``).
+        """
+        inline = False
         for reservation in reservations:
             handler = reservation.handler
             stack = self._reservations.get(handler, [])
@@ -300,8 +319,17 @@ class Client:
             # a pending issued query dies with its block (the handler serves
             # what was issued and resumes past it at the END marker)
             self._pending_queries.pop(handler, None)
-            reservation.private_queue.enqueue_end()
-            self.backend.notify_handler(handler)
+            queue = reservation.private_queue
+            qoq = queue.pending_qoq
+            if qoq is not None and qoq.served == queue.ticket:
+                # never filed, and the handler waits for this very ticket
+                queue.pending_qoq = None
+                inline = True
+                if qoq.pass_unfiled(queue.ticket):
+                    self.backend.notify_handler(handler)
+            else:
+                queue.enqueue_end()  # files a queue still unfiled first
+                self.backend.notify_handler(handler)
             if self.tracer.enabled:
                 self.tracer.record("release", handler.name, client=self.name,
                                    block=reservation.private_queue.block_id)
@@ -317,6 +345,9 @@ class Client:
             for reservation in sorted(reservations, key=lambda r: r.handler.seq, reverse=True):
                 if reservation.holds_lock:
                     reservation.handler.reservation_lock.release()
+        if inline:
+            self.backend.block_ended_inline()
+        return inline
 
     def _obtain_private_queue(self, handler: Handler) -> PrivateQueue:
         if self.config.private_queue_cache:
@@ -501,14 +532,32 @@ class Client:
         return request
 
     def _sync_elided(self, handler: Handler, queue: PrivateQueue) -> bool:
-        """Dynamic sync coalescing (Section 3.4.1): already parked on ``queue``?"""
-        if self.config.dynamic_sync_coalescing and queue.synced:
-            self.counters.bump("syncs_elided")
-            if self.tracer.enabled:
-                self.tracer.record("sync-elided", handler.name, client=self.name,
-                                   block=queue.block_id)
-            return True
-        return False
+        """Dynamic sync coalescing (Section 3.4.1): already parked on ``queue``?
+
+        A handler is just as parked for a block whose queue is not filed
+        yet when the block's ticket is its ``served`` watermark: it has
+        served every block before and waits for this one.  The client then
+        holds synchronous control as after a real sync.  Only while at most
+        one thread client runs, though: a thread whose blocks never wait
+        keeps the interpreter lock for a whole switch interval, so clients
+        polling next to it would starve (the paper's chameneos and condition
+        tasks ran 10-30 % slower); with others running, the block hands off
+        as before.
+        """
+        if not self.config.dynamic_sync_coalescing:
+            return False
+        if not queue.synced:
+            qoq, runtime = queue.pending_qoq, self.backend.runtime
+            if (qoq is None or qoq.served != queue.ticket
+                    or (runtime is not None and runtime.running_clients > 1)):
+                return False
+            queue.synced = True
+            handler.owner.grant_sync_access(current_thread())
+        self.counters.bump("syncs_elided")
+        if self.tracer.enabled:
+            self.tracer.record("sync-elided", handler.name, client=self.name,
+                               block=queue.block_id)
+        return True
 
     def _finish_sync(self, handler: Handler, queue: PrivateQueue) -> None:
         """Bookkeeping once the sync release on ``queue`` has been observed."""

@@ -75,6 +75,8 @@ class QsRuntime:
         self._lock = threading.Lock()
         self._local = threading.local()
         self._shutdown = False
+        #: thread clients spawned and not finished (``Client._sync_elided`` reads it)
+        self.running_clients = 0
         self._client_handles: List[Any] = []
         self._client_errors: List[BaseException] = []
         self.backend.attach(self)
@@ -276,10 +278,14 @@ class QsRuntime:
             except BaseException as exc:  # surfaced at shutdown
                 self._client_errors.append(exc)
             finally:
+                with self._lock:
+                    self.running_clients -= 1
                 client = getattr(self._local, "client", None)
                 if client is not None:
                     client.close()
 
+        with self._lock:
+            self.running_clients += 1
         handle = self.backend.spawn_client(_run, name=name or f"client:{fn.__name__}")
         self._client_handles.append(handle)
         return handle

@@ -34,7 +34,6 @@ def eve_config() -> QsConfig:
         static_sync_coalescing=False,
         client_executed_queries=True,
         private_queue_cache=True,
-        direct_handoff=True,
         name="eve-qs",
     )
 

@@ -18,13 +18,17 @@ appended before that look, so the consumer finds the item; one that reads
 ``wait``, so the notify cannot be lost.  That producer also clears the
 flag: the consumer it wakes finds the item and returns without sleeping
 again, and the producers behind it skip the lock.
+
+The same protocol wakes a consumer for a change that is not an item: the
+consumer's ``stop`` is part of its last look, and a producer that changed
+what ``stop`` reads calls :meth:`FifoQueue.wake` afterwards.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Deque, Generic, Optional, TypeVar
+from typing import Any, Callable, Deque, Generic, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -50,6 +54,11 @@ class FifoQueue(Generic[T]):
         # sleep: the appends behind it, made before the woken consumer runs,
         # skip the lock too.
         if self._waiting:
+            self.wake()
+
+    def wake(self) -> None:
+        """Wake a consumer asleep in ``get``; without an item, its ``stop`` decides."""
+        if self._waiting:
             with self._cond:
                 self._waiting = False
                 self._cond.notify()
@@ -61,12 +70,14 @@ class FifoQueue(Generic[T]):
             self._cond.notify_all()
 
     # -- consumer side -------------------------------------------------
-    def get(self, timeout: Optional[float] = None) -> Optional[T]:
+    def get(self, timeout: Optional[float] = None,
+            stop: "Callable[[], bool] | None" = None) -> Optional[T]:
         """Dequeue the next item, blocking until one is available.
 
         Returns ``None`` when the queue has been closed and drained, mirroring
         the boolean-returning ``dequeue`` of the paper's C implementation
-        (``False`` meaning "no more work", Fig. 7).
+        (``False`` meaning "no more work", Fig. 7), when ``timeout`` elapses,
+        or when ``stop()`` is true at a last look before sleeping.
         """
         # Fast path: data already available.  The consumer alone pops, so a
         # non-empty deque stays non-empty until it does.
@@ -74,12 +85,15 @@ class FifoQueue(Generic[T]):
         if items:
             return items.popleft()
         with self._cond:
-            self._waiting = True
             try:
-                while not items:
-                    if self._closed or not self._cond.wait(timeout=timeout):
+                while True:
+                    # set again after every wake-up: ``wake`` clears it
+                    self._waiting = True
+                    if items:
+                        return items.popleft()
+                    if ((stop is not None and stop()) or self._closed
+                            or not self._cond.wait(timeout=timeout)):
                         return None
-                return items.popleft()
             finally:
                 self._waiting = False
 

@@ -18,6 +18,13 @@ The queue also carries the dynamic sync-coalescing state of Section 3.4.1:
 ``synced`` records whether the handler is currently parked at the head of
 this (empty) private queue, in which case a further sync is unnecessary.
 
+A single-handler block files its queue into the handler's queue-of-queues
+with its first request, not at reservation (:meth:`PrivateQueue.defer_filing`;
+a wire queue defers its ``open`` frame the same way).  Until then
+``pending_qoq`` holds the queue-of-queues and ``ticket`` the block's FIFO
+position, which is how the client tells that an idle handler is already
+waiting for exactly this block.
+
 The query path
 --------------
 What an unsynced client-executed query puts on the queue, and where the
@@ -187,7 +194,7 @@ class PrivateQueue:
     """
 
     __slots__ = ("handler", "counters", "_queue", "synced", "client_name",
-                 "closed_by_client", "block_id")
+                 "closed_by_client", "block_id", "pending_qoq", "ticket")
 
     def __init__(self, handler: Any = None, counters: Optional[Counters] = None) -> None:
         self.handler = handler
@@ -201,8 +208,25 @@ class PrivateQueue:
         #: reservation id of the separate block currently using this queue
         #: (set by the client at reservation time; used by tracing)
         self.block_id: int | None = None
+        #: the queue-of-queues this block is still to be filed into, under
+        #: ``ticket`` (``None`` once filed, or when filed at reservation)
+        self.pending_qoq: Any = None
+        self.ticket: int | None = None
 
     # -- client side ------------------------------------------------------
+    def defer_filing(self, qoq: Any, ticket: int) -> None:
+        """Hold the block's ``ticket``: the first request files the queue under it."""
+        self.pending_qoq = qoq
+        self.ticket = ticket
+
+    def _put(self, request: Any) -> None:
+        self._queue.put(request)
+        qoq = self.pending_qoq
+        if qoq is not None:
+            # the request goes first: the handler never finds the queue empty
+            self.pending_qoq = None
+            qoq.enqueue(self, self.ticket)
+
     def enqueue_call(self, request: CallRequest) -> None:
         """Log an asynchronous call (rule *call*).  Invalidates ``synced``."""
         self.counters.bump("pq_enqueues")
@@ -210,7 +234,7 @@ class PrivateQueue:
         if request.payload_bytes:
             self.counters.add("bytes_copied", request.payload_bytes)
         self.synced = False
-        self._queue.put(request)
+        self._put(request)
 
     def enqueue_query(self, request: CallRequest) -> ResultBox:
         """Ship a packaged query to the handler (the *unoptimized* protocol).
@@ -223,7 +247,7 @@ class PrivateQueue:
         self.counters.bump("pq_enqueues")
         self.counters.bump("sync_roundtrips")
         self.synced = False
-        self._queue.put(request)
+        self._put(request)
         return request.result
 
     def enqueue_sync(self, request: Optional[SyncRequest] = None) -> SyncRequest:
@@ -238,7 +262,7 @@ class PrivateQueue:
             request = SyncRequest()
         self.counters.bump("pq_enqueues")
         self.counters.bump("sync_roundtrips")
-        self._queue.put(request)
+        self._put(request)
         return request
 
     def enqueue_query_sync(self, handle: Any, fn: "Callable[[Any], Any] | None",
@@ -276,7 +300,7 @@ class PrivateQueue:
         self.counters.bump("pq_enqueues")
         self.closed_by_client = True
         self.synced = False
-        self._queue.put(END)
+        self._put(END)
 
     # -- handler side ------------------------------------------------------
     def dequeue(self, timeout: Optional[float] = None):
@@ -319,6 +343,7 @@ class PrivateQueue:
         self.synced = False
         self.closed_by_client = False
         self.block_id = None
+        self.pending_qoq = None
 
     def close(self) -> None:
         """The owning client is done with this queue (nothing to release here;

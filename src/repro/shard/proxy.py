@@ -38,6 +38,7 @@ coroutine clients, so they take part in backend-parity assertions.
 
 from __future__ import annotations
 
+import asyncio
 from typing import Any, Callable, List, Optional
 
 from repro.core.client import Client, PendingQuery, Reservation
@@ -244,5 +245,6 @@ class AsyncShardedBlock:
         return AsyncShardedProxy(group, self._async_client, view)
 
     async def __aexit__(self, exc_type, exc, tb) -> None:
-        self._async_client._client.release(self._reservations)
+        if self._async_client._client.release(self._reservations):
+            await asyncio.sleep(0)  # as AsyncSeparateBlock
         self._reservations = []

@@ -137,6 +137,9 @@ class TestAwaitableApi:
 
             async def client() -> None:
                 async with rt.aclient().separate(ref) as acc:
+                    # a logged command keeps the handler busy with this block,
+                    # so the first sync is a real round trip
+                    await acc.credit(0)
                     assert await acc.sync_() is True
                     assert await acc.sync_() is False  # coalesced
                     await acc.apply(lambda obj, n: obj.credit(n), 5)
@@ -145,6 +148,25 @@ class TestAwaitableApi:
             rt.aclient(client)
             rt.join_clients()
             assert out == [100]
+
+    def test_explicit_sync_on_an_idle_handler_is_elided(self):
+        with QsRuntime("all", backend="async") as rt:
+            ref = rt.new_handler("acct").create(Account, 5)
+            out = []
+
+            async def client() -> None:
+                async with rt.aclient().separate(ref) as acc:
+                    # the handler has served every earlier block and waits
+                    # for this one: it is parked already
+                    assert await acc.sync_() is False
+                    assert await acc.sync_() is False
+                    out.append(await acc.compute(lambda obj: obj.balance * 10))
+
+            rt.aclient(client)
+            rt.join_clients()
+            stats = rt.stats()
+        assert out == [50]
+        assert (stats["sync_roundtrips"], stats["syncs_elided"]) == (0, 3)
 
     def test_query_failure_propagates_through_await(self):
         caught = []

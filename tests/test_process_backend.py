@@ -11,6 +11,7 @@ exceptions, worker-process pooling, and the selection plumbing
 from __future__ import annotations
 
 import functools
+import gc
 import inspect
 import os
 import pickle
@@ -20,6 +21,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -571,6 +573,31 @@ class TestTicketOrder:
             stream.close()
         assert drained
         assert (reply["kind"], reply["value"]) == ("result", "restored")
+
+
+class TestConnectionLifecycle:
+    def test_the_worker_closes_a_connection_its_client_closed(self, monkeypatch):
+        ours, theirs = socket.socketpair()
+        server = HandlerServer("box")
+        reader = threading.Thread(target=server.add_connection,
+                                  args=(FrameStream(theirs, "pickle"), "c"))
+        reader.start()
+        ours.close()  # the client's EOF
+        reader.join(timeout=5.0)
+        try:
+            assert not reader.is_alive()
+            # closed by the reader itself, not left to garbage collection:
+            # collecting it now warns of nothing, and a warning is an error
+            assert theirs.fileno() == -1
+            unraisable = []
+            monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                del theirs
+                gc.collect()
+            assert unraisable == []
+        finally:
+            assert server.close(0, timeout=5.0)
 
 
 class TestRemoteFailures:

@@ -104,6 +104,7 @@ class TestRuntimeTracing:
         with QsRuntime("all", trace=True) as rt:
             reg = rt.new_handler("reg").create(Register)
             with rt.separate(reg) as r:
+                r.push(1)  # the handler is busy with this block: the first query syncs
                 r.size()
                 r.size()
                 r.size()
@@ -112,6 +113,22 @@ class TestRuntimeTracing:
         elided = [e for e in events if e.kind == "sync-elided"]
         assert len(syncs) == 1
         assert len(elided) == 2
+
+    def test_queries_on_an_idle_handler_show_up_as_elided_syncs_only(self):
+        with QsRuntime("all", trace=True) as rt:
+            reg = rt.new_handler("reg").create(Register)
+            with rt.separate(reg) as r:
+                r.size()
+                r.size()
+                r.size()
+            events = rt.trace_events(handler="reg")
+            stats = rt.stats()
+        kinds = [e.kind for e in events]
+        assert kinds.count("sync") == 0
+        assert kinds.count("sync-elided") == 3
+        assert (stats["sync_roundtrips"], stats["syncs_elided"]) == (0, 3)
+        # the handler never saw the block: no handler-side event at all
+        assert "end-block" not in kinds
 
     def test_every_optimization_level_satisfies_the_guarantees(self, level):
         with QsRuntime(level, trace=True) as rt:
