@@ -37,13 +37,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 20150207
 #: what the traced pass prints: who is saturated, where a block's time goes,
 #: how many sync round trips a block makes and how many it elides, what a
-#: reservation's ticket costs in memory, and how many requests a handler
-#: drains per batch
+#: reservation's ticket costs in memory, how many requests a handler drains
+#: per batch, and how many requests per block share a write with another
 ATTRIBUTION = ("backends.parent_cpu_share", "backends.worker_cpu_share",
                "core.block_enter_us", "core.command_us", "core.query_us",
                "core.block_exit_us", "core.sync_roundtrips_per_block",
                "core.syncs_elided_share", "queues.qoq.enqueue_dequeue_us",
-               "queues.qoq.mean_batch")
+               "queues.qoq.mean_batch", "queues.socket_queue.coalesced_per_block")
 
 
 def export(rev: str, dest: str) -> str:

@@ -36,10 +36,15 @@ from typing import Any, Dict, List
 
 from repro import QsRuntime, SeparateObject, command, query
 from repro.backends.process_worker import CHECKPOINT_MIN_FRAMES
+from repro.queues.wire_queue import MAX_BURST_CALLS
 
 COMMANDS = 32
-#: frames one block journals: the commands, then sync + invoke + end
-BLOCK_FRAMES = COMMANDS + 3
+#: frames one block journals at most: the commands' bursts, then sync + invoke + end
+BLOCK_FRAMES = -(-COMMANDS // MAX_BURST_CALLS) + 3
+#: blocks one checkpoint interval holds at most: the worker checkpoints once
+#: it has drained CHECKPOINT_MIN_FRAMES requests, and a block is more than
+#: its commands
+INTERVAL_BLOCKS = -(-CHECKPOINT_MIN_FRAMES // COMMANDS)
 HANDLERS = 2
 _PAGE = os.sysconf("SC_PAGE_SIZE")
 
@@ -128,7 +133,7 @@ def soak(seconds: float) -> Dict[str, Any]:
         "fds_first": fds_first,
         "fds_last": fds_last,
         "journal_frames_max": max(frames),
-        "journal_frames_bound": HANDLERS * (2 * CHECKPOINT_MIN_FRAMES + BLOCK_FRAMES),
+        "journal_frames_bound": HANDLERS * (2 * INTERVAL_BLOCKS + 1) * BLOCK_FRAMES,
         "journal_checkpoints": stats["journal_checkpoints"],
         "recovery_s": recovery_s,
         "recovered_value_ok": value == tallies[0]["blocks"] * (COMMANDS + 1) + 1,

@@ -23,6 +23,9 @@ Division of labour:
   whose reader task resolves reply continuations so the event loop never
   blocks on the socket).  The backend picks per queue, from the thread that
   asks, so both client kinds coexist with identical counters.
+* **a logged call is an append** to the core's open burst, which leaves as
+  one ``calls`` frame (:mod:`repro.queues.wire_queue`); whatever the core
+  hands out, the driver writes at once, in one write.
 * **a query is one round trip**: a packaged ``query`` frame or a
   client-executed body as an ``invoke`` frame.  An unsynced one sends no
   ``sync`` first — the worker serves a block's frames in order, so the body
@@ -216,8 +219,8 @@ class _WireQueue:
     ``enqueue_query_sync`` / ``invoke``, the ``synced`` flag, reuse across
     blocks) with identical counter accounting, but every
     request becomes frames of a :class:`~repro.queues.wire_queue.WireQueueCore`.
-    A driver adds the I/O: ``_feed`` (buffer frames on its stream, flushing
-    the burst on request) and how a reply is waited for.
+    A driver adds the I/O: ``_send`` (the frames the core hands out, in one
+    write) and how a reply is waited for.
     """
 
     #: always filed at reservation: the worker's ``served`` watermark is not
@@ -242,18 +245,16 @@ class _WireQueue:
 
     def enqueue_call(self, request: Any) -> None:
         self.synced = False
-        # asynchronous calls only feed: the burst is flushed by the next
-        # synchronous frame (sync/query/end) or the stream's own batch limit
-        self._feed(self.core.call(request))
+        # the call joins the core's open burst; only a full burst is handed
+        # out, and it leaves at once so the worker starts on it
+        frames = self.core.call(request)
+        if frames:
+            self._send(frames)
 
     def enqueue_end(self) -> None:
         self.closed_by_client = True
         self.synced = False
         self._send(self.core.end())
-
-    def _send(self, frames: List[Dict[str, Any]]) -> None:
-        """Buffer, then ship everything pending (the synchronous-path send)."""
-        self._feed(frames, flush=True)
 
     def reset_for_reuse(self) -> None:
         self.synced = False
@@ -295,7 +296,7 @@ class ProcessPrivateQueue(_WireQueue):
         stream = self._dial()
         # hello stays an eager send: the worker's registration window is
         # bounded (10 s), and a connection is made once then reused across
-        # blocks — only per-call frames are worth coalescing
+        # blocks — only a block's frames are worth coalescing
         stream.send(self.core.hello(self.client_name))
         return stream
 
@@ -307,27 +308,22 @@ class ProcessPrivateQueue(_WireQueue):
         self.backend.register_stream(stream)
         return stream
 
-    def _feed(self, frames: List[Dict[str, Any]], flush: bool = False) -> None:
-        """*Buffer* already-journaled frames; fail over on a dead worker.
+    def _send(self, frames: List[Dict[str, Any]]) -> None:
+        """Ship already-journaled frames in one ``sendall``; fail over on a dead worker.
 
-        The frames go out with the next flush — one ``sendall`` before any
-        wait — or immediately, once enough are pending that the stream
-        flushes the burst itself (syscall coalescing: many asynchronous
-        calls, one write).  No retry after a reconnect: the replay re-sent
-        the whole block, these frames included.
+        No retry after a reconnect: the replay re-sent the whole block,
+        these frames included.
         """
         try:
             stream = self._stream or self._connect()
             for frame in frames:
-                flushed = stream.feed(frame)
-                if flushed:
-                    self._sent(stream, flushed)
-            if flush:
-                self._sent(stream, stream.flush())
+                stream.feed(frame)
+            if stream.flush():
+                self._sent(stream, frames)
         except (OSError, SocketQueueClosed):
             self._failover_reconnect()
 
-    def _sent(self, stream: FrameStream, flushed: int) -> None:
+    def _sent(self, stream: FrameStream, frames: List[Dict[str, Any]]) -> None:
         """Account for a burst that left — unless it went to a dead worker.
 
         A whole coalesced block can leave in *one* ``sendall``, and a
@@ -339,10 +335,9 @@ class ProcessPrivateQueue(_WireQueue):
         by then, so probing for it turns the silent loss into the normal
         failover path, which replays the journaled block.
         """
-        if flushed:
-            if stream.peer_closed():
-                raise SocketQueueClosed("worker closed while a burst was in flight")
-            self.core.sent(flushed)
+        if stream.peer_closed():
+            raise SocketQueueClosed("worker closed while a burst was in flight")
+        self.core.sent(frames)
 
     def _failover_reconnect(self) -> None:
         """Re-establish this queue on the dead worker's replacement.
@@ -476,16 +471,16 @@ class AsyncProcessPrivateQueue(_WireQueue):
             name=f"pq-reader:{self.handler.name}")
         return stream
 
-    def _feed(self, frames: List[Dict[str, Any]], flush: bool = False) -> None:
+    def _send(self, frames: List[Dict[str, Any]]) -> None:
         # a frame written to a dying transport is replayed by the reader
         # task's failover, so no inline delivery probe is needed
         if self._failed is not None:
             raise self._failed
         stream = self._stream or self._start_stream([self.core.hello(self.client_name)])
         for frame in frames:
-            self.core.sent(stream.feed(frame))
-        if flush:
-            self.core.sent(stream.flush())
+            stream.feed(frame)
+        if stream.flush():
+            self.core.sent(frames)
 
     def enqueue_sync(self, request: SyncRequest) -> SyncRequest:
         self._send(self.core.sync())
@@ -572,7 +567,7 @@ class AsyncProcessPrivateQueue(_WireQueue):
         Worker re-pinning runs in an executor (it may spawn a subprocess —
         far too slow for the loop), then the new stream is installed with
         the core's replay sequence in ONE synchronous section, so a client
-        ``_feed`` interleaved at the await points is either journaled
+        ``_send`` interleaved at the await points is either journaled
         before the replay snapshot or lands in the new stream's outbox —
         never both, never neither.
         """

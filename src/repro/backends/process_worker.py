@@ -6,11 +6,13 @@ thread of this process, so ``Handler.drain_batch`` applies *call*, *sync*
 and *end* here exactly as it does on every other backend:
 
 * every client connection is one socket-backed private queue: ``open``
-  (with a parent-assigned *ticket*), then ``call`` / ``sync`` / ``invoke`` /
-  ``query`` frames, then ``end``.  The thread that accepted the connection
-  turns each frame into the request an in-memory client would have logged,
-  on one ``PrivateQueue`` per connection, so a client bursting requests
-  never blocks on a busy handler;
+  (with a parent-assigned *ticket*), then ``calls`` / ``sync`` / ``invoke``
+  / ``query`` frames, then ``end``.  A ``calls`` frame is a burst of up to
+  :data:`~repro.queues.wire_queue.MAX_BURST_CALLS` logged calls, decoded
+  once.  The thread that accepted the connection turns each frame into the
+  requests an in-memory client would have logged — a burst into one
+  ``CallRequest`` per call — on one ``PrivateQueue`` per connection, so a
+  client bursting requests never blocks on a busy handler;
 * each ``open`` files the connection's private queue in the handler's
   :class:`~repro.queues.qoq.QueueOfQueues` under the block's *ticket*, which
   the parent issued at reservation time (under the same spinlocks that make
@@ -205,17 +207,18 @@ class HandlerServer(ThreadedBackend):
         for ticket, frames in blocks:
             queue = PrivateQueue(self.handler)
             for frame in frames:
-                queue._queue.put(self._request(frame, replies))
+                for request in self._requests(frame, replies):
+                    queue._queue.put(request)
             self.handler.qoq.file(int(ticket), queue)
 
     # -- the wire side: frames become requests --------------------------------
     def add_connection(self, stream: FrameStream, client: str) -> None:
         """Read one client connection until it closes (on the accepting thread).
 
-        Every frame goes, as a request, onto one private queue reused across
+        Every frame goes, as requests, onto one private queue reused across
         the connection's blocks; ``open`` files the queue under the block's
         ticket.  Nothing is counted here: the parent counted each request
-        when its client logged it.
+        when its client's burst was taken out.
         """
         queue = PrivateQueue(self.handler)
         queue.client_name = client
@@ -238,34 +241,39 @@ class HandlerServer(ThreadedBackend):
                     self.handler.qoq.file(int(frame["ticket"]), queue)
                 elif in_block:  # a frame outside a block is a protocol violation: dropped
                     in_block = kind != "end"
-                    put(self._request(frame, replies))
+                    for request in self._requests(frame, replies):
+                        put(request)
         finally:
             stream.close()
 
-    def _request(self, frame: Dict[str, Any], replies: _Replies) -> Any:
-        """The request an in-memory client logs for ``frame``."""
+    def _requests(self, frame: Dict[str, Any], replies: _Replies) -> List[Any]:
+        """The requests an in-memory client logs for ``frame``, in order:
+        one per call of a ``calls`` burst, else one."""
         kind = frame.get("kind")
-        if kind == "call" or kind == "query" or kind == "invoke":
-            target = self.targets.get(frame.get("oid", 0))
-            args, kwargs = frame.get("args") or (), frame.get("kwargs") or {}
-            fn = frame.get("fn")
-            result = None if kind == "call" else replies
-            if fn is None:  # a described call, built positionally: the hot path
-                request = CallRequest(None, (target,), {}, result, 0, frame.get("feature"),
-                                      None, args, kwargs)
-            else:
-                request = CallRequest(fn, (target, *args), kwargs, result)
+        if kind == "calls":
+            return [self._call(*entry, None) for entry in frame["calls"]]
+        if kind == "query" or kind == "invoke":
+            request = self._call(frame.get("oid", 0), frame.get("feature"), frame.get("fn"),
+                                 frame.get("args") or (), frame.get("kwargs") or {}, replies)
             if kind == "invoke":
                 # a client-executed body runs as its marker's release, so
                 # (as in memory) it is not an executed call
-                return SyncRequest(_Release(request.execute))
-            return request
+                return [SyncRequest(_Release(request.execute))]
+            return [request]
         if kind == "end":
-            return END
+            return [END]
         if kind == "sync":
-            return SyncRequest(_Release(replies.release))
+            return [SyncRequest(_Release(replies.release))]
         error = ScoopError(f"unknown request kind {kind!r}")
-        return SyncRequest(_Release(lambda: self.handler.failures.append(error)))
+        return [SyncRequest(_Release(lambda: self.handler.failures.append(error)))]
+
+    def _call(self, oid: int, feature: Optional[str], fn: Any, args: Any, kwargs: dict,
+              result: Optional[_Replies]) -> CallRequest:
+        """A packaged call of ``feature`` (or ``fn``) on hosted object ``oid``."""
+        target = self.targets.get(oid)
+        if fn is None:  # a described call, built positionally: the hot path
+            return CallRequest(None, (target,), {}, result, 0, feature, None, args, kwargs)
+        return CallRequest(fn, (target, *args), kwargs, result)
 
     def handler_next_batch(self, handler: Handler, private_queue: PrivateQueue,
                            max_items: int) -> list:

@@ -30,9 +30,15 @@ from repro.errors import ReservationError
 
 
 class ReservedProxy:
-    """A separate object reserved by the enclosing separate block."""
+    """A separate object reserved by the enclosing separate block.
 
-    __slots__ = ("_ref", "_client")
+    A feature is resolved once per proxy: the callable built for ``p.name``
+    is kept in the instance ``__dict__``, where the next ``p.name`` finds it
+    without reaching :meth:`__getattr__`.  It still goes through the client
+    on every call, so it raises ``NotReservedError`` once the block is over.
+    """
+
+    __slots__ = ("_ref", "_client", "__dict__")
 
     def __init__(self, ref: SeparateRef, client: Client) -> None:
         object.__setattr__(self, "_ref", ref)
@@ -77,15 +83,16 @@ class ReservedProxy:
         kind = method_kind(getattr(raw, "_scoop_class", None) or type(raw), name)
 
         if kind == COMMAND:
-            def _command(*args: Any, **kwargs: Any) -> None:
-                client.call(ref, name, *args, **kwargs)
-            _command.__name__ = name
-            return _command
+            call = client.call  # a command is logged again and again: bind once
 
-        def _query(*args: Any, **kwargs: Any) -> Any:
-            return client.query(ref, name, *args, **kwargs)
-        _query.__name__ = name
-        return _query
+            def feature(*args: Any, **kwargs: Any) -> None:
+                call(ref, name, *args, **kwargs)
+        else:
+            def feature(*args: Any, **kwargs: Any) -> Any:
+                return client.query(ref, name, *args, **kwargs)
+        feature.__name__ = name
+        object.__setattr__(self, name, feature)
+        return feature
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(

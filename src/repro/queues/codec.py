@@ -21,9 +21,10 @@ encoded payload.  *What* the payload encoding is, is a policy decision:
   has the same fidelity as pickle — and the same trust requirements
   (decode will unpickle fallback frames).
 
-Codecs are intentionally tiny — ``encode``/``decode`` over ``dict`` payloads
-— so adding another (msgpack, CBOR, a schema'd protobuf) means implementing
-two methods and registering the instance in :data:`CODECS`.
+Codecs are intentionally tiny — ``encode``/``decode`` over ``dict`` payloads,
+plus ``check`` for values that travel later, inside a larger frame — so
+adding another (msgpack, CBOR, a schema'd protobuf) means implementing those
+and registering the instance in :data:`CODECS`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import marshal
 import pickle
 import struct
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Iterable, Tuple
 
 from repro.errors import ScoopError
 
@@ -60,6 +61,15 @@ class Codec(ABC):
 
     @abstractmethod
     def decode(self, data: bytes) -> Dict[str, Any]:  # pragma: no cover
+        raise NotImplementedError
+
+    @abstractmethod
+    def check(self, values: Iterable[Any], where: str) -> None:  # pragma: no cover
+        """Raise what encoding ``values`` inside a payload would raise.
+
+        For values framed later than they are handed over (a logged call
+        travels in its burst's frame): the refusal comes at the hand-over.
+        """
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
@@ -114,6 +124,14 @@ class JsonCodec(Codec):
     def decode(self, data: bytes) -> Dict[str, Any]:
         return json.loads(data.decode("utf-8"))
 
+    def check(self, values: Iterable[Any], where: str) -> None:
+        for value in values:
+            _check_json_value(value, where)
+
+
+#: values every full-fidelity codec carries as they are: checked for free
+_ATOMS = frozenset({type(None), bool, int, float, complex, str, bytes})
+
 
 class PickleCodec(Codec):
     """Pickled payloads: faithful Python round-trips, same-trust peers only."""
@@ -127,19 +145,25 @@ class PickleCodec(Codec):
     def decode(self, data: bytes) -> Dict[str, Any]:
         return pickle.loads(data)
 
+    def check(self, values: Iterable[Any], where: str) -> None:
+        for value in values:
+            if type(value) not in _ATOMS:
+                pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+
 
 # ---------------------------------------------------------------------------
 # BinCodec: struct-packed header + type-tagged body
 # ---------------------------------------------------------------------------
 
-#: bin wire format version (first byte of every frame)
-_BIN_VERSION = 1
+#: bin wire format version (first byte of every frame); 2 since kind code 1
+#: is ``calls`` (a burst of logged calls), no longer the single ``call``
+_BIN_VERSION = 2
 
 #: protocol message kinds with a one-byte code (0 = "kind" not in the table,
 #: in which case it is encoded as an ordinary dict entry).  Appending to this
 #: tuple is wire-compatible; reordering is not.
 _WIRE_KINDS: Tuple[str, ...] = (
-    "", "call", "sync", "end", "result", "error", "query", "invoke",
+    "", "calls", "sync", "end", "result", "error", "query", "invoke",
     "open", "hello", "release",
 )
 _KIND_CODE = {kind: i for i, kind in enumerate(_WIRE_KINDS) if i}
@@ -150,7 +174,7 @@ _WIRE_KEYS: Tuple[str, ...] = (
     "kind", "feature", "args", "kwargs", "oid", "value", "counters",
     "message", "error", "ticket", "block", "client", "token", "handler",
     "fn", "op", "name", "ok", "port", "pid", "tickets", "blocks", "obj",
-    "timeout", "traceback", "drained", "failures",
+    "timeout", "traceback", "drained", "failures", "calls",
 )
 _KEY_CODE = {key: i + 1 for i, key in enumerate(_WIRE_KEYS)}
 
@@ -224,6 +248,14 @@ class BinCodec(Codec):
         for key, value in raw.items():
             payload[_WIRE_KEYS[key - 1] if type(key) is int else key] = value
         return payload
+
+    def check(self, values: Iterable[Any], where: str) -> None:
+        for value in values:
+            if type(value) not in _ATOMS:
+                try:
+                    marshal.dumps(value, _MARSHAL_VERSION)
+                except ValueError:  # the frame's pickle fallback must take it
+                    pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 #: registered codec instances, keyed by name (codecs are stateless)

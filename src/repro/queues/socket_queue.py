@@ -12,16 +12,18 @@ machines.  This module is the byte-stream half of that:
   compact ``bin`` codec for full-fidelity same-trust links), plus the
   send-side burst assembly that coalescing is built on.  It never touches
   a socket — it only turns payloads into bytes and bytes back into
-  payloads — so the exact same framing (and the exact same coalescing
-  counters) drives both I/O bindings below.
+  payloads — so the exact same framing (and the exact same burst
+  sizes) drives both I/O bindings below.
 * :class:`FrameStream` is the blocking binding over a stream socket.  Each
   stream keeps a per-connection receive buffer, so a timeout in the middle
   of a frame *never* desyncs the stream: the bytes already received wait in
-  the buffer and the next read resumes where the last one stopped.  Small
-  frames can be *coalesced*: ``feed`` buffers encoded frames and ``flush``
-  ships them in one ``sendall`` (one syscall for a burst of calls); on the
-  receiving side one buffer fill can hold a whole burst, and the ``recv``
-  calls that follow decode it without another syscall.
+  the buffer and the next read resumes where the last one stopped.  Frames
+  can be *coalesced*: ``feed`` buffers encoded frames and ``flush`` ships
+  them in one ``sendall``; when is the caller's decision (the process
+  backend's wire queue flushes whatever its core hands out, which already
+  carries a burst of calls as one frame).  On the receiving side one buffer
+  fill can hold several frames, and the ``recv`` calls that follow decode
+  them without another syscall.
 * :class:`AsyncFrameStream` is the asyncio binding over the same core:
   ``feed``/``flush``/``send`` are non-blocking (bursts land in the
   transport's write buffer, or in a pre-connection outbox that the
@@ -58,12 +60,6 @@ _HEADER = struct.Struct(">I")
 #: (``timeout=0``) raises ``BlockingIOError`` immediately.  Both must be
 #: treated as a timeout, not as an error — see ``FrameStream._fill``.
 _WOULD_BLOCK = (socket.timeout, BlockingIOError)
-
-#: flush the coalescing buffer automatically once this many frames are
-#: pending.  A pure frame-*count* threshold (not bytes) keeps the
-#: ``wire_frames_coalesced`` counter identical across codecs, which the
-#: backend-parity suite checks.
-COALESCE_MAX_FRAMES = 32
 
 
 def _wait_readable(sock: socket.socket, timeout: Optional[float]) -> bool:
@@ -116,13 +112,12 @@ class FrameBuffers:
         self._send_pending = 0
 
     # -- send side: frame encode + burst assembly ---------------------------
-    def add_frame(self, payload: Dict[str, Any]) -> int:
-        """Encode ``payload`` into the pending burst; returns the new count."""
+    def add_frame(self, payload: Dict[str, Any]) -> None:
+        """Encode ``payload`` into the pending burst."""
         data = self.codec.encode(payload)
         self._send_buf += _HEADER.pack(len(data))
         self._send_buf += data
         self._send_pending += 1
-        return self._send_pending
 
     def take_burst(self) -> Tuple[bytes, int]:
         """Detach every buffered frame as ``(bytes, frame_count)``.
@@ -223,19 +218,10 @@ class FrameStream:
             self._core.add_frame(payload)
             self._flush_locked()
 
-    def feed(self, payload: Dict[str, Any]) -> int:
-        """Buffer one encoded frame for a later ``flush``.
-
-        Returns the number of frames flushed as a side effect: 0 while the
-        burst is still accumulating, or the batch size once
-        :data:`COALESCE_MAX_FRAMES` pending frames force an automatic flush.
-        Callers that care about syscall coalescing (the process backend's
-        ``wire_frames_coalesced`` counter) use the return value.
-        """
+    def feed(self, payload: Dict[str, Any]) -> None:
+        """Buffer one encoded frame for the next ``flush`` (or ``send``)."""
         with self._send_lock:
-            if self._core.add_frame(payload) >= COALESCE_MAX_FRAMES:
-                return self._flush_locked()
-        return 0
+            self._core.add_frame(payload)
 
     def flush(self) -> int:
         """Ship all buffered frames in one ``sendall``; returns the count."""
@@ -346,8 +332,8 @@ class AsyncFrameStream:
     """The asyncio binding of :class:`FrameBuffers`: same frames, no blocking.
 
     The send surface mirrors :class:`FrameStream` — ``feed`` buffers one
-    frame and auto-flushes at :data:`COALESCE_MAX_FRAMES`, ``flush`` ships
-    the pending burst and returns its size, ``send`` is add-then-flush —
+    frame, ``flush`` ships the pending burst and returns its size, ``send``
+    is add-then-flush —
     but every operation completes without touching the event loop: bursts
     land in the asyncio transport's write buffer or, before ``connect``
     has finished, in an *outbox* that the connection flushes first, in
@@ -399,11 +385,9 @@ class AsyncFrameStream:
         self._core.add_frame(payload)
         return self.flush()
 
-    def feed(self, payload: Dict[str, Any]) -> int:
-        """Buffer one frame; auto-flush at :data:`COALESCE_MAX_FRAMES`."""
-        if self._core.add_frame(payload) >= COALESCE_MAX_FRAMES:
-            return self.flush()
-        return 0
+    def feed(self, payload: Dict[str, Any]) -> None:
+        """Buffer one frame for the next ``flush`` (or ``send``)."""
+        self._core.add_frame(payload)
 
     def flush(self) -> int:
         """Move the pending burst to the wire (or outbox); returns the count."""

@@ -6,10 +6,19 @@ one layer up, for the *private-queue protocol* a client speaks to a handler
 hosted in a worker process (:mod:`repro.backends.process_worker`): it turns
 requests into frames and replies into outcomes, and owns every piece of
 protocol state in between — the block's ticket and its deferred ``open``,
-journal-before-feed, the request counters, the replies the block is still
-owed, the stale-reply debt a failover or an abandoned query leaves behind,
-and the replay sequence that re-establishes a queue on a replacement worker.
-It never touches a stream.
+the open burst of logged calls, journal-before-feed, the request counters,
+the replies the block is still owed, the stale-reply debt a failover or an
+abandoned query leaves behind, and the replay sequence that re-establishes a
+queue on a replacement worker.  It never touches a stream.
+
+Logging a call is an append, as in the paper's rule *call*: the call joins
+the block's open burst, and nothing is framed, journaled or counted.  The
+burst is taken out as ONE ``calls`` frame — journaled once, encoded once,
+counted once — when it holds :data:`MAX_BURST_CALLS` calls (the driver sends
+it at once, so the worker starts on a long block early) or when the block
+needs its queue in order: a ``sync``, ``query``, ``invoke`` or ``end`` takes
+it out in front of itself.  What the codec would refuse in a call is refused
+at the call (:meth:`~repro.queues.codec.Codec.check`).
 
 A query costs one frame out and one reply in: a packaged ``query``, or a
 client-executed body as an ``invoke`` that, when the handler is not yet
@@ -38,6 +47,12 @@ from repro.errors import ScoopError
 from repro.queues.codec import CODECS
 
 Frame = Dict[str, Any]
+
+#: the most calls one ``calls`` frame carries: a full burst leaves at once, so
+#: the worker starts on a long block while the client still logs.  A pure call
+#: *count*, not bytes, keeps the frames (and ``wire_frames_coalesced``)
+#: identical across codecs.
+MAX_BURST_CALLS = 32
 
 
 class RemoteCallError(ScoopError):
@@ -91,11 +106,11 @@ class HandlerJournal:
         #: tickets pre-filed on a replacement worker: their clients must not replay them
         self._restored: Set[int] = set()
 
-    def append(self, ticket: Optional[int], frame: Frame) -> None:
-        """Record one data frame of block ``ticket`` (before it is sent)."""
+    def extend(self, ticket: Optional[int], frames: List[Frame]) -> None:
+        """Record data frames of block ``ticket`` (before they are sent)."""
         with self._lock:
             if ticket is not None and ticket > self._watermark:
-                self._blocks.setdefault(ticket, []).append(frame)
+                self._blocks.setdefault(ticket, []).extend(frames)
 
     def adopted(self, oid: int, blob: bytes) -> None:
         """Keep an object's adopt-time pickle until a checkpoint covers it."""
@@ -170,12 +185,13 @@ class WireQueueCore:
     handed out, every checkpoint a reply carries is installed there, and a
     replay reads the block's tail from it.  The core hands frames out
     (every ``call`` / ``sync`` / ``query`` / ``end`` / ``invoke`` returns the
-    frames to put on the wire, in order) and takes replies in
-    (:meth:`classify`).
+    frames to put on the wire, in order, as one write — none for a call
+    that only joined the open burst) and takes replies in (:meth:`classify`).
     """
 
-    __slots__ = ("link", "handler", "counters", "journal", "ticket", "block_id",
-                 "_open_pending", "replies_seen", "unread", "abandoned", "stale_replies")
+    __slots__ = ("link", "handler", "counters", "journal", "_codec", "ticket", "block_id",
+                 "_open_pending", "_burst", "_burst_bytes", "replies_seen", "unread",
+                 "abandoned", "stale_replies")
 
     def __init__(self, link: Any, handler: Any, counters: Any,
                  journal: HandlerJournal) -> None:
@@ -183,10 +199,15 @@ class WireQueueCore:
         self.handler = handler
         self.counters = counters
         self.journal = journal
+        self._codec = CODECS[link.codec]
         #: the current block's ticket (kept past the deferred open, for replay)
         self.ticket: Optional[int] = None
         self.block_id: Optional[int] = None
         self._open_pending = False
+        #: the open burst: calls logged and not yet taken out (nor journaled,
+        #: counted or sent), and their payload bytes
+        self._burst: List[list] = []
+        self._burst_bytes = 0
         #: genuine replies consumed in the current block
         self.replies_seen = 0
         #: replies the current block has issued and not consumed yet ...
@@ -222,29 +243,53 @@ class WireQueueCore:
         return {"kind": "hello", "handler": self.handler.name,
                 "token": self.link.token, "client": client_name}
 
-    def _issue(self, payload: Frame, answered: bool = False) -> List[Frame]:
-        """Journal one data frame, then hand it out behind the deferred open.
+    def _issue(self, payload: Optional[Frame] = None, answered: bool = False) -> List[Frame]:
+        """Take out the open burst and ``payload``; journal them, then hand them out.
 
-        The journal write happens *before* the frame reaches any stream, so
-        a frame lost with a crashing worker is part of the next
-        :meth:`replay` — drivers never retry a frame after a reconnect.
+        The burst goes in front of ``payload`` (log order), counted once:
+        ``pq_enqueues`` and ``async_calls`` by its length, ``bytes_copied``
+        by its payload.  The journal write happens *before* the frames reach
+        any stream, so a frame lost with a crashing worker is part of the
+        next :meth:`replay` — drivers never retry a frame after a reconnect.
         ``answered`` frames (``sync`` / ``query`` / ``invoke``) are owed one
         reply each.
         """
-        self.journal.append(self.ticket, payload)
+        frames: List[Frame] = []
+        burst = self._burst
+        if burst:
+            counters = self.counters
+            counters.add("pq_enqueues", len(burst))
+            counters.add("async_calls", len(burst))
+            if self._burst_bytes:
+                counters.add("bytes_copied", self._burst_bytes)
+            frames.append({"kind": "calls", "calls": burst})
+            self._burst, self._burst_bytes = [], 0
+        if payload is not None:
+            frames.append(payload)
+        self.journal.extend(self.ticket, frames)
         if answered:
             self.unread += 1
         if self._open_pending:
             self._open_pending = False
-            return [self._open_frame(), payload]
-        return [payload]
+            frames.insert(0, self._open_frame())
+        return frames
 
     def call(self, request: Any) -> List[Frame]:
-        self.counters.bump("pq_enqueues")
-        self.counters.bump("async_calls")
-        if request.payload_bytes:
-            self.counters.add("bytes_copied", request.payload_bytes)
-        return self._issue(self._call_payload("call", request))
+        """Append an asynchronous call to the block's open burst (rule *call*).
+
+        The call becomes one ``[oid, feature, fn, args, kwargs]`` entry.
+        What the codec would refuse in it is refused now, so misuse fails at
+        the call and leaves the burst as it was.  Only a full burst is
+        handed out.
+        """
+        oid, feature, fn, args, kwargs = self._described(request)
+        self._check(fn, args, kwargs)
+        burst = self._burst
+        burst.append([oid, feature, fn, args, kwargs])
+        self._burst_bytes += request.payload_bytes
+        if len(burst) < MAX_BURST_CALLS:
+            return []
+        return self._issue()
 
     def sync(self) -> List[Frame]:
         self.counters.bump("pq_enqueues")
@@ -252,9 +297,15 @@ class WireQueueCore:
         return self._issue({"kind": "sync"}, answered=True)
 
     def query(self, request: Any) -> List[Frame]:
+        oid, feature, fn, args, kwargs = self._described(request)
+        payload: Frame = {"kind": "query", "oid": oid, "args": args, "kwargs": kwargs}
+        if fn is None:
+            payload["feature"] = feature
+        else:
+            payload["fn"] = fn
         self.counters.bump("pq_enqueues")
         self.counters.bump("sync_roundtrips")
-        return self._issue(self._call_payload("query", request), answered=True)
+        return self._issue(payload, answered=True)
 
     def end(self) -> List[Frame]:
         """End the block; whatever it left unread is abandoned with it.
@@ -303,12 +354,19 @@ class WireQueueCore:
                 payload.update(fn=fn, args=[], kwargs={})
         return self._issue(payload, answered=True)
 
-    def sent(self, flushed: int) -> None:
-        """Account for a burst of ``flushed`` frames leaving in one write."""
-        # N frames in one sendall = N-1 syscalls saved; the counter is a
-        # pure frame count, so it is identical across wire codecs
-        if flushed > 1:
-            self.counters.add("wire_frames_coalesced", flushed - 1)
+    def sent(self, frames: List[Frame]) -> None:
+        """Account for ``frames`` leaving in one write.
+
+        ``wire_frames_coalesced`` counts the requests that shared a write
+        with another: every frame is one, a ``calls`` frame one per call.
+        A pure request count, so it is identical across wire codecs.
+        """
+        requests = len(frames)
+        for frame in frames:
+            if frame["kind"] == "calls":
+                requests += len(frame["calls"]) - 1
+        if requests > 1:
+            self.counters.add("wire_frames_coalesced", requests - 1)
 
     # -- replies in ----------------------------------------------------------
     def classify(self, reply: Frame) -> Optional[Tuple[Any, Optional[BaseException]]]:
@@ -343,7 +401,7 @@ class WireQueueCore:
     def _install(self, checkpoint: Frame) -> None:
         """Hand a reply's handler snapshot to the journal, and count it."""
         state = checkpoint["state"]
-        if not CODECS[self.link.codec].faithful:  # it cannot carry bytes either
+        if not self._codec.faithful:  # it cannot carry bytes either
             state = base64.b64decode(state)
         dropped = self.journal.checkpoint(int(checkpoint["ticket"]), checkpoint["oids"], state)
         if dropped is not None:
@@ -364,6 +422,8 @@ class WireQueueCore:
         become the stale debt :meth:`classify` drops; the unread ones come
         again for whoever waits.  Replies pending on the dead stream died
         with it (hence ``=``), and a block that is not replayed is owed none.
+        The open burst was never journaled nor sent: it stays, and leaves
+        with the block's next frame.
         """
         frames = [self.hello(client_name)]
         journaled = self.journal.tail(self.ticket)
@@ -384,20 +444,32 @@ class WireQueueCore:
                 f"target {handle!r} was not adopted through it")
         return handle.oid
 
-    def _call_payload(self, kind: str, request: Any) -> Frame:
+    def _described(self, request: Any) -> Tuple[int, Optional[str], Any, list, dict]:
+        """What travels of a packaged call: ``(oid, feature, fn, args, kwargs)``.
+
+        A described call ships its method's name, ``fn`` ``None``; any
+        other call ships a callable, which only a faithful codec carries.
+        """
         oid = self._oid_of(request.args[0] if request.args else None)
         if request.raw_fn is not None:
             # fn is an unpicklable wrapper closure; ship the user's callable
             self._require_pickle(f"ship the callable {request.raw_fn!r}")
-            return {"kind": kind, "oid": oid, "fn": request.raw_fn,
-                    "args": list(request.call_args or ()), "kwargs": request.call_kwargs or {}}
+            return (oid, None, request.raw_fn, list(request.call_args or ()),
+                    request.call_kwargs or {})
         if request.fn is None:  # a described call: the named method travels as data
-            return {"kind": kind, "oid": oid, "feature": request.feature,
-                    "args": list(request.call_args), "kwargs": request.call_kwargs or {}}
+            return oid, request.feature, None, list(request.call_args), request.call_kwargs or {}
         # an arbitrary callable (apply/compute): only pickle can carry it
         self._require_pickle(f"ship the callable {request.feature or request.fn!r}")
-        return {"kind": kind, "oid": oid, "fn": request.fn,
-                "args": list(request.args[1:]), "kwargs": dict(request.kwargs or {})}
+        return oid, None, request.fn, list(request.args[1:]), dict(request.kwargs or {})
+
+    def _check(self, fn: Any, args: list, kwargs: dict) -> None:
+        """Raise now what the codec would raise for this call at take-out."""
+        check = self._codec.check
+        check(args, "a logged call's arguments")
+        if kwargs:
+            check(kwargs.values(), "a logged call's keyword arguments")
+        if fn is not None:
+            check((fn,), "a logged call's callable")
 
     def _require_pickle(self, what: str) -> None:
         """Reject codecs that cannot ship arbitrary objects (callables).
@@ -405,7 +477,7 @@ class WireQueueCore:
         Only the full-fidelity codecs qualify: 'pickle' outright, and 'bin'
         via its pickle fallback for non-native values.
         """
-        if not CODECS[self.link.codec].faithful:
+        if not self._codec.faithful:
             raise ScoopError(
                 f"the {self.link.codec!r} wire codec cannot {what}; "
                 f"use a full-fidelity codec — 'pickle' or 'bin' "

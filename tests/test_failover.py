@@ -441,7 +441,10 @@ class TestCheckpointedFailover:
 
     def test_the_journal_is_a_bounded_window(self):
         backend = ProcessBackend(processes=1)
-        per_block = 32 + 3  # commands, then sync + invoke + end
+        # a block is 34 requests (32 commands, the query, the end) in three
+        # frames (the burst, invoke, end); a checkpoint interval is at least
+        # CHECKPOINT_MIN_FRAMES requests, so at most this many blocks
+        per_block, interval_blocks = 3, -(-CHECKPOINT_MIN_FRAMES // 32)
         with QsRuntime("all", backend=backend) as rt:
             ref = rt.new_handler("shared").create(Shared)
             for _ in range(20_000 // 32):
@@ -450,10 +453,12 @@ class TestCheckpointedFailover:
                         obj.record(n)
                     obj.size()
                 # one interval waiting to be covered, one being filled
-                assert backend.journal_size()[1] < 2 * CHECKPOINT_MIN_FRAMES + per_block
+                assert backend.journal_size()[1] < (2 * interval_blocks + 1) * per_block
             stats = rt.stats()
             assert stats["journal_checkpoints"] >= 15
-            assert stats["journal_frames_dropped"] >= 15 * CHECKPOINT_MIN_FRAMES
+            # each dropped at least an interval's blocks
+            assert (stats["journal_frames_dropped"]
+                    >= 15 * (CHECKPOINT_MIN_FRAMES // 34) * per_block)
             assert stats["journal_checkpoint_errors"] == 0
 
     def test_state_that_stops_pickling_degrades_to_the_full_journal(self):

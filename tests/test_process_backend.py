@@ -32,7 +32,7 @@ from repro.backends.process_worker import CHECKPOINT_MIN_FRAMES, HandlerServer
 from repro.errors import QueryFailedError, ScoopError
 from repro.queues.codec import get_codec
 from repro.queues.socket_queue import FrameBuffers, FrameStream
-from repro.queues.wire_queue import WireQueueCore
+from repro.queues.wire_queue import MAX_BURST_CALLS, WireQueueCore
 
 
 class Box(SeparateObject):
@@ -244,6 +244,21 @@ class TestCodecs:
                 assert b.compute(top_level_halve, 10) == 5
 
 
+class TestAProxyOverARemoteHandle:
+    def test_resolves_each_feature_once_from_the_hosted_class(self):
+        # the handle is not the object: its class says put is a command
+        with QsRuntime("all", backend="process") as rt:
+            ref = rt.new_handler("box").create(Box)
+            with rt.separate(ref) as b:
+                put = b.put
+                assert b.put is put and vars(b) == {"put": put}
+                for i in range(3):
+                    put(i)
+                assert b.calls_seen() == 3
+            stats = rt.stats()
+        assert (stats["async_calls"], stats["queries"]) == (3, 1)
+
+
 class TestCountersAggregation:
     def test_calls_executed_visible_before_shutdown(self):
         with QsRuntime("all", backend="process") as rt:
@@ -286,13 +301,12 @@ class TestCountersAggregation:
         server.host(1, Box())
         try:
             stream.send({"kind": "open", "ticket": 0, "block": None})
-            for i in range(3):
-                stream.send({"kind": "call", "oid": 1, "feature": "put", "args": [i], "kwargs": {}})
+            stream.send(_puts(*range(3)))
             stream.send({"kind": "invoke", "oid": 1, "feature": "calls_seen",
                          "args": [], "kwargs": {}})
             stream.send({"kind": "end"})
             reply = stream.recv(timeout=10.0)
-            # how the five frames fell into batches is up to the scheduler
+            # how the five requests fell into batches is up to the scheduler
             counters = reply["counters"]
             assert reply == {"kind": "result", "value": 3, "counters": counters}
             assert set(counters) == {"calls_executed", "qoq_batch_drains", "qoq_batch_size_sum"}
@@ -344,8 +358,9 @@ def _block(stream, ticket: int, *frames) -> None:
     stream.send({"kind": "end"})
 
 
-def _put(value) -> dict:
-    return {"kind": "call", "oid": 1, "feature": "put", "args": [value], "kwargs": {}}
+def _puts(*values) -> dict:
+    """One burst of ``put`` calls on hosted object 1, as the parent frames it."""
+    return {"kind": "calls", "calls": [[1, "put", None, [value], {}] for value in values]}
 
 
 def _invoke(feature: str, *args) -> dict:
@@ -353,13 +368,16 @@ def _invoke(feature: str, *args) -> dict:
 
 
 def _wire_recorder(monkeypatch):
-    """Record every private-queue frame the parent frames and every reply
-    it classifies (the control channel's ops have no ``kind``)."""
+    """Record every private-queue frame the parent frames (a burst as
+    ``calls:<n>``) and every reply it classifies (the control channel's ops
+    have no ``kind``)."""
     frames, replies = [], []
     add_frame, classify = FrameBuffers.add_frame, WireQueueCore.classify
 
     def recording_add_frame(self, payload):
-        if "kind" in payload:
+        if payload.get("kind") == "calls":
+            frames.append(f"calls:{len(payload['calls'])}")
+        elif "kind" in payload:
             frames.append(payload["kind"])
         return add_frame(self, payload)
 
@@ -383,29 +401,35 @@ def _run_one_client(rt, thread_client, coroutine_client, coroutine: bool) -> Non
 class TestOneRoundTripPerQuery:
     """The sync rides the query body: exact frame and reply counts."""
 
+    @pytest.mark.parametrize("k", [5, 70])
     @pytest.mark.parametrize("spec, coroutine", _BOTH_DRIVERS)
-    def test_k_calls_and_a_query_are_k_plus_3_frames_and_one_reply(self, spec, coroutine,
-                                                                   monkeypatch):
+    def test_k_calls_and_a_query_are_bursts_of_32_and_one_reply(self, spec, coroutine, k,
+                                                                monkeypatch):
         frames, replies = _wire_recorder(monkeypatch)
         with QsRuntime("all", backend=spec) as rt:
             ref = rt.new_handler("box").create(Box)
 
             def thread_client() -> None:
                 with rt.separate(ref) as b:
-                    for i in range(5):
+                    for i in range(k):
                         b.put(i)
-                    assert b.calls_seen() == 5
+                    assert b.calls_seen() == k
 
             async def coroutine_client() -> None:
                 async with rt.aclient().separate(ref) as b:
-                    for i in range(5):
+                    for i in range(k):
                         await b.put(i)
-                    assert await b.calls_seen() == 5
+                    assert await b.calls_seen() == k
 
             _run_one_client(rt, thread_client, coroutine_client, coroutine)
             stats = rt.stats()
-        assert frames == ["hello", "open"] + ["call"] * 5 + ["invoke", "end"]
+        # each full burst leaves at once; the query takes out the rest in front
+        bursts = [f"calls:{MAX_BURST_CALLS}"] * (k // MAX_BURST_CALLS)
+        if k % MAX_BURST_CALLS:
+            bursts.append(f"calls:{k % MAX_BURST_CALLS}")
+        assert frames == ["hello", "open", *bursts, "invoke", "end"]
         assert replies == ["result"]
+        assert (stats["pq_enqueues"], stats["async_calls"]) == (k + 2, k)
         # the counter still counts the round trip the sync rides on
         assert (stats["queries"], stats["sync_roundtrips"], stats["syncs_elided"]) == (1, 1, 0)
 
@@ -435,7 +459,7 @@ class TestOneRoundTripPerQuery:
 
             _run_one_client(rt, thread_client, coroutine_client, coroutine)
             stats = rt.stats()
-        assert frames == ["hello", "open", "call", "sync", "invoke", "end"]
+        assert frames == ["hello", "open", "calls:1", "sync", "invoke", "end"]
         assert replies == ["release", "result"]
         assert waited[0] >= 0.1, "sync_() must block until the handler reaches the marker"
         assert (stats["sync_roundtrips"], stats["syncs_elided"]) == (1, 1)
@@ -500,15 +524,80 @@ class TestOneRoundTripPerQuery:
         assert (stats["sync_roundtrips"], stats["syncs_elided"]) == (1, 1)
 
 
+class Recorder(SeparateObject):
+    """Keeps every number it is told, in order."""
+
+    def __init__(self) -> None:
+        self.seen = []
+
+    @command
+    def record(self, n) -> None:
+        self.seen.append(n)
+
+    @query
+    def recorded(self) -> list:
+        return list(self.seen)
+
+
+#: what each codec refuses, and how: json a nested tuple, the faithful
+#: codecs an object pickle cannot carry
+_REFUSED = {"json": ((1, 2), ScoopError), "pickle": (threading.Lock(), TypeError),
+            "bin": (threading.Lock(), TypeError)}
+
+
+class TestMisuseFailsAtTheCall:
+    """A call the codec refuses raises at the call, though calls travel in bursts."""
+
+    @pytest.mark.parametrize("codec", sorted(_REFUSED))
+    @pytest.mark.parametrize("spec, coroutine", [("process", False), ("process+async:1:1", True)])
+    def test_the_call_raises_its_burst_executes_once_and_the_block_goes_on(
+            self, codec, spec, coroutine):
+        bad, error = _REFUSED[codec]
+        seen = {}
+        with QsRuntime("all", backend=f"{spec}:{codec}") as rt:
+            ref = rt.new_handler("rec").create(Recorder)
+
+            def thread_client() -> None:
+                with rt.separate(ref) as r:
+                    for n in range(30):
+                        r.record(n)
+                    with pytest.raises(error):
+                        r.record(bad)
+                    for n in range(30, 40):  # across the burst limit
+                        r.record(n)
+                    seen["block"] = r.recorded()
+                with rt.separate(ref) as r:
+                    r.record(40)
+                    seen["next"] = r.recorded()
+
+            async def coroutine_client() -> None:
+                async with rt.aclient().separate(ref) as r:
+                    for n in range(30):
+                        await r.record(n)
+                    with pytest.raises(error):
+                        await r.record(bad)
+                    for n in range(30, 40):
+                        await r.record(n)
+                    seen["block"] = await r.recorded()
+                async with rt.aclient().separate(ref) as r:
+                    await r.record(40)
+                    seen["next"] = await r.recorded()
+
+            _run_one_client(rt, thread_client, coroutine_client, coroutine)
+            stats = rt.stats()
+        assert seen == {"block": list(range(40)), "next": list(range(41))}
+        assert (stats["async_calls"], stats["calls_executed"]) == (41, 41)
+
+
 class TestTicketOrder:
     def test_blocks_are_served_by_ticket_not_by_arrival(self):
         server, first = _serve_over_a_socketpair()
         server, second = _serve_over_a_socketpair(server=server)
         server.host(1, Box())
         try:
-            _block(first, 1, _put("ticket 1"))
+            _block(first, 1, _puts("ticket 1"))
             time.sleep(0.1)  # ticket 1 is filed, and waits, before ticket 0 opens
-            _block(second, 0, _put("ticket 0"))
+            _block(second, 0, _puts("ticket 0"))
             _block(first, 2, _invoke("get"))
             reply = first.recv(timeout=5.0)
             drained = server.close(3, timeout=5.0)
@@ -547,7 +636,7 @@ class TestTicketOrder:
         try:
             # ticket 0 never opens; ticket 1's two frames make a checkpoint
             # due before ticket 2, whose reply carries it
-            _block(stream, 1, _put("one"))
+            _block(stream, 1, _puts("one"))
             _block(stream, 2, _invoke("calls_seen"))
             drained = server.close(3, timeout=5.0)
             reply = stream.recv(timeout=5.0)

@@ -103,6 +103,30 @@ class TestBasicOperation:
                 c.value = 5
 
 
+class TestAProxyResolvesAFeatureOnce:
+    def test_the_callable_is_kept_and_assignment_is_still_refused(self, runtime):
+        ref = runtime.new_handler("counter").create(Counter)
+        with runtime.separate(ref) as c:
+            assert c.increment is c.increment and c.read is c.read
+            c.increment(2)
+            assert c.read() == 2
+            for name in ("increment", "value"):
+                with pytest.raises(AttributeError, match="cannot be assigned"):
+                    setattr(c, name, 5)
+            assert c.read() == 2
+
+    def test_a_kept_callable_raises_once_its_block_is_over(self, runtime):
+        ref = runtime.new_handler("counter").create(Counter)
+        with runtime.separate(ref) as c:
+            increment, read = c.increment, c.read
+            increment()
+        for kept in (increment, read):
+            with pytest.raises(NotReservedError):
+                kept()
+        with runtime.separate(ref) as c:
+            assert c.read() == 1
+
+
 class TestReservations:
     def test_call_without_reservation_rejected(self, runtime):
         ref = runtime.new_handler("counter").create(Counter)

@@ -17,7 +17,8 @@ import pytest
 
 from repro.errors import ScoopError
 from repro.queues.codec import get_codec
-from repro.queues.socket_queue import COALESCE_MAX_FRAMES, FrameStream, SocketQueueClosed
+from repro.queues.socket_queue import FrameStream, SocketQueueClosed
+from repro.queues.wire_queue import MAX_BURST_CALLS
 
 
 @pytest.fixture
@@ -223,7 +224,7 @@ class TestCoalescing:
         left, right = self._pair()
         try:
             for n in range(3):
-                assert left.feed({"kind": "call", "n": n}) == 0
+                left.feed({"kind": "calls", "n": n})
             assert left.pending_frames == 3
             # nothing on the wire yet
             assert right.recv(timeout=0.05) is None
@@ -235,17 +236,18 @@ class TestCoalescing:
             left.close()
             right.close()
 
-    def test_feed_auto_flushes_at_the_batch_limit(self):
+    def test_feed_never_flushes_past_the_cores_burst_limit(self):
+        # the burst limit is the wire-queue core's (a full burst is one
+        # frame, flushed by its driver): the stream only buffers
         left, right = self._pair()
         try:
-            flushed = []
-            for n in range(COALESCE_MAX_FRAMES + 5):
-                flushed.append(left.feed({"kind": "call", "n": n}))
-            assert flushed.count(COALESCE_MAX_FRAMES) == 1
-            assert left.pending_frames == 5
-            assert left.flush() == 5
-            got = [right.recv(timeout=1.0) for _ in range(COALESCE_MAX_FRAMES + 5)]
-            assert [f["n"] for f in got] == list(range(COALESCE_MAX_FRAMES + 5))
+            for n in range(MAX_BURST_CALLS + 5):
+                left.feed({"kind": "calls", "n": n})
+            assert left.pending_frames == MAX_BURST_CALLS + 5
+            assert right.recv(timeout=0.05) is None
+            assert left.flush() == MAX_BURST_CALLS + 5
+            got = [right.recv(timeout=1.0) for _ in range(MAX_BURST_CALLS + 5)]
+            assert [f["n"] for f in got] == list(range(MAX_BURST_CALLS + 5))
         finally:
             left.close()
             right.close()
@@ -254,7 +256,7 @@ class TestCoalescing:
         # feed/send interleavings must preserve enqueue order
         left, right = self._pair()
         try:
-            left.feed({"kind": "call", "n": 0})
+            left.feed({"kind": "calls", "n": 0})
             left.send({"kind": "sync", "n": 1})
             frames = [right.recv(timeout=1.0) for _ in range(2)]
             assert [f["n"] for f in frames] == [0, 1]
@@ -266,7 +268,7 @@ class TestCoalescing:
         left, right = self._pair()
         try:
             for n in range(6):
-                left.feed({"kind": "call", "n": n})
+                left.feed({"kind": "calls", "n": n})
             left.flush()
             assert right.recv(timeout=1.0)["n"] == 0
             # the rest of the burst is already buffered: no socket read needed
@@ -318,7 +320,7 @@ class TestCoalescing:
         try:
             assert not stream.peer_closed()
             server.close()  # the "worker" dies with the connection open
-            stream.feed({"kind": "call", "n": 0})
+            stream.feed({"kind": "calls", "n": 0})
             stream.feed({"kind": "end"})
             try:
                 stream.flush()  # typically succeeds into the kernel buffer

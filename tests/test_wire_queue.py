@@ -16,6 +16,8 @@ the parity that inheritance used to give for free.
 from __future__ import annotations
 
 import base64
+import threading
+from collections import deque
 from types import SimpleNamespace
 
 import pytest
@@ -26,7 +28,8 @@ from repro.backends import ProcessBackend
 from repro.backends.process import AsyncProcessPrivateQueue, ProcessPrivateQueue
 from repro.errors import ScoopError
 from repro.queues.private_queue import CallRequest
-from repro.queues.wire_queue import HandlerJournal, RemoteCallError, RemoteHandle, WireQueueCore
+from repro.queues.wire_queue import (
+    MAX_BURST_CALLS, HandlerJournal, RemoteCallError, RemoteHandle, WireQueueCore)
 from repro.util.counters import Counters
 
 TARGET = RemoteHandle("h", 1, object)
@@ -105,13 +108,18 @@ class TestOrdinaryBlock:
         assert hello == {"kind": "hello", "handler": "h", "token": link.token, "client": "c-0"}
 
         core.open_block(ticket=0, block_id=7)
-        first = core.call(_call(1))
-        # the deferred open rides in front of the block's first data frame
-        assert first == [{"kind": "open", "ticket": 0, "block": 7},
-                         {"kind": "call", "oid": 1, "feature": "add", "args": [1], "kwargs": {}}]
-        assert _kinds(core.call(_call(2))) == ["call"]
-        assert core.sync() == [{"kind": "sync"}]
-        core.sent(3)  # three frames left in one write
+        # a call joins the open burst: nothing is handed out, nothing counted
+        assert core.call(_call(1)) == []
+        assert core.call(_call(2)) == []
+        assert core.counters.snapshot()["async_calls"] == 0
+        frames = core.sync()
+        # the deferred open rides in front of the block's first data frame,
+        # and the burst in front of the frame that took it out
+        assert frames == [{"kind": "open", "ticket": 0, "block": 7},
+                          {"kind": "calls", "calls": [[1, "add", None, [1], {}],
+                                                      [1, "add", None, [2], {}]]},
+                          {"kind": "sync"}]
+        core.sent(frames)  # four requests left in one write
 
         assert core.classify(_release(2)) == (None, None)
         assert core.replies_seen == 1
@@ -129,9 +137,42 @@ class TestOrdinaryBlock:
         assert snap["async_calls"] == 2
         assert snap["sync_roundtrips"] == 2
         assert snap["bytes_copied"] == 16
-        assert snap["wire_frames_coalesced"] == 2
+        assert snap["wire_frames_coalesced"] == 3
         # journal-before-feed: every data frame (never hello/open) is recorded
-        assert _kinds(journal.tail(0)) == ["call", "call", "sync", "query", "end"]
+        assert _kinds(journal.tail(0)) == ["calls", "sync", "query", "end"]
+
+    def test_a_full_burst_leaves_at_once_and_end_takes_out_the_rest(self, core, journal):
+        core.open_block(ticket=0, block_id=None)
+        handed_out = [core.call(_call(n)) for n in range(MAX_BURST_CALLS + 5)]
+        full = handed_out.pop(MAX_BURST_CALLS - 1)
+        assert handed_out == [[]] * (MAX_BURST_CALLS + 4)
+        assert _kinds(full) == ["open", "calls"]
+        assert [entry[3] for entry in full[1]["calls"]] == [[n] for n in range(MAX_BURST_CALLS)]
+        # counted once, at take-out, and journaled before it is handed out
+        assert core.counters.snapshot()["async_calls"] == MAX_BURST_CALLS
+        assert journal.size() == (1, 1)
+        core.sent(full)
+        assert core.counters.snapshot()["wire_frames_coalesced"] == MAX_BURST_CALLS
+        rest = core.end()
+        assert _kinds(rest) == ["calls", "end"]
+        assert len(rest[0]["calls"]) == 5
+        snap = core.counters.snapshot()
+        assert (snap["async_calls"], snap["pq_enqueues"]) == (MAX_BURST_CALLS + 5,
+                                                               MAX_BURST_CALLS + 6)
+
+    def test_a_call_the_codec_refuses_raises_and_leaves_the_burst(self):
+        for codec, bad in (("json", (1, 2)), ("pickle", threading.Lock()),
+                           ("bin", threading.Lock())):
+            core = _new_core(_link(codec))
+            core.open_block(0, None)
+            core.call(_call(1))
+            with pytest.raises((ScoopError, TypeError)):
+                core.call(CallRequest(fn=None, args=(TARGET,), feature="add",
+                                      call_args=([bad],), call_kwargs={}))
+            core.call(_call(2))
+            frames = core.end()
+            assert [entry[3] for entry in frames[1]["calls"]] == [[1], [2]], codec
+            assert core.counters.snapshot()["async_calls"] == 2
 
     def test_invoke_payloads(self, core):
         core.open_block(0, None)
@@ -177,12 +218,14 @@ class TestAQueryRidingItsSync:
             for n in range(3):
                 core.call(_call(n))
         # what the wire used to carry: sync, release, invoke, result
-        two_trips.sync()
+        assert _kinds(two_trips.sync()) == ["open", "calls", "sync"]
         two_trips.classify(_release(3))
         body = _read(two_trips)
         assert _kinds(body) == ["invoke"]
         # and what it carries now: the same invoke frame, counted as the sync
-        assert _read(fused, carries_sync=True) == body
+        fused_frames = _read(fused, carries_sync=True)
+        assert _kinds(fused_frames) == ["open", "calls", "invoke"]
+        assert fused_frames[-1] == body[0]
         for core in (two_trips, fused):
             assert core.classify({"kind": "result", "value": 3,
                                   "counters": {"calls_executed": 3}}) == (3, None)
@@ -190,19 +233,19 @@ class TestAQueryRidingItsSync:
         assert fused.counters.snapshot() == two_trips.counters.snapshot()
         assert fused.counters.snapshot()["sync_roundtrips"] == 1
         assert (two_trips.replies_seen, fused.replies_seen) == (2, 1)
-        assert _kinds(fused.journal.tail(0)) == ["call"] * 3 + ["invoke", "end"]
-        assert _kinds(two_trips.journal.tail(0)) == ["call"] * 3 + ["sync", "invoke", "end"]
+        assert _kinds(fused.journal.tail(0)) == ["calls", "invoke", "end"]
+        assert _kinds(two_trips.journal.tail(0)) == ["calls", "sync", "invoke", "end"]
 
     def test_replay_before_and_after_the_reply(self, core):
         core.open_block(ticket=2, block_id=None)
         core.call(_call(1))
         _read(core, carries_sync=True)
         # the worker dies with the reply: the replayed block produces it anew
-        assert _kinds(core.replay("c")) == ["hello", "open", "call", "invoke"]
+        assert _kinds(core.replay("c")) == ["hello", "open", "calls", "invoke"]
         assert core.stale_replies == 0
         assert core.classify({"kind": "result", "value": 1}) == (1, None)
         # ... and dies again after it was consumed: now its twin is stale
-        assert _kinds(core.replay("c")) == ["hello", "open", "call", "invoke"]
+        assert _kinds(core.replay("c")) == ["hello", "open", "calls", "invoke"]
         assert core.stale_replies == 1
         assert core.classify({"kind": "result", "value": 1}) is None
         assert core.replies_seen == 1
@@ -254,11 +297,11 @@ class TestFailover:
         core.call(_call(2))
         core.sync()
         assert core.classify(_release(2)) is not None
-        core.call(_call(3))  # in flight when the worker dies
+        core.call(_call(3))  # still in the open burst when the worker dies
         assert core.replies_seen == 2
 
         replay = core.replay("c-0")
-        assert _kinds(replay) == ["hello", "open", "call", "sync", "call", "sync", "call"]
+        assert _kinds(replay) == ["hello", "open", "calls", "sync", "calls", "sync"]
         assert replay[1] == {"kind": "open", "ticket": 4, "block": 9}
         assert core.stale_replies == 2
 
@@ -268,14 +311,19 @@ class TestFailover:
         assert core.classify(_release(7)) is None
         assert core.handler.counters.snapshot()["calls_executed"] == 7
         assert (core.stale_replies, core.replies_seen) == (0, 2)
-        core.sync()
+        # the open burst was neither journaled nor sent: it survives the
+        # replay and leaves with the block's next frame
+        frames = core.sync()
+        assert _kinds(frames) == ["calls", "sync"]
+        assert frames[0]["calls"] == [[1, "add", None, [3], {}]]
         assert core.classify(_release(8)) == (None, None)
         assert core.replies_seen == 3
 
     def test_replay_sends_a_deferred_open_only_once(self, core):
         core.open_block(ticket=1, block_id=None)  # reserved, nothing issued yet
         assert _kinds(core.replay("c")) == ["hello", "open"]
-        assert _kinds(core.call(_call(1))) == ["call"]
+        assert core.call(_call(1)) == []
+        assert _kinds(core.end()) == ["calls", "end"]
 
     def test_a_second_failover_does_not_stack_the_debt(self, core):
         core.open_block(0, None)
@@ -298,7 +346,7 @@ class TestFailover:
         # failover pre-files the ended block on the replacement ...
         _, _, blocks = journal.take_restore()
         assert [(ticket, _kinds(frames)) for ticket, frames in blocks] == [
-            (0, ["call", "sync", "end"])]
+            (0, ["calls", "sync", "end"])]
         # ... so the queue only says hello again, and expects no stale reply
         # (the restored block's replies go nowhere)
         assert _kinds(core.replay("c")) == ["hello"]
@@ -309,7 +357,7 @@ class TestFailover:
         core.call(_call(1))
         assert journal.take_restore()[2] == []  # someone else's failover: still open
         core.end()  # journaled after the restore's snapshot
-        assert _kinds(core.replay("c")) == ["hello", "open", "call", "end"]
+        assert _kinds(core.replay("c")) == ["hello", "open", "calls", "end"]
 
     def test_a_queue_that_never_opened_a_block_only_says_hello(self, core):
         assert _kinds(core.replay("c")) == ["hello"]
@@ -339,13 +387,13 @@ class TestCheckpoints:
     def test_a_checkpoint_truncates_the_journal_and_counts(self, core, journal):
         for ticket in range(3):
             _block(core, ticket, calls=2)
-        assert journal.size() == (3, 12)  # 2 calls + sync + end, each
+        assert journal.size() == (3, 9)  # a burst of 2 calls + sync + end, each
         core.open_block(3, None)
         core.sync()
         assert core.classify(_checkpointed(_release(6), ticket=1)) == (None, None)
-        assert journal.size() == (2, 5)   # block 2, and the sync of block 3
+        assert journal.size() == (2, 4)   # block 2, and the sync of block 3
         snap = core.handler.counters.snapshot()
-        assert (snap["journal_checkpoints"], snap["journal_frames_dropped"]) == (1, 8)
+        assert (snap["journal_checkpoints"], snap["journal_frames_dropped"]) == (1, 6)
 
     def test_a_checkpoint_on_a_stale_reply_still_truncates(self, core, journal):
         _block(core, 0)
@@ -388,8 +436,8 @@ class TestCheckpoints:
         core.call(_call(1))
         core.sync()
         core.classify(_checkpointed(_release(2), ticket=0))
-        core.call(_call(2))
-        assert _kinds(core.replay("c")) == ["hello", "open", "call", "sync", "call"]
+        core.call(_call(2))  # in the open burst: its client sends it later
+        assert _kinds(core.replay("c")) == ["hello", "open", "calls", "sync"]
         assert core.stale_replies == 1
 
     def test_the_restore_is_the_last_checkpoint_plus_the_tail(self, core, journal):
@@ -398,7 +446,8 @@ class TestCheckpoints:
         for ticket in range(3):
             _block(core, ticket)
         core.open_block(3, None)
-        core.call(_call(9))  # in flight: its client replays it
+        core.call(_call(9))
+        core.sync()  # in flight: its client replays it
         core.classify(_checkpointed(_release(2), ticket=1, state=b"objects+counters"))
         # the worker hosts before the parent records: a checkpoint may
         # already cover an object whose adopt pickle arrives now
@@ -409,7 +458,7 @@ class TestCheckpoints:
         # oid 1 is in the checkpoint; only the object adopted since is hosted
         assert adopted == [(2, b"adopted since")]
         assert [ticket for ticket, _ in blocks] == [2]
-        assert _kinds(core.replay("c")) == ["hello", "open", "call"]
+        assert _kinds(core.replay("c")) == ["hello", "open", "calls", "sync"]
 
     def test_a_text_codec_carries_the_state_base64_encoded(self, journal):
         core = _new_core(_link("json"), journal)
@@ -423,7 +472,7 @@ class TestCheckpoints:
 #: ticket (in any order, as replies on different connections deliver them)
 #: and failovers taking the restore
 _JOURNAL_OPS = st.lists(st.one_of(
-    st.tuples(st.just("append"), st.integers(0, 5), st.sampled_from(["call", "sync", "end"])),
+    st.tuples(st.just("append"), st.integers(0, 5), st.sampled_from(["calls", "sync", "end"])),
     st.tuples(st.just("checkpoint"), st.integers(0, 5)),
     st.just(("restore",)),
 ), max_size=40)
@@ -440,7 +489,7 @@ def test_the_journal_keeps_exactly_the_frames_above_the_watermark(ops):
     for op in ops:
         if op[0] == "append":
             _, ticket, kind = op
-            journal.append(ticket, {"kind": kind})
+            journal.extend(ticket, [{"kind": kind}])
             if ticket > watermark:
                 frames.setdefault(ticket, []).append(kind)
         elif op[0] == "checkpoint":
@@ -464,6 +513,115 @@ def test_the_journal_keeps_exactly_the_frames_above_the_watermark(ops):
         assert journal.size() == (len(frames), sum(len(fs) for fs in frames.values()))
 
 
+class _ModelWorker:
+    """A worker as the failover protocol sees it: it executes what reaches
+    it in order, answers each answered frame, and between two blocks holds
+    the state a checkpoint would snapshot."""
+
+    def __init__(self, checkpoint=None) -> None:
+        self.executed = list(checkpoint["state"]) if checkpoint else []
+        self.served = checkpoint["ticket"] if checkpoint else -1
+        self.between_blocks = list(self.executed)  # the state after block ``served``
+        self.ticket = None
+        self.replies = deque()
+
+    def receive(self, frames, answer: bool = True) -> None:
+        for frame in frames:
+            kind = frame["kind"]
+            if kind == "open":
+                self.ticket = frame["ticket"]
+            elif kind == "calls":
+                self.executed.extend(entry[3][0] for entry in frame["calls"])
+            elif kind == "end":
+                self.served, self.between_blocks = self.ticket, list(self.executed)
+            elif kind != "hello" and answer:
+                self.replies.append({"kind": "release" if kind == "sync" else "result",
+                                     "value": len(self.executed)})
+
+
+#: one client's blocks: bursts of 0-100 calls (across the 32-call limit),
+#: syncs, query bodies and ends — each send possibly lost with a dying
+#: worker — interleaved with checkpoints and idle worker deaths
+_WIRE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("calls"), st.integers(0, 100), st.booleans()),
+    st.tuples(st.sampled_from(["sync", "invoke", "end"]), st.booleans()),
+    st.just(("checkpoint",)),
+    st.just(("kill",)),
+), max_size=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_WIRE_OPS)
+def test_what_was_sent_and_replayed_executes_each_call_once_in_log_order(ops):
+    """Expanding every ``calls`` frame a worker received — sent, pre-filed
+    by a restore or replayed by the client — executes each logged call
+    exactly once, in log order, whatever fails over when; and at every
+    block end the counters are exactly what the block logged."""
+    journal = HandlerJournal()
+    core = _new_core(journal=journal)
+    worker = _ModelWorker()
+    logged, expected = [], {"pq_enqueues": 0, "async_calls": 0, "sync_roundtrips": 0}
+    ticket, in_block = -1, False
+
+    def fail_over() -> None:
+        nonlocal worker
+        checkpoint, _, blocks = journal.take_restore()
+        worker = _ModelWorker(checkpoint)
+        for block, frames in blocks:  # pre-filed; their replies go nowhere
+            worker.receive([{"kind": "open", "ticket": block}, *frames], answer=False)
+        worker.receive(core.replay("c"))
+
+    def send(frames, lost: bool) -> None:
+        if not frames:
+            return
+        if lost:  # the write fails: the worker died with these frames
+            fail_over()
+        else:
+            worker.receive(frames)
+            core.sent(frames)
+
+    def wait() -> None:
+        while core.classify(worker.replies.popleft()) is None:
+            pass
+
+    for op in ops:
+        if op[0] == "checkpoint":
+            if worker.served >= 0:  # as a reply on another connection installs it
+                journal.checkpoint(worker.served, (), worker.between_blocks)
+            continue
+        if op[0] == "kill":
+            fail_over()
+            continue
+        if not in_block:
+            ticket, in_block = ticket + 1, True
+            core.open_block(ticket, None)
+        kind, lost = op[0], op[-1]
+        if kind == "calls":
+            for _ in range(op[1]):
+                logged.append(len(logged))
+                frames = core.call(_call(logged[-1]))
+                send(frames, lost)
+                lost = lost and not frames  # the op's first write is the one lost
+            expected["pq_enqueues"] += op[1]
+            expected["async_calls"] += op[1]
+        elif kind == "end":
+            send(core.end(), lost)
+            in_block = False
+            expected["pq_enqueues"] += 1
+            assert worker.executed == logged
+            snap = core.counters.snapshot()
+            assert {name: snap[name] for name in expected} == expected
+            assert snap["bytes_copied"] == 8 * len(logged)
+        else:
+            send(core.sync() if kind == "sync" else _read(core, carries_sync=True), lost)
+            wait()
+            expected["pq_enqueues"] += 1
+            expected["sync_roundtrips"] += 1
+    if in_block:
+        send(core.end(), False)
+    assert worker.executed == logged
+
+
 class Account(SeparateObject):
     def __init__(self) -> None:
         self.balance = 0
@@ -477,7 +635,7 @@ class Account(SeparateObject):
         return self.balance
 
 
-#: 40 commands cross the 32-frame coalescing threshold once
+#: 40 commands cross the 32-call burst limit once
 _BURST = 40
 
 
@@ -534,7 +692,9 @@ class TestBothDriversAgainstARealWorker:
         # one reply per query, synced or not, and no sync frame on the wire
         assert blocking["replies"] == 3
         body = "invoke" if level == "all" else "query"
-        assert blocking["journal"] == ["call"] * _BURST + [body, "call", body, body]
+        # a full burst, then the rest of the 40 in front of the first query
+        assert blocking["journal"] == ["calls", "calls", body, "calls", body, body]
         counters = blocking["counters"]
         assert counters["calls_executed"] >= _BURST + 1
-        assert counters["wire_frames_coalesced"] >= 31
+        # open + 32 calls, then 8 calls + the query, then 1 call + the query
+        assert counters["wire_frames_coalesced"] == 32 + 8 + 1
