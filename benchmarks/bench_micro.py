@@ -34,7 +34,7 @@ def test_private_queue_enqueue_dequeue(benchmark):
     def run():
         pq = PrivateQueue()
         for _ in range(2_000):
-            pq.enqueue_call(CallRequest(fn=lambda: None))
+            pq.enqueue_call(CallRequest(fn=lambda _target: None))
         drained = 0
         while len(pq):
             pq.dequeue(timeout=0.0)

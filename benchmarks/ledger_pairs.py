@@ -14,8 +14,11 @@ the working tree when only the parent was exported.  Pair
 (``ledger/run.py --workload W --seed S --seconds T --trace 0``) and even pairs
 run the parent first, odd pairs the change.  The passes are collected into
 ``A.json`` (parent) and ``B.json`` (change) in ``run.py --out``'s shape, handed
-to ``ledger/compare.py``, and the pairs the change won are counted per metric:
-a gain is claimed on nine of ten, not on a median alone.
+to ``ledger/compare.py``.  First, per end-to-end metric, the paired numbers:
+both sides' medians and interquartile ranges, the pairs the change won, lost
+and tied, and a two-sided exact sign-test p over the pairs that were not
+ties; the summary line names the seed range.  A gain is claimed on nine of
+ten, not on a median alone.
 
 After the pairs, one traced pass per side (``--seconds 10 --trace 1``, seed
 ``--seed``) prints the CPU share of the parent process and of the workers
@@ -28,10 +31,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
+from typing import List, Sequence, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 20150207
@@ -62,6 +68,42 @@ def export(rev: str, dest: str) -> str:
     return dest
 
 
+def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
+    """(first quartile, median, third quartile), as ``ledger/compare.py`` reads them."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def sign_test_p(wins: int, losses: int) -> float:
+    """Two-sided exact sign-test p of ``wins`` against ``losses`` (ties dropped)."""
+    n = wins + losses
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, k) for k in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
+def paired_rows(better: dict, pairs: List[dict]) -> List[str]:
+    """One line per end-to-end metric: medians, IQRs, wins/losses/ties, p."""
+    rows = [f"  {'metric':<16}{'A median (IQR)':<24}{'B median (IQR)':<24}"
+            f"{'won/lost/tied':<15}sign-test p"]
+    for name, direction in better.items():
+        a = [pair["A"][name]["value"] for pair in pairs]
+        b = [pair["B"][name]["value"] for pair in pairs]
+        sign = 1 if direction == "higher" else -1
+        won = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+        lost = sum(sign * (y - x) < 0 for x, y in zip(a, b))
+        cells = []
+        for values in (a, b):
+            q1, q2, q3 = quartiles(values)
+            cells.append(f"{q2:.5g} ({q3 - q1:.3g})")
+        rows.append(f"  {name:<16}{cells[0]:<24}{cells[1]:<24}"
+                    f"{f'{won}/{lost}/{len(a) - won - lost}':<15}{sign_test_p(won, lost):.3g}")
+    return rows
+
+
 def one_pass(root: str, workload: str, seed: int, seconds: float, out: str,
              trace: int = 0) -> dict:
     """One single-workload pass of ``run.py`` (untraced by default); the ``--out`` file it wrote."""
@@ -87,7 +129,7 @@ def main() -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
     sides = {"A": {"runs": []}, "B": {"runs": []}}
-    wins = dict.fromkeys(better, 0)
+    pairs: List[dict] = []
     with tempfile.TemporaryDirectory(prefix="ledger-pairs-work-") as work:
         roots = {"A": export(args.parent, os.path.join(work, "parent")),
                  "B": export("", os.path.join(work, "change"))}
@@ -99,9 +141,7 @@ def main() -> int:
                 sides[side].setdefault("meta", result["meta"])
                 sides[side]["runs"] += result["runs"]
                 values[side] = result["runs"][0]["metrics"]
-            for name, direction in better.items():
-                a, b = values["A"][name]["value"], values["B"][name]["value"]
-                wins[name] += (b > a) if direction == "higher" else (b < a)
+            pairs.append(values)
             print(f"pair {i}: " + "  ".join(
                 f"{name} {values['A'][name]['value']:.5g} -> {values['B'][name]['value']:.5g}"
                 for name in better), flush=True)
@@ -117,8 +157,10 @@ def main() -> int:
         with open(paths[-1], "w") as handle:
             json.dump(content, handle, indent=1)
     print(f"\nA = {args.parent}, B = working tree; results in {out_dir}")
-    print("pairs won by B: " + "  ".join(f"{name} {won}/{args.pairs}"
-                                         for name, won in wins.items()))
+    print(f"{args.workload}: B against A over {args.pairs} pairs")
+    print("\n".join(paired_rows(better, pairs)))
+    print(f"pairs {args.pairs}, seeds {args.seed}-{args.seed + args.pairs - 1}, "
+          f"even pairs parent first")
     return subprocess.run([sys.executable, os.path.join(ROOT, "ledger", "compare.py"),
                            *paths]).returncode
 

@@ -60,11 +60,12 @@ Division of labour:
   plus the tail — bounded memory, bounded recovery time.  This backend has
   no fail-stop mode.
 
-What travels is *described requests* (``feature``/``args``/``kwargs``), not
-code — the codec decides fidelity: ``pickle`` (the default; both ends are
-processes we spawned) round-trips tuples, sets, exceptions and importable
-callables; ``json`` restricts arguments and results to JSON types but is
-wire-portable.  Select with ``QsRuntime(backend="process")``,
+What travels is the request as it is: its ``fn`` — a feature name, or a
+callable for ``apply``/``compute`` — and its ``args``/``kwargs``.  The codec
+decides fidelity: ``pickle`` (the default; both ends are processes we
+spawned) round-trips tuples, sets, exceptions and importable callables;
+``json`` restricts arguments and results to JSON types, ships names only,
+and is wire-portable.  Select with ``QsRuntime(backend="process")``,
 ``REPRO_BACKEND=process[:nproc][:codec]`` or ``repro --backend process``;
 ``nproc`` caps worker processes (handlers are assigned round-robin), the
 default is one process per handler.  The coroutine-client configuration is
@@ -89,7 +90,7 @@ import subprocess
 import sys
 import threading
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.backends.async_ import LoopPool
 from repro.backends.base import ExecutionBackend, ThreadClients
@@ -397,17 +398,17 @@ class ProcessPrivateQueue(_WireQueue):
         _settle(request.result, *self._await_reply("query"))
         return request.result
 
-    def enqueue_query_sync(self, handle: Any, fn: Callable[[Any], Any],
-                           **described: Any) -> SyncRequest:
+    def enqueue_query_sync(self, handle: Any, fn: Any, args: tuple,
+                           kwargs: dict) -> SyncRequest:
         """Ship an unsynced query's body as its own sync; the read is the waiter's."""
-        self._send(self.core.invoke(handle, fn, carries_sync=True, **described))
+        self._send(self.core.invoke(handle, fn, args, kwargs, carries_sync=True))
         release = _ReadOnWait(self)
         release.request = SyncRequest(release=release)
         return release.request
 
-    def invoke(self, handle: Any, fn: Callable[[Any], Any], **described: Any) -> Any:
+    def invoke(self, handle: Any, fn: Any, args: tuple, kwargs: dict) -> Any:
         """Run a client-executed query body on the (synced) remote handler."""
-        self._send(self.core.invoke(handle, fn, **described))
+        self._send(self.core.invoke(handle, fn, args, kwargs))
         return _unwrap(*self._await_reply("invoke"))
 
 
@@ -493,21 +494,21 @@ class AsyncProcessPrivateQueue(_WireQueue):
         self._waiting.append(("query", request.result))
         return request.result
 
-    def _issue_invoke(self, handle: Any, fn: Callable[[Any], Any], carries_sync: bool,
-                      **described: Any) -> SyncRequest:
-        self._send(self.core.invoke(handle, fn, carries_sync=carries_sync, **described))
+    def _issue_invoke(self, handle: Any, fn: Any, args: tuple, kwargs: dict,
+                      carries_sync: bool) -> SyncRequest:
+        self._send(self.core.invoke(handle, fn, args, kwargs, carries_sync))
         request = SyncRequest(release=self.backend.create_event())
         self._waiting.append(("invoke", request))
         return request
 
-    def enqueue_query_sync(self, handle: Any, fn: Callable[[Any], Any],
-                           **described: Any) -> SyncRequest:
+    def enqueue_query_sync(self, handle: Any, fn: Any, args: tuple,
+                           kwargs: dict) -> SyncRequest:
         """Ship an unsynced query's body as its own sync; the await is the waiter's."""
-        return self._issue_invoke(handle, fn, True, **described)
+        return self._issue_invoke(handle, fn, args, kwargs, True)
 
-    async def invoke_async(self, handle: Any, fn: Callable[[Any], Any], **described: Any) -> Any:
+    async def invoke_async(self, handle: Any, fn: Any, args: tuple, kwargs: dict) -> Any:
         """Awaitable twin of the blocking driver's ``invoke``."""
-        request = self._issue_invoke(handle, fn, False, **described)
+        request = self._issue_invoke(handle, fn, args, kwargs, False)
         await request.release.wait_async()
         return _unwrap(*request.outcome)
 

@@ -10,9 +10,11 @@ and *end* here exactly as it does on every other backend:
   / ``query`` frames, then ``end``.  A ``calls`` frame is a burst of up to
   :data:`~repro.queues.wire_queue.MAX_BURST_CALLS` logged calls, decoded
   once.  The thread that accepted the connection turns each frame into the
-  requests an in-memory client would have logged — a burst into one
-  ``CallRequest`` per call — on one ``PrivateQueue`` per connection, so a
-  client bursting requests never blocks on a busy handler;
+  requests an in-memory client would have logged — each ``[oid, fn, args,
+  kwargs]`` entry of a burst, and each ``query`` or ``invoke``, into the
+  ``CallRequest`` its client built, with the hosted object as its target —
+  on one ``PrivateQueue`` per connection, so a client bursting requests
+  never blocks on a busy handler;
 * each ``open`` files the connection's private queue in the handler's
   :class:`~repro.queues.qoq.QueueOfQueues` under the block's *ticket*, which
   the parent issued at reservation time (under the same spinlocks that make
@@ -253,7 +255,7 @@ class HandlerServer(ThreadedBackend):
         if kind == "calls":
             return [self._call(*entry, None) for entry in frame["calls"]]
         if kind == "query" or kind == "invoke":
-            request = self._call(frame.get("oid", 0), frame.get("feature"), frame.get("fn"),
+            request = self._call(frame.get("oid", 0), frame.get("fn"),
                                  frame.get("args") or (), frame.get("kwargs") or {}, replies)
             if kind == "invoke":
                 # a client-executed body runs as its marker's release, so
@@ -267,13 +269,10 @@ class HandlerServer(ThreadedBackend):
         error = ScoopError(f"unknown request kind {kind!r}")
         return [SyncRequest(_Release(lambda: self.handler.failures.append(error)))]
 
-    def _call(self, oid: int, feature: Optional[str], fn: Any, args: Any, kwargs: dict,
+    def _call(self, oid: int, fn: Any, args: Any, kwargs: dict,
               result: Optional[_Replies]) -> CallRequest:
-        """A packaged call of ``feature`` (or ``fn``) on hosted object ``oid``."""
-        target = self.targets.get(oid)
-        if fn is None:  # a described call, built positionally: the hot path
-            return CallRequest(None, (target,), {}, result, 0, feature, None, args, kwargs)
-        return CallRequest(fn, (target, *args), kwargs, result)
+        """The packaged call of ``fn`` on hosted object ``oid``, as its client logged it."""
+        return CallRequest(fn, self.targets.get(oid), args, kwargs, result)
 
     def handler_next_batch(self, handler: Handler, private_queue: PrivateQueue,
                            max_items: int) -> list:

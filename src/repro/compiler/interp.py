@@ -132,15 +132,14 @@ class IRInterpreter:
                 client.sync(self._ref(instr.handler))
             elif isinstance(instr, QueryInstr):
                 action = instr.action or _noop_handler_action
-                env["__last__"] = client.query_function(self._ref(instr.handler), action, env)
+                env["__last__"] = client.query(self._ref(instr.handler), action, env)
             elif isinstance(instr, AsyncCallInstr):
                 action = instr.action or _noop_handler_action
-                client.call_function(self._ref(instr.handler), action, env)
+                client.call(self._ref(instr.handler), action, env)
             elif isinstance(instr, LocalInstr):
                 if instr.handler is not None:
                     action = instr.action or _noop_handler_action
-                    env["__last__"] = client.presynced_query(
-                        self._ref(instr.handler), lambda obj, _a=action: _a(obj, env))
+                    env["__last__"] = client.presynced_query(self._ref(instr.handler), action, env)
                 elif instr.action is not None:
                     env["__last__"] = instr.action(env)
             elif isinstance(instr, CallInstr):

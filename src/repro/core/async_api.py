@@ -96,13 +96,9 @@ class AsyncClient:
     # ------------------------------------------------------------------
     # requests (the awaitable twins of Client.call/query/sync)
     # ------------------------------------------------------------------
-    async def call(self, ref: SeparateRef, method: str, *args: Any, **kwargs: Any) -> None:
+    async def call(self, ref: SeparateRef, fn: Any, /, *args: Any, **kwargs: Any) -> None:
         """Log an asynchronous call (rule *call*; completes without waiting)."""
-        self._client.call(ref, method, *args, **kwargs)
-
-    async def call_function(self, ref: SeparateRef, fn: Callable[..., Any],
-                            *args: Any, **kwargs: Any) -> None:
-        self._client.call_function(ref, fn, *args, **kwargs)
+        self._client.call(ref, fn, *args, **kwargs)
 
     async def sync(self, ref: SeparateRef) -> bool:
         """Awaitable sync round trip; ``False`` when coalescing elided it."""
@@ -113,16 +109,16 @@ class AsyncClient:
         self._client._finish_sync(ref.handler, self._client.queue_for(ref.handler))
         return True
 
-    async def query(self, ref: SeparateRef, method: str, *args: Any, **kwargs: Any) -> Any:
-        """Awaitable synchronous query returning the method's result.
+    async def query(self, ref: SeparateRef, fn: Any, /, *args: Any, **kwargs: Any) -> Any:
+        """Awaitable synchronous query returning the result of ``fn``.
 
         Issue + ``wait_async()``: the same
         :class:`~repro.core.client.PendingQuery` the blocking
         :meth:`Client.query` waits on, so the protocols cannot drift apart.
         """
-        return await self._client.issue_query(ref, method, *args, **kwargs).wait_async()
+        return await self._client._issue(ref, fn, args, kwargs).wait_async()
 
-    def issue_query(self, ref: SeparateRef, method: str, *args: Any, **kwargs: Any):
+    def issue_query(self, ref: SeparateRef, fn: Any, /, *args: Any, **kwargs: Any):
         """Issue a query without awaiting it; ``await pending.wait_async()`` later.
 
         The awaitable half of the issue/wait split
@@ -133,11 +129,7 @@ class AsyncClient:
         order.  Issuing never blocks the loop — the QoQ protocol's enqueue
         is asynchronous and the waits live entirely in ``wait_async``.
         """
-        return self._client.issue_query(ref, method, *args, **kwargs)
-
-    async def query_function(self, ref: SeparateRef, fn: Callable[..., Any],
-                             *args: Any, **kwargs: Any) -> Any:
-        return await self._client.issue_query_function(ref, fn, *args, **kwargs).wait_async()
+        return self._client._issue(ref, fn, args, kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"AsyncClient({self.name!r})"
@@ -167,17 +159,17 @@ class AsyncReservedProxy:
     def handler(self):
         return self._ref.handler
 
-    async def send(self, method: str, *args: Any, **kwargs: Any) -> None:
+    async def send(self, method: str, /, *args: Any, **kwargs: Any) -> None:
         await self._client.call(self._ref, method, *args, **kwargs)
 
-    async def ask(self, method: str, *args: Any, **kwargs: Any) -> Any:
+    async def ask(self, method: str, /, *args: Any, **kwargs: Any) -> Any:
         return await self._client.query(self._ref, method, *args, **kwargs)
 
-    async def apply(self, fn, *args: Any, **kwargs: Any) -> None:
-        await self._client.call_function(self._ref, fn, *args, **kwargs)
+    async def apply(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> None:
+        await self._client.call(self._ref, fn, *args, **kwargs)
 
-    async def compute(self, fn, *args: Any, **kwargs: Any) -> Any:
-        return await self._client.query_function(self._ref, fn, *args, **kwargs)
+    async def compute(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Any:
+        return await self._client.query(self._ref, fn, *args, **kwargs)
 
     async def sync_(self) -> bool:
         return await self._client.sync(self._ref)

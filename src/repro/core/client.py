@@ -17,7 +17,12 @@ paper):
   reservation and is filed with the block's first request; a block that
   never files one ends by passing its ticket on (``QueueOfQueues.pass_unfiled``).
 * ``call``   — package an asynchronous call and append it to the private
-  queue (rule *call*, Fig. 9).
+  queue (rule *call*, Fig. 9).  A request has one shape, a
+  :class:`~repro.queues.private_queue.CallRequest`: ``fn`` is a feature
+  name, looked up on the target when the call runs, or a callable applied
+  as ``fn(target, *args, **kwargs)`` (``apply``/``compute``).  The
+  request API's own parameters are positional-only, so a feature's
+  keywords may have any name.
 * ``query``  — *issue*, then *wait* (:class:`PendingQuery`; the blocking
   ``query`` and the awaitable one differ only in the wait).  Issue either
   ships a packaged query (the original rule) or, with the client-executed
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from threading import current_thread
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.backends.base import ExecutionBackend
 from repro.backends.threaded import ThreadedBackend
@@ -51,7 +56,8 @@ from repro.core.expanded import prepare_arguments
 from repro.core.handler import Handler
 from repro.core.region import SeparateRef
 from repro.errors import HandlerShutdownError, NotReservedError, ReservationError, ScoopError
-from repro.queues.private_queue import CallRequest, PrivateQueue, ResultBox, SyncRequest
+from repro.queues.private_queue import (
+    CallRequest, PrivateQueue, ResultBox, SyncRequest, feature_name)
 from repro.util.counters import Counters
 from repro.util.tracing import NullTracer, Tracer
 
@@ -125,37 +131,35 @@ class PendingQuery:
     :class:`~repro.errors.ScoopError` instead of corrupting the protocol.
     """
 
-    __slots__ = ("_client", "_ref", "_queue", "_fn", "_feature", "_described", "_box",
+    __slots__ = ("_client", "_ref", "_queue", "_fn", "_args", "_kwargs", "_box",
                  "_sync", "_consumed")
 
-    def __init__(self, client: "Client", ref: SeparateRef, queue: PrivateQueue,
-                 fn: Optional[Callable[[Any], Any]], feature: str,
-                 described: Optional[dict] = None, box: Optional[ResultBox] = None,
-                 sync_request: Optional[SyncRequest] = None) -> None:
+    def __init__(self, client: "Client", ref: SeparateRef, queue: PrivateQueue, fn: Any,
+                 args: tuple, kwargs: dict, box: Optional[ResultBox] = None) -> None:
         self._client = client
         self._ref = ref
         self._queue = queue
+        #: the query as the queue's ``invoke`` applies it (a packaged one
+        #: already travelled in its request and only waits on ``box``)
         self._fn = fn
-        self._feature = feature
-        #: what ``fn`` literally is, as the queue's ``invoke`` takes it
-        #: (client-executed queries only: a packaged one is already shipped)
-        self._described = described
+        self._args = args
+        self._kwargs = kwargs
         self._box = box
-        self._sync = sync_request
+        self._sync: Optional[SyncRequest] = None
         self._consumed = False
 
     def _consume(self) -> None:
         handler = self._ref.handler
         if self._consumed:
             raise ScoopError(
-                f"the result of pending query {self._feature!r} on handler "
+                f"the result of pending query {feature_name(self._fn)!r} on handler "
                 f"{handler.name!r} has already been consumed")
         self._consumed = True
         if self._box is None:
             pending = self._client._pending_queries
             if pending.get(handler) is not self:  # not pop: another one may be pending now
                 raise ScoopError(
-                    f"pending query {self._feature!r} on handler {handler.name!r} was "
+                    f"pending query {feature_name(self._fn)!r} on handler {handler.name!r} was "
                     "abandoned when its separate block closed")
             del pending[handler]
 
@@ -171,7 +175,7 @@ class PendingQuery:
         client, handler = self._client, self._ref.handler
         if client.tracer.enabled:
             client.tracer.record("exec-client", handler.name, client=client.name,
-                                 feature=self._feature, block=self._queue.block_id)
+                                 feature=feature_name(self._fn), block=self._queue.block_id)
         return value
 
     def wait(self) -> Any:
@@ -187,7 +191,7 @@ class PendingQuery:
                 return self._outcome()
         # synced, body still to run: where the queue places it (Section
         # 3.2: in memory, right here on the client)
-        return self._traced(queue.invoke(self._ref._raw(), self._fn, **self._described))
+        return self._traced(queue.invoke(self._ref._raw(), self._fn, self._args, self._kwargs))
 
     async def wait_async(self) -> Any:
         """Awaitable twin of :meth:`wait` (asyncio-capable backends only)."""
@@ -202,7 +206,7 @@ class PendingQuery:
                 return self._outcome()
         # a queue whose query bodies cross a socket awaits the round trip
         return self._traced(await queue.invoke_async(self._ref._raw(), self._fn,
-                                                     **self._described))
+                                                     self._args, self._kwargs))
 
 
 class Client:
@@ -398,47 +402,33 @@ class Client:
     # ------------------------------------------------------------------
     # requests
     # ------------------------------------------------------------------
-    def call(self, ref: SeparateRef, method: str, *args: Any, **kwargs: Any) -> None:
-        """Log an asynchronous call of ``method`` on the separate object."""
+    def call(self, ref: SeparateRef, fn: Any, /, *args: Any, **kwargs: Any) -> None:
+        """Log an asynchronous call of ``fn`` on the separate object.
+
+        ``fn`` is a feature name, looked up on the object when the call
+        runs, or a callable applied as ``fn(obj, *args, **kwargs)``.
+        """
         handler = ref.handler
         self._check_no_pending_query(handler)
         queue = self.queue_for(handler)
         args, kwargs = prepare_arguments(args, kwargs, self.counters)
-        # a described call (fn None): the handler looks ``method`` up itself
-        request = CallRequest(None, (ref._raw(),), payload_bytes=_payload_size(args, kwargs),
-                              feature=method, block=queue.block_id,
-                              call_args=args, call_kwargs=kwargs)
+        request = CallRequest(fn, ref._raw(), args, kwargs, None,
+                              _payload_size(args, kwargs), queue.block_id)
         # logging an asynchronous call invalidates any synchronous control we
         # held over the handler (the handler will become busy again)
         handler.owner.revoke_sync_access(current_thread())
         if self.tracer.enabled:
             self.tracer.record("log-call", handler.name, client=self.name,
-                               feature=method, block=queue.block_id)
+                               feature=feature_name(fn), block=queue.block_id)
         queue.enqueue_call(request)
         self.backend.notify_handler(handler)
 
-    def call_function(self, ref: SeparateRef, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> None:
-        """Asynchronously apply ``fn(raw_object, *args, **kwargs)`` on the handler."""
-        handler = ref.handler
-        self._check_no_pending_query(handler)
-        queue = self.queue_for(handler)
-        args, kwargs = prepare_arguments(args, kwargs, self.counters)
-        feature = getattr(fn, "__name__", "<callable>")
-        request = CallRequest(fn=fn, args=(ref._raw(), *args), kwargs=kwargs,
-                              payload_bytes=_payload_size(args, kwargs), feature=feature,
-                              block=queue.block_id)
-        handler.owner.revoke_sync_access(current_thread())
-        if self.tracer.enabled:
-            self.tracer.record("log-call", handler.name, client=self.name,
-                               feature=feature, block=queue.block_id)
-        queue.enqueue_call(request)
-        self.backend.notify_handler(handler)
+    def query(self, ref: SeparateRef, fn: Any, /, *args: Any, **kwargs: Any) -> Any:
+        """Issue a synchronous query of ``fn`` (as :meth:`call`) and return its result."""
+        return self._issue(ref, fn, args, kwargs).wait()
 
-    def query(self, ref: SeparateRef, method: str, *args: Any, **kwargs: Any) -> Any:
-        """Issue a synchronous query and return its result."""
-        return self._issue(ref, None, args, kwargs, method).wait()
-
-    def issue_query(self, ref: SeparateRef, method: str, *args: Any, **kwargs: Any) -> PendingQuery:
+    def issue_query(self, ref: SeparateRef, fn: Any, /, *args: Any,
+                    **kwargs: Any) -> PendingQuery:
         """Issue a synchronous query without waiting for its result.
 
         Returns a :class:`PendingQuery` whose ``wait()`` (or awaited
@@ -446,53 +436,30 @@ class Client:
         *different* handlers before waiting is how scatter-gather overlaps
         per-shard work; at most one query may be pending per handler.
         """
-        return self._issue(ref, None, args, kwargs, feature=method)
+        return self._issue(ref, fn, args, kwargs)
 
-    def query_function(self, ref: SeparateRef, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        """Synchronous query applying ``fn(raw_object, *args, **kwargs)``."""
-        return self.issue_query_function(ref, fn, *args, **kwargs).wait()
-
-    def issue_query_function(self, ref: SeparateRef, fn: Callable[..., Any],
-                             *args: Any, **kwargs: Any) -> PendingQuery:
-        """:meth:`issue_query` for ``fn(raw_object, *args, **kwargs)``."""
-        def wrapped(obj):
-            return fn(obj, *args, **kwargs)
-        return self._issue(ref, wrapped, args, kwargs,
-                           feature=getattr(fn, "__name__", "<callable>"), raw_fn=fn)
-
-    def _issue(self, ref: SeparateRef, fn: Optional[Callable[[Any], Any]], args: tuple,
-               kwargs: dict, feature: str,
-               raw_fn: Optional[Callable[..., Any]] = None) -> PendingQuery:
-        """Put a query on the handler's queue; every wait is the caller's.
-
-        ``fn`` is the one-argument body, or ``None`` for the described call
-        ``getattr(obj, feature)(*args, **kwargs)``.  What a closure ``fn``
-        literally is travels along for transports that ship data, not
-        closures: ``raw_fn(obj, *args, **kwargs)``.
-        """
+    def _issue(self, ref: SeparateRef, fn: Any, args: tuple, kwargs: dict) -> PendingQuery:
+        """Put a query on the handler's queue; every wait is the caller's."""
         handler = ref.handler
         self._check_no_pending_query(handler)
         queue = self.queue_for(handler)
         self.counters.bump("queries")
         if self.tracer.enabled:
             self.tracer.record("log-query", handler.name, client=self.name,
-                               feature=feature, block=queue.block_id)
+                               feature=feature_name(fn), block=queue.block_id)
         if not self.config.client_executed_queries:
             # packaged query: the request is on the queue, FIFO keeps it
             # ordered against anything logged later — nothing to guard
-            request = CallRequest(fn=fn, args=(ref._raw(),), feature=feature,
-                                  payload_bytes=_payload_size(args, kwargs), block=queue.block_id,
-                                  result=ResultBox(event=self.backend.create_event()),
-                                  call_args=args, call_kwargs=kwargs, raw_fn=raw_fn)
+            request = CallRequest(fn, ref._raw(), args, kwargs,
+                                  ResultBox(event=self.backend.create_event()),
+                                  _payload_size(args, kwargs), queue.block_id)
             box = queue.enqueue_query(request)
             self.backend.notify_handler(handler)
-            return PendingQuery(self, ref, queue, fn, feature, box=box)
-        described = {"feature": feature if raw_fn is None else None,
-                     "args": args, "kwargs": kwargs, "raw_fn": raw_fn}
-        pending = PendingQuery(self, ref, queue, fn, feature, described)
+            return PendingQuery(self, ref, queue, fn, args, kwargs, box)
+        pending = PendingQuery(self, ref, queue, fn, args, kwargs)
         if not self._sync_elided(handler, queue):
             # allocated first: as little as possible between hand-off and wait
-            pending._sync = queue.enqueue_query_sync(ref._raw(), fn, **described)
+            pending._sync = queue.enqueue_query_sync(ref._raw(), fn, args, kwargs)
             self.backend.notify_handler(handler)
         # client-executed query: until the wait the handler must stay parked
         # on this queue, so further requests are rejected until the result
@@ -566,7 +533,7 @@ class Client:
         if self.tracer.enabled:
             self.tracer.record("sync", handler.name, client=self.name, block=queue.block_id)
 
-    def presynced_query(self, ref: SeparateRef, fn: Callable[..., Any]) -> Any:
+    def presynced_query(self, ref: SeparateRef, fn: Any, /, *args: Any, **kwargs: Any) -> Any:
         """Run a query whose sync was removed by the *static* pass.
 
         The caller (generated code / :mod:`repro.core.transfer`) is asserting
@@ -575,10 +542,10 @@ class Client:
         """
         self.counters.bump("queries")
         queue = self.queue_for(ref.handler)
-        result = queue.invoke(ref._raw(), fn)
+        result = queue.invoke(ref._raw(), fn, args, kwargs)
         if self.tracer.enabled:
             self.tracer.record("exec-client", ref.handler.name, client=self.name,
-                               feature=getattr(fn, "__name__", "<callable>"), block=queue.block_id)
+                               feature=feature_name(fn), block=queue.block_id)
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

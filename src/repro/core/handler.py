@@ -37,7 +37,8 @@ from repro.backends.threaded import ThreadedBackend
 from repro.config import QsConfig
 from repro.core.region import HandlerOwner, SeparateObject, SeparateRef
 from repro.errors import HandlerShutdownError
-from repro.queues.private_queue import CallRequest, EndMarker, PrivateQueue, SyncRequest
+from repro.queues.private_queue import (
+    CallRequest, EndMarker, PrivateQueue, SyncRequest, feature_name)
 from repro.queues.qoq import QueueOfQueues
 from repro.util.counters import Counters
 from repro.util.tracing import NullTracer, Tracer
@@ -181,7 +182,7 @@ class Handler:
                     kind = "exec" if request.result is None else "exec-query"
                     block = request.block if request.block is not None else private_queue.block_id
                     self.tracer.record(kind, self.name, client=private_queue.client_name,
-                                       feature=request.feature or None, block=block)
+                                       feature=feature_name(request.fn), block=block)
                 try:
                     request.execute()
                 except BaseException as exc:  # asynchronous call failed

@@ -53,21 +53,21 @@ class ReservedProxy:
     def handler(self):
         return self._ref.handler
 
-    def send(self, method: str, *args: Any, **kwargs: Any) -> None:
+    def send(self, method: str, /, *args: Any, **kwargs: Any) -> None:
         """Log ``method`` asynchronously regardless of its declared kind."""
         self._client.call(self._ref, method, *args, **kwargs)
 
-    def ask(self, method: str, *args: Any, **kwargs: Any) -> Any:
+    def ask(self, method: str, /, *args: Any, **kwargs: Any) -> Any:
         """Issue ``method`` as a synchronous query regardless of its kind."""
         return self._client.query(self._ref, method, *args, **kwargs)
 
-    def apply(self, fn, *args: Any, **kwargs: Any) -> None:
-        """Asynchronously apply ``fn(obj, *args)`` on the handler."""
-        self._client.call_function(self._ref, fn, *args, **kwargs)
+    def apply(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> None:
+        """Asynchronously apply ``fn(obj, *args, **kwargs)`` on the handler."""
+        self._client.call(self._ref, fn, *args, **kwargs)
 
-    def compute(self, fn, *args: Any, **kwargs: Any) -> Any:
-        """Synchronously apply ``fn(obj, *args)`` and return the result."""
-        return self._client.query_function(self._ref, fn, *args, **kwargs)
+    def compute(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Any:
+        """Synchronously apply ``fn(obj, *args, **kwargs)`` and return the result."""
+        return self._client.query(self._ref, fn, *args, **kwargs)
 
     def sync_(self) -> bool:
         """Force a sync with the handler (used by generated/transfer code)."""

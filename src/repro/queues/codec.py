@@ -15,7 +15,7 @@ encoded payload.  *What* the payload encoding is, is a policy decision:
   design.
 * :class:`BinCodec` -- a compact binary encoding for the hot path: a
   ``struct``-packed header plus type-tagged fields, with a small key
-  table for the protocol's common keys (``kind``/``feature``/``args``/...).
+  table for the protocol's common keys (``kind``/``fn``/``args``/...).
   Common call/sync/result payloads encode without touching pickle *or*
   JSON; payloads carrying arbitrary objects fall back to pickle, so it
   has the same fidelity as pickle — and the same trust requirements
@@ -97,8 +97,8 @@ def _check_json_value(value: Any, where: str) -> None:
         return
     raise CodecFidelityError(
         f"the 'json' wire codec cannot faithfully carry a "
-        f"{type(value).__name__} in {where} (nested tuples/sets/bytes would "
-        f"decode as JSON types or not at all); use a full-fidelity codec: "
+        f"{type(value).__name__} in {where} (it carries None, bools, numbers, "
+        f"strings, lists and str-keyed dicts); use a full-fidelity codec: "
         f"'pickle' or 'bin' (e.g. backend='process:bin')")
 
 
@@ -192,9 +192,9 @@ class BinCodec(Codec):
     payload's remaining entries with table-coded keys, serialised through
     :mod:`marshal` — a C-speed, type-byte-tagged binary encoding that keeps
     exact types (tuples stay tuples, sets stay sets, ints are unbounded)
-    for every container/scalar composition the protocol ships.  The common
-    ``{kind, feature, args, kwargs}`` call shape therefore never touches
-    pickle *or* JSON and encodes several times faster than either, in
+    for every container/scalar composition the protocol ships.  A request
+    that names its feature (``{kind, oid, fn, args, kwargs}`` with a string
+    ``fn``) therefore never touches pickle *or* JSON and encodes several times faster than either, in
     fewer bytes.
 
     ``marshal`` *refuses* (with ``ValueError``) exactly what it cannot

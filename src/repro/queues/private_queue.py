@@ -4,7 +4,8 @@ A private queue is the channel a single client shares with a single handler
 (Section 2.3, Fig. 4).  The client enqueues three kinds of entries:
 
 * :class:`CallRequest` -- a packaged asynchronous call (the libffi closure of
-  Fig. 9 in the paper becomes a callable + captured arguments here).  A call
+  Fig. 9 in the paper becomes a feature name or a callable, its target and
+  the captured arguments here; :func:`apply_call` applies either).  A call
   may optionally carry a :class:`ResultBox`, which is how the *unoptimized*
   query protocol ships a query to the handler and waits for its result.
 * :class:`SyncRequest` -- the SYNC marker of the optimized query protocol
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.errors import QueryFailedError
 from repro.queues.fifo import FifoQueue
@@ -117,40 +118,49 @@ class ResultBox:
         return self._event.is_set()
 
 
+def apply_call(fn: Any, target: Any, args: Any, kwargs: dict) -> Any:
+    """Apply a request's ``fn`` to its ``target``: the one call shape.
+
+    A feature name is looked up on the target when the call runs (the late
+    binding of a method call); a callable is applied as
+    ``fn(target, *args, **kwargs)``.
+    """
+    if type(fn) is str:
+        return getattr(target, fn)(*args, **kwargs)
+    return fn(target, *args, **kwargs)
+
+
+def feature_name(fn: Any) -> str:
+    """What trace events call a request: its feature name, or its callable's."""
+    return getattr(fn, "__name__", None) or str(fn)
+
+
 @dataclass(slots=True)
 class CallRequest:
-    """A packaged call: the Python analogue of the libffi closure of Fig. 9."""
+    """A packaged call: the Python analogue of the libffi closure of Fig. 9.
 
-    #: applied as ``fn(*args, **kwargs)``; ``None`` for a named method
-    fn: "Callable[..., Any] | None"
+    ``fn`` is a feature name or a callable, applied to ``target`` with
+    ``args`` and ``kwargs`` by :func:`apply_call`.  Names and importable
+    callables are data a wire codec can carry, so a request crosses a
+    process boundary as it is.
+    """
+
+    fn: Any
+    target: Any = None
     args: tuple = ()
     kwargs: dict = field(default_factory=dict)
     result: Optional[ResultBox] = None
     #: approximate payload size, used only for bytes-copied accounting
     payload_bytes: int = 0
-    #: feature (method) name, recorded so handler-side trace events are readable
-    feature: str = ""
     #: reservation (block) id at logging time; private queues are reused
     #: across blocks, so the id must travel with the request for the
     #: handler-side trace events to attribute executions correctly
     block: "int | None" = None
-    #: the *described* call: with ``fn`` None the handler applies
-    #: ``getattr(args[0], feature)(*call_args, **call_kwargs)``, looking the
-    #: method up when the call runs.  Socket transports ship these, never a
-    #: closure, so requests stay data, not code.
-    call_args: "tuple | None" = None
-    call_kwargs: "dict | None" = None
-    #: the user's original callable when ``fn`` is a wrapper closure around
-    #: it (``query_function``'s packaged path) — wrappers are unpicklable,
-    #: so socket transports ship ``raw_fn`` + ``call_args``/``call_kwargs``
-    #: and the handler side applies ``raw_fn(obj, *args, **kwargs)``.
-    raw_fn: "Callable[..., Any] | None" = None
 
     def execute(self) -> Any:
         """Apply the packaged call (what the handler does in ``execute_call``)."""
         try:
-            value = (self.fn(*self.args, **self.kwargs) if self.fn is not None else
-                     getattr(self.args[0], self.feature)(*self.call_args, **self.call_kwargs))
+            value = apply_call(self.fn, self.target, self.args, self.kwargs)
         except BaseException as exc:
             if self.result is None:
                 raise
@@ -265,8 +275,8 @@ class PrivateQueue:
         self._put(request)
         return request
 
-    def enqueue_query_sync(self, handle: Any, fn: "Callable[[Any], Any] | None",
-                           **described: Any) -> SyncRequest:
+    def enqueue_query_sync(self, handle: Any, fn: Any, args: tuple,
+                           kwargs: dict) -> SyncRequest:
         """Put an unsynced client-executed query on the queue (Fig. 10b).
 
         In shared memory that is the SYNC marker alone, released by an event
@@ -276,24 +286,17 @@ class PrivateQueue:
         """
         return self.enqueue_sync(SyncRequest(release=self.handler.backend.create_event()))
 
-    def invoke(self, handle: Any, fn: "Callable[[Any], Any] | None",
-               feature: "str | None" = None, args: tuple = (),
-               kwargs: "dict | None" = None, raw_fn: Any = None) -> Any:
+    def invoke(self, handle: Any, fn: Any, args: tuple, kwargs: dict) -> Any:
         """Run a client-executed query body once the handler is synced.
 
         The handler is parked on this queue, so the body runs right here on
-        the client against the raw object ``handle``: the named method
-        ``feature`` when ``fn`` is ``None``, else the one-argument closure
-        ``fn`` (``raw_fn`` is what a wire queue ships instead of it).
+        the client against the raw object ``handle`` (:func:`apply_call`).
         """
-        if fn is None:
-            return getattr(handle, feature)(*args, **kwargs)
-        return fn(handle)
+        return apply_call(fn, handle, args, kwargs)
 
-    async def invoke_async(self, handle: Any, fn: "Callable[[Any], Any] | None",
-                           **described: Any) -> Any:
+    async def invoke_async(self, handle: Any, fn: Any, args: tuple, kwargs: dict) -> Any:
         """Awaitable :meth:`invoke`: nothing here can block, so the same call."""
-        return self.invoke(handle, fn, **described)
+        return self.invoke(handle, fn, args, kwargs)
 
     def enqueue_end(self) -> None:
         """Close this block's requests (rule *separate*'s trailing END)."""

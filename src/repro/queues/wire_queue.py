@@ -17,8 +17,14 @@ burst is taken out as ONE ``calls`` frame — journaled once, encoded once,
 counted once — when it holds :data:`MAX_BURST_CALLS` calls (the driver sends
 it at once, so the worker starts on a long block early) or when the block
 needs its queue in order: a ``sync``, ``query``, ``invoke`` or ``end`` takes
-it out in front of itself.  What the codec would refuse in a call is refused
-at the call (:meth:`~repro.queues.codec.Codec.check`).
+it out in front of itself.  What the codec would refuse in a call or a query
+is refused at the call (:meth:`~repro.queues.codec.Codec.check`), before
+anything is journaled, counted or owed a reply.
+
+A request travels as it is: its ``fn`` (a feature name, or a callable only
+a faithful codec carries), the hosted object's ``oid`` and the arguments.
+A ``calls`` entry is ``[oid, fn, args, kwargs]``; a ``query`` or ``invoke``
+frame carries the same four fields by name.
 
 A query costs one frame out and one reply in: a packaged ``query``, or a
 client-executed body as an ``invoke`` that, when the handler is not yet
@@ -41,7 +47,7 @@ from __future__ import annotations
 
 import base64
 import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ScoopError
 from repro.queues.codec import CODECS
@@ -277,15 +283,13 @@ class WireQueueCore:
     def call(self, request: Any) -> List[Frame]:
         """Append an asynchronous call to the block's open burst (rule *call*).
 
-        The call becomes one ``[oid, feature, fn, args, kwargs]`` entry.
-        What the codec would refuse in it is refused now, so misuse fails at
-        the call and leaves the burst as it was.  Only a full burst is
-        handed out.
+        The call becomes one ``[oid, fn, args, kwargs]`` entry.  What the
+        codec would refuse in it is refused now, so misuse fails at the
+        call and leaves the burst as it was.  Only a full burst is handed
+        out.
         """
-        oid, feature, fn, args, kwargs = self._described(request)
-        self._check(fn, args, kwargs)
         burst = self._burst
-        burst.append([oid, feature, fn, args, kwargs])
+        burst.append(self._entry(request.target, request.fn, request.args, request.kwargs))
         self._burst_bytes += request.payload_bytes
         if len(burst) < MAX_BURST_CALLS:
             return []
@@ -297,12 +301,9 @@ class WireQueueCore:
         return self._issue({"kind": "sync"}, answered=True)
 
     def query(self, request: Any) -> List[Frame]:
-        oid, feature, fn, args, kwargs = self._described(request)
-        payload: Frame = {"kind": "query", "oid": oid, "args": args, "kwargs": kwargs}
-        if fn is None:
-            payload["feature"] = feature
-        else:
-            payload["fn"] = fn
+        """A packaged query: the request travels and the handler runs it."""
+        payload = self._answered("query", request.target, request.fn, request.args,
+                                 request.kwargs)
         self.counters.bump("pq_enqueues")
         self.counters.bump("sync_roundtrips")
         return self._issue(payload, answered=True)
@@ -321,16 +322,12 @@ class WireQueueCore:
         self.stale_replies += self.abandoned
         return self._issue({"kind": "end"})
 
-    def invoke(self, handle: Any, fn: Callable[[Any], Any], feature: Optional[str] = None,
-               args: tuple = (), kwargs: Optional[dict] = None,
-               raw_fn: Optional[Callable[..., Any]] = None,
+    def invoke(self, handle: Any, fn: Any, args: tuple, kwargs: dict,
                carries_sync: bool = False) -> List[Frame]:
         """A client-executed query body for the remote handler.
 
-        The arguments are those of ``PrivateQueue.invoke``: a named
-        ``feature`` travels as data; otherwise the picklable ``raw_fn``
-        (applied as ``raw_fn(obj, *args, **kwargs)``) or the one-argument
-        closure ``fn`` itself is shipped.
+        The arguments are those of ``PrivateQueue.invoke``; ``fn`` travels
+        as it is, a feature name or a callable.
 
         ``carries_sync`` says the handler is not yet parked on this queue
         and the frame stands where the ``sync`` would have: the worker's
@@ -339,19 +336,10 @@ class WireQueueCore:
         ``release`` exchange in front would carry no information.  The frame
         is the same; the accounting is that of :meth:`sync`.
         """
+        payload = self._answered("invoke", handle, fn, args, kwargs)
         if carries_sync:
             self.counters.bump("pq_enqueues")
             self.counters.bump("sync_roundtrips")
-        payload: Frame = {"kind": "invoke", "oid": self._oid_of(handle),
-                          "args": list(args), "kwargs": kwargs or {}}
-        if feature:
-            payload["feature"] = feature
-        else:
-            self._require_pickle("ship a callable query body")
-            if raw_fn is not None:
-                payload["fn"] = raw_fn
-            else:
-                payload.update(fn=fn, args=[], kwargs={})
         return self._issue(payload, answered=True)
 
     def sent(self, frames: List[Frame]) -> None:
@@ -444,41 +432,24 @@ class WireQueueCore:
                 f"target {handle!r} was not adopted through it")
         return handle.oid
 
-    def _described(self, request: Any) -> Tuple[int, Optional[str], Any, list, dict]:
-        """What travels of a packaged call: ``(oid, feature, fn, args, kwargs)``.
+    def _answered(self, kind: str, target: Any, fn: Any, args: Any, kwargs: dict) -> Frame:
+        """The frame of a request owed a reply: its entry's four fields by name."""
+        oid, fn, args, kwargs = self._entry(target, fn, args, kwargs)
+        return {"kind": kind, "oid": oid, "fn": fn, "args": args, "kwargs": kwargs}
 
-        A described call ships its method's name, ``fn`` ``None``; any
-        other call ships a callable, which only a faithful codec carries.
+    def _entry(self, target: Any, fn: Any, args: Any, kwargs: dict) -> list:
+        """``[oid, fn, args, kwargs]`` of a request, refused now if the codec would refuse it.
+
+        A feature name is a string every codec carries; a callable only a
+        faithful one ('pickle' or 'bin'), and only if it pickles.  Checked
+        before anything is journaled, counted or owed: a frame the driver
+        then failed to encode would leave a reply that never comes (which
+        the block's end turns into stale debt that swallows the next genuine
+        one) and a journal entry no replacement worker could be sent.
         """
-        oid = self._oid_of(request.args[0] if request.args else None)
-        if request.raw_fn is not None:
-            # fn is an unpicklable wrapper closure; ship the user's callable
-            self._require_pickle(f"ship the callable {request.raw_fn!r}")
-            return (oid, None, request.raw_fn, list(request.call_args or ()),
-                    request.call_kwargs or {})
-        if request.fn is None:  # a described call: the named method travels as data
-            return oid, request.feature, None, list(request.call_args), request.call_kwargs or {}
-        # an arbitrary callable (apply/compute): only pickle can carry it
-        self._require_pickle(f"ship the callable {request.feature or request.fn!r}")
-        return oid, None, request.fn, list(request.args[1:]), dict(request.kwargs or {})
-
-    def _check(self, fn: Any, args: list, kwargs: dict) -> None:
-        """Raise now what the codec would raise for this call at take-out."""
+        oid, args = self._oid_of(target), list(args)
         check = self._codec.check
-        check(args, "a logged call's arguments")
+        check((fn, *args), "a request's callable or arguments")
         if kwargs:
-            check(kwargs.values(), "a logged call's keyword arguments")
-        if fn is not None:
-            check((fn,), "a logged call's callable")
-
-    def _require_pickle(self, what: str) -> None:
-        """Reject codecs that cannot ship arbitrary objects (callables).
-
-        Only the full-fidelity codecs qualify: 'pickle' outright, and 'bin'
-        via its pickle fallback for non-native values.
-        """
-        if not self._codec.faithful:
-            raise ScoopError(
-                f"the {self.link.codec!r} wire codec cannot {what}; "
-                f"use a full-fidelity codec — 'pickle' or 'bin' "
-                f"(e.g. backend='process:bin')")
+            check(kwargs.values(), "a request's keyword arguments")
+        return [oid, fn, args, kwargs]

@@ -18,6 +18,10 @@ Inside the block the :class:`ShardedProxy` routes:
   optional ``merge`` folds the per-shard results (default: the list in
   shard order).
 
+The request API's own parameters (``key``, ``method``) are positional-only,
+so a feature may take keywords of any name; ``gather``'s ``merge`` is the
+one keyword reserved.
+
 :class:`AsyncShardedProxy` is the awaitable twin for coroutine clients on
 the asyncio backend — same shared protocol engine, with the two waits
 awaited (``await proxy.gather(...)``) instead of blocked on.
@@ -87,24 +91,24 @@ class ShardedProxy:
         """Direct access to shard ``index`` (diagnostics / migration code)."""
         return ReservedProxy(self._view.refs[index], self._client)
 
-    def call(self, key: Any, method: str, *args: Any, **kwargs: Any) -> None:
+    def call(self, key: Any, method: str, /, *args: Any, **kwargs: Any) -> None:
         """Log ``method`` asynchronously on the shard owning ``key``."""
         self._client.counters.bump("shard_routes")
         self._client.call(self._ref_for(key), method, *args, **kwargs)
 
-    def query(self, key: Any, method: str, *args: Any, **kwargs: Any) -> Any:
+    def query(self, key: Any, method: str, /, *args: Any, **kwargs: Any) -> Any:
         """Synchronous query on the shard owning ``key``."""
         self._client.counters.bump("shard_routes")
         return self._client.query(self._ref_for(key), method, *args, **kwargs)
 
     # -- scatter-gather -------------------------------------------------------
-    def broadcast(self, method: str, *args: Any, **kwargs: Any) -> None:
+    def broadcast(self, method: str, /, *args: Any, **kwargs: Any) -> None:
         """Log an asynchronous command on every shard."""
         self._client.counters.bump("shard_broadcasts")
         for ref in self._view.refs:
             self._client.call(ref, method, *args, **kwargs)
 
-    def gather(self, method: str, *args: Any,
+    def gather(self, method: str, /, *args: Any,
                merge: Optional[Callable[[List[Any]], Any]] = None, **kwargs: Any) -> Any:
         """Query every shard in parallel and merge the results.
 
@@ -116,6 +120,9 @@ class ShardedProxy:
         packaged bodies, or at level ``all`` the *syncs* — the handlers'
         earlier queued work — after which each client-executed body runs on
         this waiting client, one after the other.
+
+        ``merge`` is the one keyword ``gather`` reserves for itself: every
+        other keyword goes to ``method``, and so does everything positional.
         """
         self._client.counters.bump("shard_gathers")
         pending = [self._client.issue_query(ref, method, *args, **kwargs)
@@ -194,22 +201,22 @@ class AsyncShardedProxy:
 
         return AsyncReservedProxy(self._view.refs[index], self._async_client)
 
-    async def call(self, key: Any, method: str, *args: Any, **kwargs: Any) -> None:
+    async def call(self, key: Any, method: str, /, *args: Any, **kwargs: Any) -> None:
         self._counters.bump("shard_routes")
         await self._async_client.call(self._ref_for(key), method, *args, **kwargs)
 
-    async def query(self, key: Any, method: str, *args: Any, **kwargs: Any) -> Any:
+    async def query(self, key: Any, method: str, /, *args: Any, **kwargs: Any) -> Any:
         self._counters.bump("shard_routes")
         return await self._async_client.query(self._ref_for(key), method,
                                               *args, **kwargs)
 
     # -- scatter-gather -------------------------------------------------------
-    async def broadcast(self, method: str, *args: Any, **kwargs: Any) -> None:
+    async def broadcast(self, method: str, /, *args: Any, **kwargs: Any) -> None:
         self._counters.bump("shard_broadcasts")
         for ref in self._view.refs:
             await self._async_client.call(ref, method, *args, **kwargs)
 
-    async def gather(self, method: str, *args: Any,
+    async def gather(self, method: str, /, *args: Any,
                      merge: Optional[Callable[[List[Any]], Any]] = None, **kwargs: Any) -> Any:
         """Awaitable scatter-gather: issue everywhere, await in shard order."""
         self._counters.bump("shard_gathers")

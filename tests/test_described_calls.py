@@ -1,21 +1,21 @@
-"""Named-method requests are described calls, and their payloads are sized as before.
+"""One call shape on every backend, and payloads sized as before.
 
-A command or query on a named method travels as ``CallRequest(fn=None)``
-plus ``feature``, ``call_args`` and ``call_kwargs``; the handler looks the
-method up when it runs the call.  ``apply`` / ``compute`` keep their
-callable.  ``_payload_size`` is pinned to the values it has always charged
-to ``bytes_copied``.
+A command, a query, ``apply`` and ``compute`` all build one
+``CallRequest(fn, target, args, kwargs, ...)``: ``fn`` is a feature name,
+looked up on the target when the call runs, or a callable applied as
+``fn(target, *args, **kwargs)``.  The same request crosses the process
+boundary as it is.  The request API's own parameters are positional-only, so
+a feature's keywords may have any name.  ``_payload_size`` is pinned to the
+values it has always charged to ``bytes_copied``.
 """
 
 import numpy as np
 import pytest
 
 from repro import QsRuntime, SeparateObject, command, query
-from repro.config import QsConfig
+from repro.backends.process import AsyncProcessPrivateQueue, ProcessPrivateQueue
 from repro.core.client import _payload_size
 from repro.queues.private_queue import PrivateQueue
-
-IN_MEMORY = ("threads", "sim", "async")
 
 
 class Recorder(SeparateObject):
@@ -39,25 +39,29 @@ def _tag(obj, value, *, times=1):
     obj.calls.append(("fn", value, times, None))
 
 
+def _count(obj, k):
+    return len(obj.calls) + k
+
+
 @pytest.fixture
 def logged(monkeypatch):
-    """Every request the in-memory private queues take, in order."""
+    """Every request a client hands its private queues, in order, on any backend."""
     requests = []
-    for name in ("enqueue_call", "enqueue_query"):
-        original = getattr(PrivateQueue, name)
+    for queue in (PrivateQueue, ProcessPrivateQueue, AsyncProcessPrivateQueue):
+        for name in ("enqueue_call", "enqueue_query"):
+            original = getattr(queue, name)
 
-        def spy(self, request, _original=original):
-            requests.append(request)
-            return _original(self, request)
+            def spy(self, request, _original=original):
+                requests.append(request)
+                return _original(self, request)
 
-        monkeypatch.setattr(PrivateQueue, name, spy)
+            monkeypatch.setattr(queue, name, spy)
     return requests
 
 
-@pytest.mark.parametrize("backend", IN_MEMORY)
-class TestDescribedCommands:
-    def test_a_command_runs_with_exactly_its_arguments(self, backend, logged):
-        with QsRuntime("all", backend=backend) as rt:
+class TestOneShape:
+    def test_a_command_runs_with_exactly_its_arguments(self, any_backend_name, logged):
+        with QsRuntime("all", backend=any_backend_name) as rt:
             ref = rt.new_handler("rec").create(Recorder)
             with rt.separate(ref) as rec:
                 rec.record(1, 2, c=3.5, d=["four"])
@@ -66,35 +70,142 @@ class TestDescribedCommands:
                 total = rec.total(10, scale=2)
         assert seen == [(1, 2, 3.5, ["four"]), (5, 6, 0, None)]
         assert total == (1 + 2 + 3.5 + 5 + 6 + 10) * 2
-        commands = [request for request in logged if request.feature == "record"]
-        assert [request.fn for request in commands] == [None, None]  # no closure
-        assert [(request.call_args, request.call_kwargs) for request in commands] == [
+        commands = [request for request in logged if request.fn == "record"]
+        assert [(request.args, request.kwargs) for request in commands] == [
             ((1, 2), {"c": 3.5, "d": ["four"]}), ((), {"b": 6, "a": 5})]
-        assert commands[0].args == (ref._raw(),)
+        assert [request.target for request in commands] == [ref._raw()] * 2
 
-    def test_apply_still_runs_its_callable(self, backend, logged):
-        with QsRuntime("all", backend=backend) as rt:
+    def test_apply_runs_its_callable(self, any_backend_name, logged):
+        with QsRuntime("all", backend=any_backend_name) as rt:
             ref = rt.new_handler("rec").create(Recorder)
             with rt.separate(ref) as rec:
                 rec.apply(_tag, "x", times=3)
                 seen = rec.seen()
         assert seen == [("fn", "x", 3, None)]
-        (request,) = [request for request in logged if request.feature == "_tag"]
-        assert request.fn is _tag and request.kwargs == {"times": 3}
+        (request,) = [request for request in logged if request.fn is _tag]
+        assert (request.target, request.args, request.kwargs) == (ref._raw(), ("x",),
+                                                                  {"times": 3})
 
-    def test_a_packaged_query_returns_its_value(self, backend, logged):
-        config = QsConfig.all().with_(client_executed_queries=False)
-        with QsRuntime(config, backend=backend) as rt:
+    def test_a_packaged_query_and_compute_return_their_values(self, any_backend_name,
+                                                               logged):
+        with QsRuntime("qoq", backend=any_backend_name) as rt:
             ref = rt.new_handler("rec").create(Recorder)
             with rt.separate(ref) as rec:
                 rec.record(1, 2, c=3)
                 total = rec.total(10, scale=2)
-                computed = rec.compute(lambda obj, k: len(obj.calls) + k, 5)
+                computed = rec.compute(_count, 5)
         assert total == (1 + 2 + 3 + 10) * 2
         assert computed == 6
-        (packaged,) = [request for request in logged if request.feature == "total"]
-        assert packaged.fn is None and packaged.result is not None
-        assert (packaged.call_args, packaged.call_kwargs) == ((10,), {"scale": 2})
+        (packaged,) = [request for request in logged if request.fn == "total"]
+        assert packaged.result is not None
+        assert (packaged.args, packaged.kwargs) == ((10,), {"scale": 2})
+        (function,) = [request for request in logged if request.fn is _count]
+        assert function.result is not None and function.args == (5,)
+
+    def test_bytes_copied_totals(self, any_backend_name):
+        with QsRuntime("all", backend=any_backend_name) as rt:
+            ref = rt.new_handler("rec").create(Recorder)
+            with rt.separate(ref) as rec:
+                rec.record(1, 2, c=3.5, d=["four"])  # four words
+                rec.record("hello", b"abc")          # 5 + 3 bytes
+                rec.apply(_tag, "x", times=3)        # 1 byte + a word
+                rec.seen()                           # a query copies nothing
+            stats = rt.stats()
+        assert stats["bytes_copied"] == 32 + 8 + 9
+
+
+class Named(SeparateObject):
+    """Features whose keywords are named like the request API's own parameters."""
+
+    def __init__(self):
+        self.log = []
+
+    @command
+    def tag(self, /, **named):
+        self.log.append(sorted(named.items()))
+
+    @command
+    def record(self, ref, method=None):
+        self.log.append((ref, method))
+
+    @query
+    def echo(self, /, **named):
+        return sorted(named.items())
+
+    @query
+    def seen(self):
+        return list(self.log)
+
+
+def _tag_named(obj, /, **named):
+    obj.log.append(sorted(named.items()))
+
+
+def _echo_named(obj, /, **named):
+    return sorted(named.items())
+
+
+#: every name the request API uses for a parameter of its own
+API_NAMES = {"self": 1, "ref": 2, "fn": 3, "method": 4, "key": 5}
+ECHOED = sorted(API_NAMES.items())
+
+
+class TestFeatureKeywordsNamedLikeTheApi:
+    def test_thread_clients(self, any_backend_name):
+        with QsRuntime("all", backend=any_backend_name) as rt:
+            ref = rt.new_handler("named").create(Named)
+            group = rt.sharded("named-group", shards=2).create(Named)
+            with rt.separate(ref) as obj:
+                obj.record("r", method="m")
+                obj.tag(**API_NAMES)
+                obj.send("tag", **API_NAMES)
+                obj.apply(_tag_named, **API_NAMES)
+                answers = [obj.echo(**API_NAMES), obj.ask("echo", **API_NAMES),
+                           obj.compute(_echo_named, **API_NAMES)]
+                log = obj.seen()
+            with group.separate() as g:
+                g.call("k", "tag", **API_NAMES)
+                g.broadcast("tag", **API_NAMES)
+                answers.append(g.query("k", "echo", **API_NAMES))
+                gathered = g.gather("echo", **API_NAMES)
+                merged = g.gather("echo", merge=len, **API_NAMES)
+                logs = g.gather("seen")
+        assert answers == [ECHOED] * 4
+        assert log == [("r", "m")] + [ECHOED] * 3
+        assert gathered == [ECHOED] * 2 and merged == 2
+        assert sorted(map(len, logs)) == [1, 2]
+
+    @pytest.mark.parametrize("backend", ["async", "process+async:2:2"])
+    def test_coroutine_clients(self, backend):
+        observed = {}
+        with QsRuntime("all", backend=backend) as rt:
+            ref = rt.new_handler("named").create(Named)
+            group = rt.sharded("named-group", shards=2).create(Named)
+
+            async def client() -> None:
+                async with rt.aclient().separate(ref) as obj:
+                    await obj.record("r", method="m")
+                    await obj.tag(**API_NAMES)
+                    await obj.send("tag", **API_NAMES)
+                    await obj.apply(_tag_named, **API_NAMES)
+                    answers = [await obj.echo(**API_NAMES), await obj.ask("echo", **API_NAMES),
+                               await obj.compute(_echo_named, **API_NAMES)]
+                    observed["log"] = await obj.seen()
+                async with group.separate_async() as g:
+                    await g.call("k", "tag", **API_NAMES)
+                    await g.broadcast("tag", **API_NAMES)
+                    answers.append(await g.query("k", "echo", **API_NAMES))
+                    observed["gathered"] = await g.gather("echo", **API_NAMES)
+                    observed["merged"] = await g.gather("echo", merge=len, **API_NAMES)
+                    observed["logs"] = await g.gather("seen")
+                observed["answers"] = answers
+
+            rt.aclient(client)
+            rt.join_clients()
+        assert observed["answers"] == [ECHOED] * 4
+        assert observed["log"] == [("r", "m")] + [ECHOED] * 3
+        assert observed["gathered"] == [ECHOED] * 2 and observed["merged"] == 2
+        assert sorted(map(len, observed["logs"])) == [1, 2]
 
 
 class _Opaque:

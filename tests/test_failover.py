@@ -481,3 +481,112 @@ class TestCheckpointedFailover:
             _kill_worker_of(backend, "shared")
             with rt.separate(ref) as obj:
                 assert obj.dump() == list(range(blocks * 32))
+
+
+class Echo(SeparateObject):
+    """A log and a query that hands its argument back."""
+
+    def __init__(self) -> None:
+        self.log = []
+
+    @command
+    def record(self, value) -> None:
+        self.log.append(value)
+
+    @query
+    def size(self) -> int:
+        return len(self.log)
+
+    @query
+    def echo(self, value):
+        return value
+
+
+#: per codec, a query argument it refuses: a nested tuple json would turn
+#: into a list, a lock neither pickle nor bin can carry
+UNENCODABLE = {"json": (2, 3), "pickle": threading.Lock(), "bin": threading.Lock()}
+
+#: how long a reply may take, kill and failover included
+FAILOVER_BOUND = 5.0
+
+
+def _refusals(obj, bad) -> list:
+    """Issue a query carrying ``bad`` and a ``compute`` shipping a lambda
+    (no codec carries one); each must raise at the call."""
+    refused = []
+    for issue in (lambda: obj.echo(bad), lambda: obj.compute(lambda o: len(o.log))):
+        try:
+            issue()
+        except Exception as exc:  # noqa: BLE001 - which error is the codec's business
+            refused.append(type(exc).__name__)
+        else:
+            refused.append(None)
+    return refused
+
+
+async def _async_refusals(obj, bad) -> list:
+    refused = []
+    for issue in (lambda: obj.echo(bad), lambda: obj.compute(lambda o: len(o.log))):
+        try:
+            await issue()
+        except Exception as exc:  # noqa: BLE001
+            refused.append(type(exc).__name__)
+        else:
+            refused.append(None)
+    return refused
+
+
+class TestARefusedRequestWedgesNothing:
+    """A request the codec refuses raises at the call and leaves no trace.
+
+    Nothing of it is journaled, counted or owed a reply, so the block ends,
+    the next blocks' replies are their own, and a replacement worker is
+    restored from a journal it can be sent.
+    """
+
+    @pytest.mark.parametrize("codec", ["json", "pickle", "bin"])
+    @pytest.mark.parametrize("loops", [0, 1], ids=["thread", "coroutine"])
+    @pytest.mark.parametrize("level", ["all", "qoq"])
+    def test_the_next_blocks_answer_before_and_after_a_kill(self, codec, loops, level,
+                                                            monkeypatch):
+        monkeypatch.setattr(process_backend, "REPLY_TIMEOUT", FAILOVER_BOUND)
+        backend = ProcessBackend(processes=1, codec=codec, loops=loops)
+        bad = UNENCODABLE[codec]
+        seen = {"refused": [], "answers": []}
+
+        def thread_client() -> None:
+            for kill in (False, True):
+                with rt.separate(ref) as obj:
+                    obj.record("x")
+                    seen["refused"].append(_refusals(obj, bad))
+                if kill:
+                    _kill_worker_of(backend, "echo")
+                for k in range(2):
+                    with rt.separate(ref) as obj:
+                        obj.record(k)
+                        seen["answers"].append((obj.size(), obj.echo(k)))
+
+        async def coroutine_client() -> None:
+            client = rt.aclient()
+            for kill in (False, True):
+                async with client.separate(ref) as obj:
+                    await obj.record("x")
+                    seen["refused"].append(await _async_refusals(obj, bad))
+                if kill:
+                    _kill_worker_of(backend, "echo")
+                for k in range(2):
+                    async with client.separate(ref) as obj:
+                        await obj.record(k)
+                        size = await asyncio.wait_for(obj.size(), FAILOVER_BOUND)
+                        echoed = await asyncio.wait_for(obj.echo(k), FAILOVER_BOUND)
+                        seen["answers"].append((size, echoed))
+
+        with QsRuntime(level, backend=backend) as rt:
+            ref = rt.new_handler("echo").create(Echo)
+            rt.client(coroutine_client if loops else thread_client)
+            rt.join_clients()
+            stats = rt.stats()
+        assert all(None not in refused for refused in seen["refused"]), seen
+        assert len(seen["refused"]) == 2
+        assert seen["answers"] == [(2, 0), (3, 1), (5, 0), (6, 1)]
+        assert stats["shard_failovers"] == 1

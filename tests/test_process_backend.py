@@ -234,10 +234,10 @@ class TestCodecs:
         assert observed["json"] == observed["pickle"] == observed["bin"]
         assert observed["json"] > 0, "a 100-call burst must coalesce frames"
 
-    def test_packaged_function_query_ships_raw_fn(self):
-        # regression: with client-executed queries off, query_function wraps
-        # the user fn in a local lambda; the transport must ship the raw fn
-        # (plus its arguments), not try to pickle the wrapper
+    def test_packaged_function_query_ships_its_callable(self):
+        # with client-executed queries off, compute is a packaged query: the
+        # request travels as it was built, the user's fn plus its arguments,
+        # and the worker applies it to the hosted object
         with QsRuntime("qoq", backend="process") as rt:
             ref = rt.new_handler("box").create(Box)
             with rt.separate(ref) as b:
@@ -302,7 +302,7 @@ class TestCountersAggregation:
         try:
             stream.send({"kind": "open", "ticket": 0, "block": None})
             stream.send(_puts(*range(3)))
-            stream.send({"kind": "invoke", "oid": 1, "feature": "calls_seen",
+            stream.send({"kind": "invoke", "oid": 1, "fn": "calls_seen",
                          "args": [], "kwargs": {}})
             stream.send({"kind": "end"})
             reply = stream.recv(timeout=10.0)
@@ -360,11 +360,11 @@ def _block(stream, ticket: int, *frames) -> None:
 
 def _puts(*values) -> dict:
     """One burst of ``put`` calls on hosted object 1, as the parent frames it."""
-    return {"kind": "calls", "calls": [[1, "put", None, [value], {}] for value in values]}
+    return {"kind": "calls", "calls": [[1, "put", [value], {}] for value in values]}
 
 
-def _invoke(feature: str, *args) -> dict:
-    return {"kind": "invoke", "oid": 1, "feature": feature, "args": list(args), "kwargs": {}}
+def _invoke(fn: str, *args) -> dict:
+    return {"kind": "invoke", "oid": 1, "fn": fn, "args": list(args), "kwargs": {}}
 
 
 def _wire_recorder(monkeypatch):
@@ -615,7 +615,7 @@ class TestTicketOrder:
         server.host(1, Box())
         try:
             stream.send({"kind": "open", "ticket": 1, "block": None})
-            stream.send({"kind": "invoke", "oid": 1, "feature": "echo",
+            stream.send({"kind": "invoke", "oid": 1, "fn": "echo",
                          "args": ["served"], "kwargs": {}})
             stream.send({"kind": "end"})
             started = time.monotonic()

@@ -51,7 +51,7 @@ requests_strategy = st.lists(st.sampled_from("ccce"), min_size=0, max_size=40)
 
 
 def make_call(tag: int) -> CallRequest:
-    return CallRequest(fn=lambda: tag, feature=f"call-{tag}")
+    return CallRequest(fn=f"call-{tag}")
 
 
 class TestQoqPerClientFifo:
@@ -118,7 +118,7 @@ class TestBatchEquivalence:
 
         def describe(items):
             return [
-                "END" if isinstance(item, EndMarker) else item.feature
+                "END" if isinstance(item, EndMarker) else item.fn
                 for item in items
             ]
 

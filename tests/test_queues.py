@@ -135,14 +135,14 @@ class TestPrivateQueue:
         counters = Counters()
         pq = PrivateQueue(counters=counters)
         pq.synced = True
-        pq.enqueue_call(CallRequest(fn=lambda: None))
+        pq.enqueue_call(CallRequest(fn=lambda _target: None))
         assert pq.synced is False
         assert counters.get("async_calls") == 1
         assert counters.get("pq_enqueues") == 1
 
     def test_enqueue_query_returns_result_box(self):
         pq = PrivateQueue()
-        request = CallRequest(fn=lambda: 21 * 2)
+        request = CallRequest(fn=lambda obj, k: obj * k, target=21, args=(2,))
         box = pq.enqueue_query(request)
         dequeued = pq.dequeue()
         dequeued.execute()
@@ -151,7 +151,7 @@ class TestPrivateQueue:
     def test_query_error_propagates(self):
         pq = PrivateQueue()
 
-        def boom():
+        def boom(_target):
             raise RuntimeError("kaput")
 
         box = pq.enqueue_query(CallRequest(fn=boom))
@@ -169,14 +169,15 @@ class TestPrivateQueue:
     def test_unsynced_query_is_the_sync_marker_and_its_body_runs_here(self):
         counters, handler = Counters(), Handler("h")
         pq = PrivateQueue(handler, counters)
-        request = pq.enqueue_query_sync(object(), len, feature=None, args=(), kwargs={})
+        request = pq.enqueue_query_sync(object(), len, (), {})
         assert isinstance(request, SyncRequest) and request.outcome is None
         assert isinstance(request.release, threading.Event)
         assert pq.dequeue_batch(8, timeout=0) == [request]
         assert counters.get("sync_roundtrips") == 1 and counters.get("pq_enqueues") == 1
-        # the synced body: a named method, else the one-argument closure
-        assert pq.invoke("abc", None, feature="upper", args=(), kwargs={}) == "ABC"
-        assert pq.invoke([1, 2], len, args=(9,), raw_fn=max) == 2
+        # the synced body: a named method looked up on the target, or a
+        # callable applied to it, each with the query's arguments
+        assert pq.invoke("a-b", "split", ("-",), {}) == ["a", "b"]
+        assert pq.invoke([3, 1, 2], sorted, (), {"reverse": True}) == [3, 2, 1]
         assert len(pq) == 0
 
     def test_end_closes_block(self):
@@ -188,7 +189,7 @@ class TestPrivateQueue:
     def test_payload_bytes_counted(self):
         counters = Counters()
         pq = PrivateQueue(counters=counters)
-        pq.enqueue_call(CallRequest(fn=lambda: None, payload_bytes=123))
+        pq.enqueue_call(CallRequest(fn=lambda _target: None, payload_bytes=123))
         assert counters.get("bytes_copied") == 123
 
     def test_reset_for_reuse(self):
@@ -202,7 +203,7 @@ class TestPrivateQueue:
     def test_dequeue_batch_drains_up_to_limit(self):
         pq = PrivateQueue()
         for _ in range(5):
-            pq.enqueue_call(CallRequest(fn=lambda: None))
+            pq.enqueue_call(CallRequest(fn=lambda _target: None))
         batch = pq.dequeue_batch(3, timeout=0.0)
         assert len(batch) == 3
         assert len(pq.dequeue_batch(10, timeout=0.0)) == 2
@@ -212,10 +213,10 @@ class TestPrivateQueue:
         # private queues are reused across separate blocks: a batch must not
         # leak the next block's requests past this block's END
         pq = PrivateQueue()
-        pq.enqueue_call(CallRequest(fn=lambda: None))
+        pq.enqueue_call(CallRequest(fn=lambda _target: None))
         pq.enqueue_end()
         pq.reset_for_reuse()
-        pq.enqueue_call(CallRequest(fn=lambda: None))
+        pq.enqueue_call(CallRequest(fn=lambda _target: None))
         batch = pq.dequeue_batch(10, timeout=0.0)
         assert len(batch) == 2
         assert isinstance(batch[-1], EndMarker)

@@ -16,6 +16,7 @@ the parity that inheritance used to give for free.
 from __future__ import annotations
 
 import base64
+import pickle
 import threading
 from collections import deque
 from types import SimpleNamespace
@@ -75,8 +76,7 @@ def core(link, journal):
 
 
 def _call(n: int) -> CallRequest:
-    return CallRequest(fn=None, args=(TARGET,), feature="add", call_args=(n,),
-                       call_kwargs={}, payload_bytes=8)
+    return CallRequest("add", TARGET, (n,), {}, payload_bytes=8)
 
 
 def _release(calls_executed: int) -> dict:
@@ -116,8 +116,8 @@ class TestOrdinaryBlock:
         # the deferred open rides in front of the block's first data frame,
         # and the burst in front of the frame that took it out
         assert frames == [{"kind": "open", "ticket": 0, "block": 7},
-                          {"kind": "calls", "calls": [[1, "add", None, [1], {}],
-                                                      [1, "add", None, [2], {}]]},
+                          {"kind": "calls", "calls": [[1, "add", [1], {}],
+                                                      [1, "add", [2], {}]]},
                           {"kind": "sync"}]
         core.sent(frames)  # four requests left in one write
 
@@ -125,9 +125,8 @@ class TestOrdinaryBlock:
         assert core.replies_seen == 1
         assert core.handler.counters.snapshot()["calls_executed"] == 2
 
-        query_frames = core.query(CallRequest(fn=None, args=(TARGET,), feature="read",
-                                              call_args=(), call_kwargs={}))
-        assert query_frames == [{"kind": "query", "oid": 1, "feature": "read",
+        query_frames = core.query(CallRequest("read", TARGET))
+        assert query_frames == [{"kind": "query", "oid": 1, "fn": "read",
                                  "args": [], "kwargs": {}}]
         assert core.classify({"kind": "result", "value": 3}) == (3, None)
         assert _kinds(core.end()) == ["end"]
@@ -147,7 +146,7 @@ class TestOrdinaryBlock:
         full = handed_out.pop(MAX_BURST_CALLS - 1)
         assert handed_out == [[]] * (MAX_BURST_CALLS + 4)
         assert _kinds(full) == ["open", "calls"]
-        assert [entry[3] for entry in full[1]["calls"]] == [[n] for n in range(MAX_BURST_CALLS)]
+        assert [entry[2] for entry in full[1]["calls"]] == [[n] for n in range(MAX_BURST_CALLS)]
         # counted once, at take-out, and journaled before it is handed out
         assert core.counters.snapshot()["async_calls"] == MAX_BURST_CALLS
         assert journal.size() == (1, 1)
@@ -160,32 +159,42 @@ class TestOrdinaryBlock:
         assert (snap["async_calls"], snap["pq_enqueues"]) == (MAX_BURST_CALLS + 5,
                                                                MAX_BURST_CALLS + 6)
 
-    def test_a_call_the_codec_refuses_raises_and_leaves_the_burst(self):
+    def test_a_request_the_codec_refuses_raises_and_leaves_no_trace(self):
+        # nothing of it is journaled, counted or owed a reply: the block goes
+        # on as if it had never been made
+        refusals = (lambda core, bad: core.call(CallRequest("add", TARGET, ([bad],), {})),
+                    lambda core, bad: core.query(CallRequest("echo", TARGET, (bad,))),
+                    lambda core, bad: core.invoke(TARGET, "echo", (bad,), {}, True),
+                    lambda core, bad: core.invoke(TARGET, lambda obj: obj, (), {}))
         for codec, bad in (("json", (1, 2)), ("pickle", threading.Lock()),
                            ("bin", threading.Lock())):
-            core = _new_core(_link(codec))
-            core.open_block(0, None)
-            core.call(_call(1))
-            with pytest.raises((ScoopError, TypeError)):
-                core.call(CallRequest(fn=None, args=(TARGET,), feature="add",
-                                      call_args=([bad],), call_kwargs={}))
-            core.call(_call(2))
-            frames = core.end()
-            assert [entry[3] for entry in frames[1]["calls"]] == [[1], [2]], codec
-            assert core.counters.snapshot()["async_calls"] == 2
+            for refused in refusals:
+                core = _new_core(_link(codec))
+                core.open_block(0, None)
+                core.call(_call(1))
+                with pytest.raises((ScoopError, TypeError, AttributeError,
+                                    pickle.PicklingError)):
+                    refused(core, bad)
+                assert (core.unread, core.journal.size()) == (0, (0, 0)), codec
+                assert core.counters.snapshot().get("pq_enqueues", 0) == 0, codec
+                core.call(_call(2))
+                frames = core.end()
+                assert _kinds(frames) == ["open", "calls", "end"], codec
+                assert [entry[2] for entry in frames[1]["calls"]] == [[1], [2]], codec
+                assert (core.unread, core.stale_replies) == (0, 0), codec
+                assert core.counters.snapshot()["async_calls"] == 2
 
     def test_invoke_payloads(self, core):
         core.open_block(0, None)
-        closure = lambda obj: obj.read(1, k=2)  # noqa: E731 - what Client passes as fn
-        by_name = core.invoke(TARGET, closure, feature="read", args=(1,), kwargs={"k": 2})[-1]
-        assert by_name == {"kind": "invoke", "oid": 1, "feature": "read",
+        # a name and a callable travel alike, each with its arguments
+        by_name = core.invoke(TARGET, "read", (1,), {"k": 2})[-1]
+        assert by_name == {"kind": "invoke", "oid": 1, "fn": "read",
                            "args": [1], "kwargs": {"k": 2}}
-        # a wrapper closure is unpicklable: the user's callable travels instead
-        by_raw_fn = core.invoke(TARGET, closure, args=(3,), raw_fn=_double)[-1]
-        assert by_raw_fn == {"kind": "invoke", "oid": 1, "fn": _double, "args": [3], "kwargs": {}}
-        # no description at all (a statically pre-synced query): fn itself
-        by_fn = core.invoke(TARGET, _double, args=(3,))[-1]
-        assert by_fn == {"kind": "invoke", "oid": 1, "fn": _double, "args": [], "kwargs": {}}
+        by_fn = core.invoke(TARGET, _double, (3,), {})[-1]
+        assert by_fn == {"kind": "invoke", "oid": 1, "fn": _double, "args": [3], "kwargs": {}}
+        # a statically pre-synced query's body takes the target alone
+        bare = core.invoke(TARGET, _double, (), {})[-1]
+        assert bare == {"kind": "invoke", "oid": 1, "fn": _double, "args": [], "kwargs": {}}
 
     def test_error_replies_map_to_exceptions(self, core):
         core.open_block(0, None)
@@ -199,13 +208,13 @@ class TestOrdinaryBlock:
         core = _new_core(_link("json"))
         core.open_block(0, None)
         with pytest.raises(ScoopError, match="'pickle' or 'bin'"):
-            core.invoke(TARGET, _double)
+            core.invoke(TARGET, _double, (), {})
         with pytest.raises(ScoopError, match="not adopted through it"):
-            core.invoke(object(), _double, feature="read")
+            core.invoke(object(), "read", (), {})
 
 
 def _read(core, **extra) -> list:
-    return core.invoke(TARGET, lambda obj: obj.read(), feature="read", **extra)
+    return core.invoke(TARGET, "read", (), {}, **extra)
 
 
 class TestAQueryRidingItsSync:
@@ -315,7 +324,7 @@ class TestFailover:
         # replay and leaves with the block's next frame
         frames = core.sync()
         assert _kinds(frames) == ["calls", "sync"]
-        assert frames[0]["calls"] == [[1, "add", None, [3], {}]]
+        assert frames[0]["calls"] == [[1, "add", [3], {}]]
         assert core.classify(_release(8)) == (None, None)
         assert core.replies_seen == 3
 
@@ -531,7 +540,7 @@ class _ModelWorker:
             if kind == "open":
                 self.ticket = frame["ticket"]
             elif kind == "calls":
-                self.executed.extend(entry[3][0] for entry in frame["calls"])
+                self.executed.extend(entry[2][0] for entry in frame["calls"])
             elif kind == "end":
                 self.served, self.between_blocks = self.ticket, list(self.executed)
             elif kind != "hello" and answer:
