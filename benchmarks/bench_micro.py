@@ -3,10 +3,22 @@
 These are the components every workload exercises; keeping an eye on their
 cost is what the paper's Section 3.1 is about ("these optimizations are
 important as they are involved in all communication").
+
+``test_separate_block`` times whole separate blocks on ``threads`` at level
+``all``, one client and one handler: a query-only block (reservation and
+ticket, the query, the release) and a block of 32 commands plus a query.
+It reports microseconds and profiled calls per block in ``extra_info``
+(``--benchmark-json``) and prints them (``-s``).
 """
 
 from __future__ import annotations
 
+import cProfile
+import pstats
+
+import pytest
+
+from repro import QsRuntime, SeparateObject, command, query
 from repro.compiler.builder import fig14_loop, straightline_queries
 from repro.compiler.lowering import lower_queries
 from repro.compiler.sync_elision import SyncElisionPass
@@ -79,3 +91,57 @@ def test_semantics_exploration_fig1(benchmark):
         return Explorer().explore(fig1_two_clients()).states_visited
 
     assert benchmark(run) > 50
+
+
+class _Log(SeparateObject):
+    def __init__(self):
+        self.logged = 0
+        self.asked = 0
+
+    @command
+    def log(self, _item):
+        self.logged += 1
+
+    @query
+    def progress(self):
+        self.asked += 1
+        return self.logged + self.asked
+
+
+BLOCKS = 2_000
+
+
+@pytest.mark.parametrize("commands", [0, 32])
+def test_separate_block(benchmark, commands):
+    items = list(range(commands))
+    blocks = []
+    with QsRuntime("all", backend="threads") as rt:
+        ref = rt.new_handler("log").create(_Log)
+
+        def block():
+            with rt.separate(ref) as log:
+                for item in items:
+                    log.log(item)
+                blocks.append(None)
+                return log.progress()
+
+        def run():
+            for _ in range(BLOCKS):
+                block()
+
+        run()  # warm: the proxy type is derived and the queue cached
+        profile = cProfile.Profile()
+        profile.enable()
+        for _ in range(100):
+            block()
+        profile.disable()
+        # less the calls of block() itself and of its list append
+        calls = pstats.Stats(profile).total_calls / 100 - 2
+        benchmark(run)
+        # every command and query so far ran, once each
+        assert block() == (commands + 1) * len(blocks)
+    benchmark.extra_info["calls_per_block"] = calls
+    if benchmark.stats is not None:
+        us = benchmark.stats.stats.median / BLOCKS * 1e6
+        benchmark.extra_info["us_per_block"] = us
+        print(f"\n{commands} commands + 1 query: {us:.1f} us and {calls:.0f} calls per block")

@@ -417,7 +417,7 @@ class _ReadOnWait:
 
     No reader thread fires an event there: waiting for the release *is*
     reading the reply, on the waiter's thread.  Nothing else was sent to the
-    handler since (``Client._check_no_pending_query``), so the next genuine
+    handler since (``Client._still_pending``), so the next genuine
     reply is that query's; one abandoned with its block is never read here
     (the core books it as stale debt, :meth:`WireQueueCore.end`).
     """

@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core.api import COMMAND, method_kind
+from repro.core.api import COMMAND
 from repro.core.client import Client, Reservation
 from repro.core.region import SeparateRef
+from repro.core.separate import PerClassProxy
 from repro.errors import ReservationError, ScoopError
 
 #: the AsyncClient of the currently running client task (task-local: each
@@ -135,30 +136,30 @@ class AsyncClient:
         return f"AsyncClient({self.name!r})"
 
 
-class AsyncReservedProxy:
+class AsyncReservedProxy(PerClassProxy):
     """A separate object reserved by the enclosing ``async with`` block.
 
     Attribute access mirrors :class:`~repro.core.separate.ReservedProxy`,
-    but every method is a coroutine: ``await c.increment()`` logs the
-    command (completing immediately), ``await c.read()`` performs the full
-    awaitable query protocol.
+    features resolved once per hosted class included, but every method is a
+    coroutine: ``await c.increment()`` logs the command (completing
+    immediately), ``await c.read()`` performs the full awaitable query
+    protocol.
     """
 
-    __slots__ = ("_ref", "_client")
+    __slots__ = ()
+    _types: Dict[type, type] = {}
 
-    def __init__(self, ref: SeparateRef, client: AsyncClient) -> None:
-        object.__setattr__(self, "_ref", ref)
-        object.__setattr__(self, "_client", client)
+    @staticmethod
+    def _feature(name: str, kind: str) -> Callable[..., Any]:
+        if kind == COMMAND:
+            async def feature(self, /, *args: Any, **kwargs: Any) -> None:
+                await self._client.call(self._ref, name, *args, **kwargs)
+        else:
+            async def feature(self, /, *args: Any, **kwargs: Any) -> Any:
+                return await self._client.query(self._ref, name, *args, **kwargs)
+        return feature
 
     # -- explicit API -------------------------------------------------------
-    @property
-    def ref(self) -> SeparateRef:
-        return self._ref
-
-    @property
-    def handler(self):
-        return self._ref.handler
-
     async def send(self, method: str, /, *args: Any, **kwargs: Any) -> None:
         await self._client.call(self._ref, method, *args, **kwargs)
 
@@ -174,33 +175,6 @@ class AsyncReservedProxy:
     async def sync_(self) -> bool:
         return await self._client.sync(self._ref)
 
-    # -- attribute sugar ------------------------------------------------------
-    def __getattr__(self, name: str):
-        ref = object.__getattribute__(self, "_ref")
-        client = object.__getattribute__(self, "_client")
-        raw = ref._raw()
-        kind = method_kind(getattr(raw, "_scoop_class", None) or type(raw), name)
-
-        if kind == COMMAND:
-            async def _command(*args: Any, **kwargs: Any) -> None:
-                await client.call(ref, name, *args, **kwargs)
-            _command.__name__ = name
-            return _command
-
-        async def _query(*args: Any, **kwargs: Any) -> Any:
-            return await client.query(ref, name, *args, **kwargs)
-        _query.__name__ = name
-        return _query
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(
-            "attributes of a separate object cannot be assigned directly; "
-            "log a command that performs the assignment on the handler"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"<AsyncReservedProxy of {self._ref!r}>"
-
 
 class AsyncSeparateBlock:
     """``async with`` context manager implementing (multi-)handler reservation.
@@ -208,7 +182,9 @@ class AsyncSeparateBlock:
     Entering enqueues this client's private queues (atomically for
     multi-handler blocks, Section 3.3) — the completely asynchronous
     reservation of the QoQ protocol, so ``__aenter__`` returns without
-    waiting for any handler.  Exiting appends the END markers.
+    waiting for any handler.  Exiting appends the END markers.  A block of
+    one separate object takes the lean path, as
+    :class:`~repro.core.separate.SeparateBlock` does.
     """
 
     def __init__(self, client: AsyncClient, refs: Sequence[SeparateRef]) -> None:
@@ -221,25 +197,33 @@ class AsyncSeparateBlock:
                     "create objects with handler.create(...) or handler.adopt(...)"
                 )
         self._client = client
-        self._refs = list(refs)
+        self._refs = refs
+        self._reservation: Optional[Reservation] = None
         self._reservations: List[Reservation] = []
 
-    def _build_proxies(self) -> Tuple[AsyncReservedProxy, ...]:
-        return tuple(AsyncReservedProxy(ref, self._client) for ref in self._refs)
-
     async def __aenter__(self):
+        client, refs = self._client, self._refs
+        if len(refs) == 1:
+            ref = refs[0]
+            self._reservation = client._client.reserve_one(ref.handler)
+            return AsyncReservedProxy(ref, client)
         handlers = []
-        for ref in self._refs:
+        for ref in refs:
             if ref.handler not in handlers:
                 handlers.append(ref.handler)
-        self._reservations = self._client._client.reserve(handlers)
-        proxies = self._build_proxies()
-        return proxies[0] if len(proxies) == 1 else proxies
+        self._reservations = client._client.reserve(handlers)
+        return tuple(AsyncReservedProxy(ref, client) for ref in refs)
 
     async def __aexit__(self, exc_type, exc, tb) -> None:
-        if self._client._client.release(self._reservations):
+        reservation = self._reservation
+        if reservation is not None:
+            inline = self._client._client.release_one(reservation)
+            self._reservation = None
+        else:
+            inline = self._client._client.release(self._reservations)
+            self._reservations = []
+        if inline:
             await asyncio.sleep(0)  # the block never awaited: let the loop run
-        self._reservations = []
 
 
 def bind_async_client(client: AsyncClient) -> None:

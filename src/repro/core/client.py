@@ -46,7 +46,6 @@ holds the next block when it passes its ticket on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from threading import current_thread
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.backends.base import ExecutionBackend
@@ -54,12 +53,17 @@ from repro.backends.threaded import ThreadedBackend
 from repro.config import QsConfig
 from repro.core.expanded import prepare_arguments
 from repro.core.handler import Handler
-from repro.core.region import SeparateRef
+from repro.core.region import SeparateRef, calling_thread
 from repro.errors import HandlerShutdownError, NotReservedError, ReservationError, ScoopError
 from repro.queues.private_queue import (
     CallRequest, PrivateQueue, ResultBox, SyncRequest, feature_name)
 from repro.util.counters import Counters
 from repro.util.tracing import NullTracer, Tracer
+
+
+def _shut_down(handler: Handler) -> HandlerShutdownError:
+    return HandlerShutdownError(
+        f"handler {handler.name!r} has been shut down and cannot be reserved")
 
 
 #: types charged one word without further inspection (the scalar fast path)
@@ -222,7 +226,7 @@ class Client:
     ) -> None:
         self.config = config
         self.counters = counters or Counters()
-        self.name = name or current_thread().name
+        self.name = name or calling_thread().name
         # explicit None check: an empty Tracer has len() == 0 and must not be
         # mistaken for "no tracer"
         self.tracer = tracer if tracer is not None else NullTracer()
@@ -247,6 +251,8 @@ class Client:
     # ------------------------------------------------------------------
     def reserve(self, handlers: Sequence[Handler]) -> List[Reservation]:
         """Reserve ``handlers`` (a single separate block, possibly multi)."""
+        if len(handlers) == 1:
+            return [self.reserve_one(handlers[0])]
         if not handlers:
             raise ReservationError("a separate block must reserve at least one handler")
         unique: List[Handler] = []
@@ -256,55 +262,69 @@ class Client:
             # refused before anything is enqueued or locked: a multi-handler
             # block must not leave its live handlers holding a reservation
             if handler.qoq.closed:
-                raise HandlerShutdownError(
-                    f"handler {handler.name!r} has been shut down and cannot be reserved")
+                raise _shut_down(handler)
             unique.append(handler)
 
-        reservations: List[Reservation] = []
         if not self.config.use_qoq:
-            # Original SCOOP: take the handler locks for the whole block.
-            # Locks are acquired in a canonical (creation) order so the
-            # runtime itself never deadlocks on a *single* multi-reservation;
-            # nested blocks can of course still deadlock, which is the
-            # behaviour the paper discusses in Section 2.5 (see the
-            # semantics explorer).
-            for handler in sorted(unique, key=lambda h: h.seq):
-                acquired = handler.reservation_lock.acquire(blocking=False)
-                if not acquired:
-                    self.counters.bump("lock_waits")
-                    handler.reservation_lock.acquire()
-                self.counters.bump("lock_acquisitions")
-
+            self._lock(unique)
         queues = [self._obtain_private_queue(handler) for handler in unique]
 
-        if len(unique) > 1:
-            self.counters.bump("multi_reservations")
-            # Section 3.3: insert every private queue atomically with respect
-            # to other multi-reservations by holding each handler's spinlock.
-            ordered = sorted(range(len(unique)), key=lambda i: unique[i].seq)
-            for i in ordered:
-                unique[i].spinlock.acquire()
-            try:
-                for handler, queue in zip(unique, queues):
-                    handler.qoq.enqueue(queue)
-            finally:
-                for i in reversed(ordered):
-                    unique[i].spinlock.release()
-            for handler in unique:
-                self.backend.notify_handler(handler)
-        elif self._defers_filing and isinstance(queues[0], PrivateQueue):
-            queues[0].defer_filing(unique[0].qoq, unique[0].qoq.issue())
-        else:
-            unique[0].qoq.enqueue(queues[0])
-            self.backend.notify_handler(unique[0])
+        self.counters.bump("multi_reservations")
+        # Section 3.3: insert every private queue atomically with respect
+        # to other multi-reservations by holding each handler's spinlock.
+        ordered = sorted(range(len(unique)), key=lambda i: unique[i].seq)
+        for i in ordered:
+            unique[i].spinlock.acquire()
+        try:
+            for handler, queue in zip(unique, queues):
+                handler.qoq.enqueue(queue)
+        finally:
+            for i in reversed(ordered):
+                unique[i].spinlock.release()
+        for handler in unique:
+            self.backend.notify_handler(handler)
+        return [self._hold(handler, queue) for handler, queue in zip(unique, queues)]
 
-        for handler, queue in zip(unique, queues):
-            reservation = Reservation(handler, queue, holds_lock=not self.config.use_qoq)
-            self._reservations.setdefault(handler, []).append(reservation)
-            reservations.append(reservation)
-            if self.tracer.enabled:
-                self.tracer.record("reserve", handler.name, client=self.name, block=queue.block_id)
-        return reservations
+    def reserve_one(self, handler: Handler) -> Reservation:
+        """Reserve one handler: :meth:`reserve`'s steps, in its order, for one.
+
+        This is every single-handler separate block's path, so it takes no
+        list, no sort and no spinlock.
+        """
+        if handler.qoq.closed:
+            raise _shut_down(handler)
+        if not self.config.use_qoq:
+            self._lock((handler,))
+        queue = self._obtain_private_queue(handler)
+        if self._defers_filing and isinstance(queue, PrivateQueue):
+            queue.defer_filing(handler.qoq, handler.qoq.issue())
+        else:
+            handler.qoq.enqueue(queue)
+            self.backend.notify_handler(handler)
+        return self._hold(handler, queue)
+
+    def _lock(self, handlers: Sequence[Handler]) -> None:
+        """Original SCOOP: take the handler locks for the whole block.
+
+        Locks are acquired in a canonical (creation) order so the runtime
+        itself never deadlocks on a *single* multi-reservation; nested
+        blocks can of course still deadlock, which is the behaviour the
+        paper discusses in Section 2.5 (see the semantics explorer).
+        """
+        for handler in sorted(handlers, key=lambda h: h.seq):
+            acquired = handler.reservation_lock.acquire(blocking=False)
+            if not acquired:
+                self.counters.bump("lock_waits")
+                handler.reservation_lock.acquire()
+            self.counters.bump("lock_acquisitions")
+
+    def _hold(self, handler: Handler, queue: PrivateQueue) -> Reservation:
+        """Push the reservation of ``handler`` on its stack (the block is live)."""
+        reservation = Reservation(handler, queue, not self.config.use_qoq)
+        self._reservations.setdefault(handler, []).append(reservation)
+        if self.tracer.enabled:
+            self.tracer.record("reserve", handler.name, client=self.name, block=queue.block_id)
+        return reservation
 
     def release(self, reservations: Sequence[Reservation]) -> bool:
         """Close a separate block: append END markers and undo bookkeeping.
@@ -312,45 +332,64 @@ class Client:
         Returns True when the block ended inline, having handed its handler
         nothing (see ``ExecutionBackend.block_ended_inline``).
         """
+        if len(reservations) == 1:
+            return self.release_one(reservations[0])
         inline = False
         for reservation in reservations:
-            handler = reservation.handler
-            stack = self._reservations.get(handler, [])
-            if not stack or stack[-1] is not reservation:
-                raise ReservationError(
-                    f"separate blocks must be released innermost-first (handler {handler.name!r})"
-                )
-            # a pending issued query dies with its block (the handler serves
-            # what was issued and resumes past it at the END marker)
-            self._pending_queries.pop(handler, None)
-            queue = reservation.private_queue
-            qoq = queue.pending_qoq
-            if qoq is not None and qoq.served == queue.ticket:
-                # never filed, and the handler waits for this very ticket
-                queue.pending_qoq = None
-                inline = True
-                if qoq.pass_unfiled(queue.ticket):
-                    self.backend.notify_handler(handler)
-            else:
-                queue.enqueue_end()  # files a queue still unfiled first
-                self.backend.notify_handler(handler)
-            if self.tracer.enabled:
-                self.tracer.record("release", handler.name, client=self.name,
-                                   block=reservation.private_queue.block_id)
-            handler.owner.revoke_sync_access(current_thread())
-            stack.pop()
-            if not stack:
-                del self._reservations[handler]
-            if self.config.private_queue_cache:
-                self._pq_cache.setdefault(handler, []).append(reservation.private_queue)
-            else:
-                reservation.private_queue.close()
+            inline = self._end(reservation) or inline
         if not self.config.use_qoq:
             for reservation in sorted(reservations, key=lambda r: r.handler.seq, reverse=True):
                 if reservation.holds_lock:
                     reservation.handler.reservation_lock.release()
         if inline:
             self.backend.block_ended_inline()
+        return inline
+
+    def release_one(self, reservation: Reservation) -> bool:
+        """Close a single-handler block: :meth:`release`'s steps for one."""
+        inline = self._end(reservation)
+        if reservation.holds_lock:
+            reservation.handler.reservation_lock.release()
+        if inline:
+            self.backend.block_ended_inline()
+        return inline
+
+    def _end(self, reservation: Reservation) -> bool:
+        """End one handler's part of a block; True when it ended inline."""
+        handler = reservation.handler
+        stack = self._reservations.get(handler)
+        if not stack or stack[-1] is not reservation:
+            raise ReservationError(
+                f"separate blocks must be released innermost-first (handler {handler.name!r})"
+            )
+        # a pending issued query dies with its block (the handler serves
+        # what was issued and resumes past it at the END marker)
+        self._pending_queries.pop(handler, None)
+        # given up while the handler still serves this block: nobody else
+        # can be granted before the END (or the ticket passed on) below
+        handler.owner.revoke_sync_access(calling_thread())
+        queue = reservation.private_queue
+        qoq = queue.pending_qoq
+        if qoq is not None and qoq.served == queue.ticket:
+            # never filed, and the handler waits for this very ticket
+            queue.pending_qoq = None
+            inline = True
+            if qoq.pass_unfiled(queue.ticket):
+                self.backend.notify_handler(handler)
+        else:
+            inline = False
+            queue.enqueue_end()  # files a queue still unfiled first
+            self.backend.notify_handler(handler)
+        if self.tracer.enabled:
+            self.tracer.record("release", handler.name, client=self.name,
+                               block=queue.block_id)
+        stack.pop()
+        if not stack:
+            del self._reservations[handler]
+        if self.config.private_queue_cache:
+            self._pq_cache.setdefault(handler, []).append(queue)
+        else:
+            queue.close()
         return inline
 
     def _obtain_private_queue(self, handler: Handler) -> PrivateQueue:
@@ -392,12 +431,13 @@ class Client:
     def reserved(self, handler: Handler) -> bool:
         return bool(self._reservations.get(handler))
 
-    def _check_no_pending_query(self, handler: Handler) -> None:
-        if handler in self._pending_queries:
-            raise ScoopError(
-                f"a query issued on handler {handler.name!r} is still pending; wait for "
-                "its result (PendingQuery.wait / await wait_async) before logging further "
-                "requests to that handler")
+    @staticmethod
+    def _still_pending(handler: Handler) -> ScoopError:
+        """Raised by a request to a handler whose issued query is not waited for."""
+        return ScoopError(
+            f"a query issued on handler {handler.name!r} is still pending; wait for "
+            "its result (PendingQuery.wait / await wait_async) before logging further "
+            "requests to that handler")
 
     # ------------------------------------------------------------------
     # requests
@@ -409,14 +449,15 @@ class Client:
         runs, or a callable applied as ``fn(obj, *args, **kwargs)``.
         """
         handler = ref.handler
-        self._check_no_pending_query(handler)
+        if handler in self._pending_queries:
+            raise self._still_pending(handler)
         queue = self.queue_for(handler)
         args, kwargs = prepare_arguments(args, kwargs, self.counters)
         request = CallRequest(fn, ref._raw(), args, kwargs, None,
                               _payload_size(args, kwargs), queue.block_id)
         # logging an asynchronous call invalidates any synchronous control we
         # held over the handler (the handler will become busy again)
-        handler.owner.revoke_sync_access(current_thread())
+        handler.owner.revoke_sync_access(calling_thread())
         if self.tracer.enabled:
             self.tracer.record("log-call", handler.name, client=self.name,
                                feature=feature_name(fn), block=queue.block_id)
@@ -441,7 +482,8 @@ class Client:
     def _issue(self, ref: SeparateRef, fn: Any, args: tuple, kwargs: dict) -> PendingQuery:
         """Put a query on the handler's queue; every wait is the caller's."""
         handler = ref.handler
-        self._check_no_pending_query(handler)
+        if handler in self._pending_queries:
+            raise self._still_pending(handler)
         queue = self.queue_for(handler)
         self.counters.bump("queries")
         if self.tracer.enabled:
@@ -463,7 +505,7 @@ class Client:
             self.backend.notify_handler(handler)
         # client-executed query: until the wait the handler must stay parked
         # on this queue, so further requests are rejected until the result
-        # is consumed (see _check_no_pending_query)
+        # is consumed (see _still_pending)
         self._pending_queries[handler] = pending
         return pending
 
@@ -490,7 +532,8 @@ class Client:
         ``None`` when dynamic sync coalescing elided the round trip.
         """
         handler = ref.handler
-        self._check_no_pending_query(handler)
+        if handler in self._pending_queries:
+            raise self._still_pending(handler)
         queue = self.queue_for(handler)
         if self._sync_elided(handler, queue):
             return None
@@ -519,7 +562,7 @@ class Client:
                     or (runtime is not None and runtime.running_clients > 1)):
                 return False
             queue.synced = True
-            handler.owner.grant_sync_access(current_thread())
+            handler.owner.grant_sync_access(calling_thread())
         self.counters.bump("syncs_elided")
         if self.tracer.enabled:
             self.tracer.record("sync-elided", handler.name, client=self.name,
@@ -529,7 +572,7 @@ class Client:
     def _finish_sync(self, handler: Handler, queue: PrivateQueue) -> None:
         """Bookkeeping once the sync release on ``queue`` has been observed."""
         queue.synced = True
-        handler.owner.grant_sync_access(current_thread())
+        handler.owner.grant_sync_access(calling_thread())
         if self.tracer.enabled:
             self.tracer.record("sync", handler.name, client=self.name, block=queue.block_id)
 

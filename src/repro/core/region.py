@@ -24,11 +24,14 @@ A thread is allowed to access a separate object when either
    which the paper's modified query rule executes the query body on the
    client (Section 3.2).
 
-Cost on the owner path (handler thread or synced client): one owner lookup
-and two identity tests against ``threading.current_thread()``, no lock and no
-bound method — a call making three checked accesses takes ~1.3 µs, not the
-~3.6 µs of a lock and a bound method per access (CPython 3.11, 2-CPU host).
-Identity, not ``ident``: a later thread may reuse a finished one's ident.
+Cost on the owner path (handler thread or synced client): one owner lookup,
+one thread-local read and two identity tests, no lock and no bound method —
+a call making three checked accesses takes ~1.3 µs, not the ~3.6 µs of a
+lock and a bound method per access (CPython 3.11, 2-CPU host).  Identity, not
+``ident``: a later thread may reuse a finished one's ident.  The thread-local
+read (:func:`calling_thread`) is ``threading.current_thread()`` cached per
+thread, at about a third of its cost; a later thread gets a fresh local, so
+it never sees a finished thread's object.
 """
 
 from __future__ import annotations
@@ -43,6 +46,18 @@ from repro.errors import SeparateAccessError
 _INTERNAL_ATTRS = frozenset({"_scoop_handler_ref", "__dict__", "__class__"})
 
 _get = object.__getattribute__
+
+#: per thread: its ``threading.Thread``, once :func:`calling_thread` has run there
+_here = threading.local()
+
+
+def calling_thread() -> threading.Thread:
+    """``threading.current_thread()``, cached in a thread-local."""
+    try:
+        return _here.thread
+    except AttributeError:
+        _here.thread = thread = current_thread()
+        return thread
 
 
 class SeparateObject:
@@ -71,7 +86,7 @@ class SeparateObject:
         )
 
     def __getstate__(self) -> dict:
-        """Pickle the fields, not the ownership (a lock and a thread).
+        """Pickle the fields, not the ownership (its threads).
 
         Ownership is not state: a copy arrives unbound, and whoever hosts it
         binds it again.  This is what lets a handler process snapshot its
@@ -87,7 +102,10 @@ class SeparateObject:
     def __getattribute__(self, name: str) -> Any:
         owner = _get(self, "_scoop_handler_ref")  # None: not yet adopted
         if owner is not None:
-            thread = current_thread()
+            try:
+                thread = _here.thread  # calling_thread(), inlined
+            except AttributeError:
+                thread = calling_thread()
             if (thread is not owner._thread and thread is not owner._synced_client
                     and not (name.startswith("_scoop_") or name in _INTERNAL_ATTRS
                              or name.startswith("__"))):
@@ -97,7 +115,10 @@ class SeparateObject:
     def __setattr__(self, name: str, value: Any) -> None:
         owner = _get(self, "_scoop_handler_ref")
         if owner is not None:
-            thread = current_thread()
+            try:
+                thread = _here.thread
+            except AttributeError:
+                thread = calling_thread()
             if (thread is not owner._thread and thread is not owner._synced_client
                     and not name.startswith("_scoop_")):
                 self._scoop_refuse(owner, thread)
@@ -114,27 +135,26 @@ class HandlerOwner:
     def __init__(self, name: str) -> None:
         self.name = name
         self._thread: Optional[threading.Thread] = None
-        #: thread granted synchronous control (after a sync); written under the lock
+        #: thread granted synchronous control (after a sync)
         self._synced_client: Optional[threading.Thread] = None
-        self._lock = threading.Lock()
 
     # -- wiring -------------------------------------------------------------
     def bind_thread(self, thread: threading.Thread) -> None:
         self._thread = thread
 
     # -- grants --------------------------------------------------------------
+    # No lock: a grant is one store, and only the client whose block the
+    # handler is parked on holds or drops it.  That client drops its grant
+    # before it ends the block (``Client._end``), so no other client can be
+    # granted between the test and the store of a revoke.
     def grant_sync_access(self, thread: threading.Thread) -> None:
         """Record that ``thread`` holds synchronous control of this handler."""
-        with self._lock:
-            self._synced_client = thread
+        self._synced_client = thread
 
     def revoke_sync_access(self, thread: Optional[threading.Thread] = None) -> None:
         """Drop the synchronous-control grant (if held by ``thread`` or anyone)."""
-        if thread is not None and self._synced_client is not thread:
-            return  # callers pass their own thread, and only it grants itself
-        with self._lock:
-            if thread is None or self._synced_client is thread:
-                self._synced_client = None
+        if thread is None or self._synced_client is thread:
+            self._synced_client = None
 
     # -- checks ---------------------------------------------------------------
     def thread_allowed(self, thread: threading.Thread) -> bool:

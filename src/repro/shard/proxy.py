@@ -45,6 +45,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, List, Optional
 
+from repro.core.async_api import AsyncReservedProxy
 from repro.core.client import Client, PendingQuery, Reservation
 from repro.core.separate import ReservedProxy
 
@@ -189,16 +190,12 @@ class AsyncShardedProxy:
         return self._view.ref_for_mapped(self._group._map_key(key))
 
     # -- routing -------------------------------------------------------------
-    def on(self, key: Any) -> Any:
+    def on(self, key: Any) -> AsyncReservedProxy:
         """The owning shard's awaitable proxy (``await g.on(k).deposit(5)``)."""
-        from repro.core.async_api import AsyncReservedProxy
-
         self._counters.bump("shard_routes")
         return AsyncReservedProxy(self._ref_for(key), self._async_client)
 
-    def shard(self, index: int) -> Any:
-        from repro.core.async_api import AsyncReservedProxy
-
+    def shard(self, index: int) -> AsyncReservedProxy:
         return AsyncReservedProxy(self._view.refs[index], self._async_client)
 
     async def call(self, key: Any, method: str, /, *args: Any, **kwargs: Any) -> None:

@@ -80,7 +80,9 @@ def test_every_logged_request_wakes_its_handler(level):
             assert x.read() == 1            # "all": the sync elided by coalescing
             x.increment()
             assert x.read() == 2            # "all": client-executed; "qoq": packaged
-        stats = rt.stats()
+    # read once shutdown has drained both handlers: nothing synced b, so
+    # inside the runtime its increment may not have run yet
+    stats = rt.stats()
     if level == "all":
         assert stats["syncs_elided"] == 1
         assert stats["calls_executed"] == 3

@@ -29,6 +29,7 @@ from repro import QsRuntime, SeparateObject, command, query
 from repro.backends import ProcessBackend, process_worker
 from repro.backends.process import RemoteHandle, RemoteHandlerError, _WorkerProcess
 from repro.backends.process_worker import CHECKPOINT_MIN_FRAMES, HandlerServer
+from repro.core import api, separate
 from repro.errors import QueryFailedError, ScoopError
 from repro.queues.codec import get_codec
 from repro.queues.socket_queue import FrameBuffers, FrameStream
@@ -244,19 +245,30 @@ class TestCodecs:
                 assert b.compute(top_level_halve, 10) == 5
 
 
+class FreshBox(Box):
+    """A Box no other test reserves, so no proxy type is derived for it yet."""
+
+
 class TestAProxyOverARemoteHandle:
-    def test_resolves_each_feature_once_from_the_hosted_class(self):
+    def test_resolves_each_feature_once_from_the_hosted_class(self, monkeypatch):
         # the handle is not the object: its class says put is a command
+        resolved = []
+
+        def counting(cls, name, default=api.QUERY):
+            resolved.append((cls, name))
+            return api.method_kind(cls, name, default)
+
+        monkeypatch.setattr(separate, "method_kind", counting)
         with QsRuntime("all", backend="process") as rt:
-            ref = rt.new_handler("box").create(Box)
-            with rt.separate(ref) as b:
-                put = b.put
-                assert b.put is put and vars(b) == {"put": put}
-                for i in range(3):
-                    put(i)
-                assert b.calls_seen() == 3
+            ref = rt.new_handler("box").create(FreshBox)
+            for block in range(3):
+                with rt.separate(ref) as b:
+                    for i in range(3):
+                        b.put(i)
+                    assert b.calls_seen() == 3 * (block + 1)
             stats = rt.stats()
-        assert (stats["async_calls"], stats["queries"]) == (3, 1)
+        assert resolved == [(FreshBox, "put"), (FreshBox, "calls_seen")]
+        assert (stats["async_calls"], stats["queries"]) == (9, 3)
 
 
 class TestCountersAggregation:

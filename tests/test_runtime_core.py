@@ -5,6 +5,7 @@ optimization level (the ``runtime`` fixture is parameterised)."""
 
 import pytest
 
+from repro.core import api, separate
 from repro.core.api import command, query
 from repro.core.baseline import LockBasedRuntime
 from repro.core.region import SeparateObject
@@ -104,16 +105,26 @@ class TestBasicOperation:
 
 
 class TestAProxyResolvesAFeatureOnce:
-    def test_the_callable_is_kept_and_assignment_is_still_refused(self, runtime):
-        ref = runtime.new_handler("counter").create(Counter)
-        with runtime.separate(ref) as c:
-            assert c.increment is c.increment and c.read is c.read
-            c.increment(2)
-            assert c.read() == 2
-            for name in ("increment", "value"):
-                with pytest.raises(AttributeError, match="cannot be assigned"):
-                    setattr(c, name, 5)
-            assert c.read() == 2
+    def test_once_per_class_across_blocks_and_assignment_is_still_refused(
+            self, runtime, monkeypatch):
+        resolved = []
+
+        def counting(cls, name, default=api.QUERY):
+            resolved.append((cls, name))
+            return api.method_kind(cls, name, default)
+
+        monkeypatch.setattr(separate, "method_kind", counting)
+        fresh = type("Counter", (Counter,), {})  # no proxy type derived yet
+        ref = runtime.new_handler("counter").create(fresh)
+        for expected in range(1, 4):
+            with runtime.separate(ref) as c:
+                c.increment(2)
+                c.increment(0)
+                assert c.read() == 2 * expected
+                for name in ("increment", "value"):
+                    with pytest.raises(AttributeError, match="cannot be assigned"):
+                        setattr(c, name, 5)
+        assert resolved == [(fresh, "increment"), (fresh, "read")]
 
     def test_a_kept_callable_raises_once_its_block_is_over(self, runtime):
         ref = runtime.new_handler("counter").create(Counter)
